@@ -95,6 +95,8 @@ def resolve_config(raw: dict) -> dict:
     _validate_physics(resolved["physics"])
     _validate_numerics(resolved["numerics"])
     _validate_output(resolved["output"])
+    if experiment == "cramer_rao":
+        _validate_cramer_rao(resolved["numerics"])
     return resolved
 
 
@@ -123,6 +125,15 @@ def _validate_numerics(num: dict) -> None:
     for key in ("seed", "shots", "replicas"):
         if not isinstance(num[key], int) or isinstance(num[key], bool) or num[key] < 0:
             raise ConfigError(f"numerics.{key} must be a non-negative integer")
+
+
+def _validate_cramer_rao(num: dict) -> None:
+    # run-time preconditions of experiments.cramer_rao (three decades of shot
+    # counts down to shots // 100) and of the replica variance
+    if num["shots"] < 100:
+        raise ConfigError(f"cramer_rao needs numerics.shots >= 100, got {num['shots']}")
+    if num["replicas"] < 2:
+        raise ConfigError(f"cramer_rao needs numerics.replicas >= 2, got {num['replicas']}")
 
 
 def _validate_output(out: dict) -> None:

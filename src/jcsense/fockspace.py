@@ -152,11 +152,6 @@ class SparseOperator:
             raise ValueError("operator and state live on different Hilbert spaces")
         return StateVector(self.spec, self.matrix @ state.amplitudes)
 
-    def __matmul__(self, other: "SparseOperator") -> "SparseOperator":
-        if other.spec != self.spec:
-            raise ValueError("operators live on different Hilbert spaces")
-        return SparseOperator(self.spec, (self.matrix @ other.matrix).tocsr())
-
 
 def _field_ladder(field_dim: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     a = sp.diags(

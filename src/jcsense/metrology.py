@@ -5,8 +5,9 @@ Measurement outcomes are drawn from exact probe-state distributions:
 photon-number statistics directly from the Fock amplitudes, quadrature
 statistics from the wavefunction expanded in Hermite functions on a uniform
 grid.  Sampling is deterministic per (seed, scheme, state); replica fans
-use spawned seed sequences so accumulation order never matters.  Detector
-imperfections are not modeled.
+use spawned seed sequences so accumulation order never matters, and build
+the probe's outcome distribution once, drawing every replica from it.
+Detector imperfections are not modeled.
 """
 
 from __future__ import annotations
@@ -172,6 +173,33 @@ def quadrature_distribution(
     return grid, weights / mass
 
 
+def _outcome_distribution(
+    state: StateVector, kind: str
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Outcome values, their probabilities, and whether draws are squared.
+
+    photon_number: the values 0..dim-1 with p(n) = |<n|phi>|^2.
+    x_squared / p_squared: the quadrature grid and weights of
+    :func:`quadrature_distribution`; draws are squared.
+    """
+    _require_field_state(state)
+    if kind == "photon_number":
+        p = np.abs(state.amplitudes) ** 2
+        p = np.clip(p, 0.0, None)
+        p /= p.sum()
+        return np.arange(state.spec.dim, dtype=float), p, False
+    grid, weights = quadrature_distribution(state, kind)
+    return grid, weights, True
+
+
+def _draw(
+    distribution: tuple[np.ndarray, np.ndarray, bool], shots: int, seed
+) -> np.ndarray:
+    values, weights, square = distribution
+    draws = np.random.default_rng(seed).choice(values, size=shots, p=weights)
+    return draws**2 if square else draws
+
+
 def sample_outcomes(
     state: StateVector, scheme: MeasurementScheme, seed
 ) -> np.ndarray:
@@ -184,16 +212,7 @@ def sample_outcomes(
     Deterministic for a fixed (seed, scheme, state); ``seed`` may be an
     integer or a numpy SeedSequence.
     """
-    _require_field_state(state)
-    rng = np.random.default_rng(seed)
-    if scheme.kind == "photon_number":
-        p = np.abs(state.amplitudes) ** 2
-        p = np.clip(p, 0.0, None)
-        p /= p.sum()
-        return rng.choice(state.spec.dim, size=scheme.shots, p=p).astype(float)
-    grid, weights = quadrature_distribution(state, scheme.kind)
-    draws = rng.choice(grid, size=scheme.shots, p=weights)
-    return draws**2
+    return _draw(_outcome_distribution(state, scheme.kind), scheme.shots, seed)
 
 
 def _invert_mean_n(m: float) -> float:
@@ -262,9 +281,11 @@ def replica_estimates(
     """Estimates from ``replicas`` independent experiments of one scheme.
 
     Replica seeds are spawned from ``seed`` (splittable SeedSequence), so
-    results are reproducible and independent of execution order.  When
-    ``outcome_sink`` is a list, the raw outcome array of every replica is
-    appended to it (outcomes are not retained otherwise).
+    results are reproducible and independent of execution order.  The
+    probe's outcome distribution is built once and every replica draws from
+    it, exactly as :func:`sample_outcomes` would with the replica's seed.
+    When ``outcome_sink`` is a list, the raw outcome array of every replica
+    is appended to it (outcomes are not retained otherwise).
     """
     if replicas < 2:
         raise ValueError(f"need at least 2 replicas, got {replicas}")
@@ -273,12 +294,13 @@ def replica_estimates(
         with_qubit=False,
     )
     probe = fockspace.squeezed_vacuum(spec, 0.25 * np.log(1.0 - eta * eta))
+    distribution = _outcome_distribution(probe, scheme.kind)
     children = np.random.SeedSequence(seed).spawn(replicas)
     estimates = np.empty(replicas)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EstimateClippedWarning)
         for i, child in enumerate(children):
-            outcomes = sample_outcomes(probe, scheme, child)
+            outcomes = _draw(distribution, scheme.shots, child)
             if outcome_sink is not None:
                 outcome_sink.append(outcomes)
             estimates[i] = estimate_eta(outcomes, scheme)

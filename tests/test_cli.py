@@ -84,6 +84,21 @@ class TestValidateCommand:
     def test_exit_2_on_missing_file(self, tmp_path):
         assert cli.main(["validate", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize(
+        "numerics, key",
+        [({"shots": 99}, "numerics.shots"), ({"replicas": 1}, "numerics.replicas")],
+    )
+    def test_exit_2_on_cramer_rao_run_time_failure(self, tmp_path, capsys, numerics, key):
+        path = write_config(tmp_path, {"experiment": "cramer_rao", "numerics": numerics})
+        assert cli.main(["validate", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and key in err["message"]
+        # the same numerics are fine for an experiment that does not sample
+        other = write_config(
+            tmp_path, {"experiment": "qfi_curve", "numerics": numerics}, name="other.json"
+        )
+        assert cli.main(["validate", str(other)]) == 0
+
 
 class TestRunQfiCurve:
     def test_monotone_diverging_column(self, tmp_path):

@@ -91,14 +91,18 @@ class TestEvolve:
             assert rec.norm_defect <= 10 * cfg.atol
 
     def test_faster_ramp_loses_fidelity(self):
-        final = {}
-        for k in (1.0 / 20.0, 1.0 / 5.0):
+        def final_fidelity(k):
             sched = ramp.RampSchedule(k=k, eta_target=0.9)
             cfg = EvolutionConfig(
                 omega=1.0, schedule=sched, spec=HilbertSpec(n_max=48)
             )
-            final[k] = evolve(cfg)[-1].fidelity
-        assert final[1.0 / 5.0] < final[1.0 / 20.0]
+            return evolve(cfg)[-1].fidelity
+
+        slow = final_fidelity(1.0 / 20.0)
+        # the fast ramp's excited doublets outgrow n_max = 48, and evolve says so
+        with pytest.warns(fockspace.TruncationWarning):
+            fast = final_fidelity(1.0 / 5.0)
+        assert fast < slow
 
     def test_tolerance_convergence(self):
         # halving the tolerances must not move the final fidelity

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from jcsense import analytic, fockspace, ramp
+from jcsense import analytic, fockspace, metrology, ramp
 from jcsense.fockspace import HilbertSpec
 from jcsense.metrology import (
     EstimateClippedWarning,
@@ -13,6 +15,7 @@ from jcsense.metrology import (
     heisenberg_ratio,
     inverted_variance_numeric,
     quadrature_distribution,
+    replica_estimates,
     sample_outcomes,
     scaling_experiment,
 )
@@ -192,6 +195,44 @@ class TestCramerRao:
     def test_needs_replicas(self):
         with pytest.raises(ValueError):
             cramer_rao_ratio(0.8, MeasurementScheme("photon_number", 10), replicas=1)
+
+
+class TestReplicaFan:
+    @pytest.mark.parametrize("kind", ["photon_number", "x_squared", "p_squared"])
+    def test_replicas_draw_what_sample_outcomes_draws(self, kind):
+        eta, replicas, seed = 0.8, 5, 21
+        scheme = MeasurementScheme(kind, 64)
+        sink = []
+        replica_estimates(eta, scheme, replicas, seed=seed, outcome_sink=sink)
+        probe = probe_state(eta)
+        children = np.random.SeedSequence(seed).spawn(replicas)
+        assert len(sink) == replicas
+        for outcomes, child in zip(sink, children):
+            np.testing.assert_array_equal(outcomes, sample_outcomes(probe, scheme, child))
+
+    @pytest.mark.parametrize(
+        "kind, builds", [("photon_number", 0), ("x_squared", 1), ("p_squared", 1)]
+    )
+    def test_one_distribution_build_per_fan(self, monkeypatch, kind, builds):
+        calls = []
+        original = metrology.quadrature_distribution
+
+        def counting(state, quadrature):
+            calls.append(quadrature)
+            return original(state, quadrature)
+
+        monkeypatch.setattr(metrology, "quadrature_distribution", counting)
+        replica_estimates(0.8, MeasurementScheme(kind, 64), 5, seed=3)
+        assert len(calls) == builds
+
+    def test_under_resolved_grid_still_warns(self, monkeypatch):
+        # the squeezed probe's X is Gaussian: a +/- 2 sigma grid misses ~5% of it
+        sigmas = 2.0
+        assert 1.0 - math.erf(sigmas / math.sqrt(2.0)) > metrology.QUAD_MASS_TOL
+        monkeypatch.setattr(metrology, "QUAD_GRID_SIGMAS", sigmas)
+        scheme = MeasurementScheme("x_squared", 100)
+        with pytest.warns(UserWarning, match="distribution is under-resolved"):
+            cramer_rao_ratio(0.8, scheme, replicas=3, seed=5)
 
 
 class TestScalingExperiment:
