@@ -6,12 +6,14 @@ fixed basis ordering: the field index runs fast, the qubit index slow, so
 the flat index of |q>|n> is ``q*(n_max+1) + n`` with q = 0 for |g> and
 q = 1 for |e>.  All serialization headers state this convention.
 
-States are built by applying squeezing/displacement generators with a
-matrix-exponential action on a padded Fock space (a few extra levels beyond
-``n_max``) and projecting back down.  The padding removes the edge artifacts
-that the hard cutoff would otherwise imprint on the top levels; the
-closed-form Fock coefficients of the squeezed vacuum remain available to
-tests as an independent oracle.
+The squeezed vacuum -- the measurement probe and the field factor of the
+dark state -- is built from its closed-form Fock amplitudes, exact on every
+level up to ``n_max``.  The displaced doublets (n >= 1) are built by applying
+squeezing/displacement generators with a matrix-exponential action on a
+padded Fock space (a few extra levels beyond ``n_max``) and projecting back
+down; the padding removes the edge artifacts that the hard cutoff would
+otherwise imprint on the top levels.  Every state is normalised on the
+truncated space.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh, expm_multiply
 
 # Extra Fock levels used internally when applying squeeze/displace
-# generators; projected away before returning states.
+# generators to the doublets; projected away before returning states.
 _CONSTRUCTION_PAD = 32
 
 HERMITICITY_TOL = 1e-12
@@ -216,15 +218,8 @@ def build_hamiltonian(spec: HilbertSpec, omega: float, eta: float) -> SparseOper
         raise ValueError("the interaction Hamiltonian needs the qubit factor")
     if eta < 0:
         raise ValueError(f"eta must be >= 0, got {eta}")
-    a, ad = _field_ladder(spec.field_dim)
-    sigma_ge = sp.csr_matrix(np.array([[0, 1], [0, 0]], dtype=complex))  # |g><e|
-    sigma_eg = sigma_ge.conj().T.tocsr()
-    h = omega * (
-        sp.kron(sigma_ge, ad)
-        + sp.kron(sigma_eg, a)
-        + (eta / 2) * sp.kron(sp.identity(2, dtype=complex), a + ad)
-    )
-    return SparseOperator(spec, h.tocsr())
+    h_jc, h_drive = jc_hamiltonian_parts(spec, omega)
+    return SparseOperator(spec, h_jc.matrix + eta * h_drive.matrix)
 
 
 def jc_hamiltonian_parts(
@@ -234,7 +229,7 @@ def jc_hamiltonian_parts(
     if not spec.with_qubit:
         raise ValueError("the interaction Hamiltonian needs the qubit factor")
     a, ad = _field_ladder(spec.field_dim)
-    sigma_ge = sp.csr_matrix(np.array([[0, 1], [0, 0]], dtype=complex))
+    sigma_ge = sp.csr_matrix(np.array([[0, 1], [0, 0]], dtype=complex))  # |g><e|
     sigma_eg = sigma_ge.conj().T.tocsr()
     h_jc = omega * (sp.kron(sigma_ge, ad) + sp.kron(sigma_eg, a))
     h_drive = (omega / 2) * sp.kron(sp.identity(2, dtype=complex), a + ad)
@@ -271,17 +266,32 @@ def _qubit_coefficient(eta: float) -> float:
     return np.sqrt((1.0 + np.sqrt(1.0 - eta * eta)) / 2.0)
 
 
+def _squeezed_vacuum_field(field_dim: int, r: float) -> np.ndarray:
+    """Exact Fock amplitudes of S(r)|0> on levels 0..field_dim-1.
+
+    c_{2m} = (-tanh r)^m sqrt((2m)!) / (2^m m! sqrt(cosh r)), accumulated
+    from the ratio c_{2m}/c_{2m-2} = -tanh(r) sqrt((2m-1)/(2m)); odd levels
+    are exactly zero.
+    """
+    m = np.arange(1, (field_dim + 1) // 2)
+    ratios = -np.tanh(r) * np.sqrt((2 * m - 1) / (2 * m))
+    amps = np.zeros(field_dim)
+    amps[0] = 1.0
+    amps[2::2] = np.cumprod(ratios)
+    return amps / np.sqrt(np.cosh(r))
+
+
 def squeezed_vacuum(spec: HilbertSpec, r: float) -> StateVector:
     """Squeezed vacuum S(r)|0> on a field-only space.
 
-    Only even Fock levels are populated.  Emits a :class:`TruncationWarning`
-    when the tail mass of the result exceeds ``TAIL_MASS_TOL``.
+    Built from the closed-form Fock amplitudes (only even levels are
+    populated) and normalised on the truncated space; no matrix exponential
+    is involved.  Emits a :class:`TruncationWarning` when the tail mass of
+    the result exceeds ``TAIL_MASS_TOL``.
     """
     if spec.with_qubit:
         raise ValueError("squeezed vacuum is a field-only state")
-    seed = np.array([1.0 + 0j])
-    amps = _apply_generators(spec.field_dim, r, 0.0, seed)
-    amps[1::2] = 0.0  # exact parity: the generator couples |0> only to even levels
+    amps = _squeezed_vacuum_field(spec.field_dim, r)
     state = StateVector(spec, amps).normalized()
     tail = state.tail_mass()
     if tail > TAIL_MASS_TOL:
@@ -305,6 +315,9 @@ def eigenstate(
     C = sqrt((1 + sqrt(1-eta^2))/2).
 
     branch "dark" (n = 0): the zero-energy state S(r)|0> (x) |Phi_0>.
+
+    The dark state's field factor comes from the closed-form squeezed-vacuum
+    amplitudes; the doublets apply S(r) D(alpha) on a padded Fock space.
     """
     if not spec.with_qubit:
         raise ValueError("eigenstates live on the composite space")
@@ -324,9 +337,7 @@ def eigenstate(
     phi0 = np.array([c, -s], dtype=complex)  # in (|g>, |e>) order
 
     if branch == "dark":
-        field = _apply_generators(fd, r, 0.0, np.array([1.0 + 0j]))
-        field[1::2] = 0.0
-        amps = np.kron(phi0, field)
+        amps = np.kron(phi0, _squeezed_vacuum_field(fd, r))
     else:
         sign = 1.0 if branch == "+" else -1.0
         alpha = -sign * np.sqrt(n) * eta

@@ -85,11 +85,11 @@ class RampSchedule:
         """kt at which the schedule reaches eta in [0, 1)."""
         if eta == 0.0:
             return 0.0
-        eps = 1.0 - eta * eta
+        # the clock value phi with phi^xi = w = eta^2 / (1 - eta^2); phi = kt
+        # for the paper's schedule
+        phi = float((eta * eta / (1.0 - eta * eta)) ** (1.0 / self.xi))
         if not self.onset:
-            return float((1.0 / eps - 1.0) ** (1.0 / self.xi))
-        # the clock value phi with phi^xi = w = eta^2 / (1 - eta^2)
-        phi = float((eta * eta / eps) ** (1.0 / self.xi))
+            return phi
         # kt - tau <= phi(kt) <= kt brackets the root of the monotone clock;
         # the tiny xtol leaves brentq's relative tolerance in charge
         return float(
@@ -101,7 +101,7 @@ class RampSchedule:
 
     @property
     def kt_end(self) -> float:
-        """Dimensionless duration; (1/(1 - eta_target^2) - 1)^{1/xi} for onset 0."""
+        """Dimensionless duration; (eta_target^2/(1 - eta_target^2))^{1/xi} for onset 0."""
         return self._kt_at(self.eta_target)
 
     @property
@@ -146,11 +146,11 @@ def eta_at(s: RampSchedule, t: float) -> float:
         raise ValueError(f"t must be >= 0, got {t}")
     if t == 0 or s.k == 0:
         return 0.0
-    if s.onset:
-        # sqrt(w / (w + 1)) keeps full precision where eta^2 << 1
-        w = _onset_clock(s.k * t, s.onset) ** s.xi
-        return sqrt(w / (w + 1.0))
-    return float(np.sqrt(1.0 - epsilon_at(s, t)))
+    kt = s.k * t
+    w = (_onset_clock(kt, s.onset) if s.onset else kt) ** s.xi
+    # sqrt(w / (w + 1)) keeps full precision where eta^2 << 1, unlike
+    # sqrt(1 - epsilon)
+    return sqrt(w / (w + 1.0))
 
 
 def eta_dot_at(s: RampSchedule, t: float) -> float:

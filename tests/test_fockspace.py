@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
-from jcsense import analytic
+from jcsense import analytic, fockspace
 from jcsense.fockspace import (
     HilbertSpec,
     StateVector,
@@ -134,6 +136,37 @@ class TestSqueezedVacuum:
             np.testing.assert_allclose(state.amplitudes.real, oracle, atol=1e-12)
             np.testing.assert_allclose(state.amplitudes.imag, 0.0, atol=1e-14)
 
+    @pytest.mark.parametrize("eta,n_max", [(0.995, 121), (0.9999, 512)])
+    def test_near_critical_matches_closed_form(self, eta, n_max):
+        # the probe and the dark state's field factor carry the exact
+        # amplitudes up to the cutoff, renormalised on the truncated space;
+        # at the clamp (eta = 0.9999) the tail itself is flagged
+        r = 0.25 * np.log(1 - eta**2)
+        oracle = squeezed_vacuum_coefficients(n_max + 1, r)
+        oracle /= np.linalg.norm(oracle)
+        c = np.sqrt((1 + np.sqrt(1 - eta**2)) / 2)
+        phi0 = np.array([c, -np.sqrt(1 - c**2)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            probe = squeezed_vacuum(HilbertSpec(n_max=n_max, with_qubit=False), r)
+            dark = eigenstate(HilbertSpec(n_max=n_max), 1.0, eta, 0, "dark")
+        np.testing.assert_allclose(probe.amplitudes, oracle, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(dark.amplitudes, np.kron(phi0, oracle), rtol=0, atol=1e-13)
+
+    def test_built_without_matrix_exponential(self, monkeypatch):
+        # the probe and the dark state are closed-form; only the displaced
+        # doublets still apply generators through expm_multiply
+        def refuse(*args, **kwargs):
+            raise AssertionError("expm_multiply called")
+
+        monkeypatch.setattr(fockspace, "expm_multiply", refuse)
+        spec = HilbertSpec(n_max=64)
+        squeezed_vacuum(HilbertSpec(n_max=64, with_qubit=False), -0.5)
+        eigenstate(spec, 1.0, 0.8, 0, "dark")
+        for branch in ("+", "-"):
+            with pytest.raises(AssertionError, match="expm_multiply"):
+                eigenstate(spec, 1.0, 0.8, 1, branch)
+
     def test_odd_levels_exactly_empty(self):
         state = squeezed_vacuum(HilbertSpec(n_max=40, with_qubit=False), -0.6)
         assert np.abs(state.amplitudes[1::2]).max() == 0.0
@@ -182,6 +215,17 @@ class TestEigenstate:
         dark = eigenstate(spec, 1.0, 0.6, 0, "dark")
         h = build_hamiltonian(spec, 1.0, 0.6)
         assert np.linalg.norm(h.matrix @ dark.amplitudes) <= 1e-8
+
+    @pytest.mark.parametrize("eta,n_max", [(0.5, 32), (0.9, 256), (0.995, 512), (0.9999, 512)])
+    def test_dark_state_annihilated_to_round_off(self, eta, n_max):
+        # at an even cutoff the truncated H annihilates the truncated closed
+        # form level by level, even at the clamp where the tail is flagged
+        spec = HilbertSpec(n_max=n_max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            dark = eigenstate(spec, 1.0, eta, 0, "dark")
+        h = build_hamiltonian(spec, 1.0, eta)
+        assert np.linalg.norm(h.matrix @ dark.amplitudes) <= 1e-14
 
     def test_eigen_residual_against_closed_form_energy(self):
         spec = HilbertSpec(n_max=96)

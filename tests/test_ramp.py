@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -112,18 +114,39 @@ class TestOnset:
         k, eta_target = 0.005, 0.99
         s = RampSchedule(k=k, xi=xi, eta_target=eta_target, onset=0.0)
         assert s == RampSchedule(k=k, xi=xi, eta_target=eta_target)
-        assert s.kt_end == float((1.0 / (1.0 - eta_target**2) - 1.0) ** (1.0 / xi))
+        assert s.kt_end == float((eta_target**2 / (1.0 - eta_target**2)) ** (1.0 / xi))
         for t in (1e-3, 0.7, 200.0, 3456.7, 1e5):
             w = (k * t) ** xi
-            eps = 1.0 / (w + 1.0)
-            eta = float(np.sqrt(1.0 - eps))
-            assert epsilon_at(s, t) == eps
+            eta = float(np.sqrt(w / (w + 1.0)))
+            assert epsilon_at(s, t) == 1.0 / (w + 1.0)
             assert eta_at(s, t) == eta
-            eta_w = np.sqrt(w / (w + 1.0))
-            assert eta_dot_at(s, t) == float(xi * w / (t * 2.0 * eta_w * (w + 1.0) ** 2))
+            assert eta_dot_at(s, t) == float(xi * w / (t * 2.0 * eta * (w + 1.0) ** 2))
             if 0.0 < eta < eta_target:
-                expected = float((1.0 / (1.0 - eta * eta) - 1.0) ** (1.0 / xi) / k)
+                expected = float((eta * eta / (1.0 - eta * eta)) ** (1.0 / xi) / k)
                 assert s.time_to_reach(eta) == expected
+
+    @pytest.mark.parametrize(
+        "schedule,t",
+        [
+            # paper clock at (kt)^xi = 1e-20, where sqrt(1 - epsilon) rounds to 0
+            (RampSchedule(k=1.0, xi=4.0 / 3.0), 1e-15),
+            (RampSchedule(k=0.005, onset=2.0), 1e-3),  # eta = 4.77e-12
+        ],
+    )
+    def test_tiny_eta_against_decimal_reference(self, schedule, t):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            kt = Decimal(schedule.k * t)
+            if schedule.onset:
+                tau = Decimal(schedule.onset)
+                e2u = (2 * kt / tau).exp()
+                kt = kt - tau * (e2u - 1) / (e2u + 1)  # phi(kt) = kt - tau tanh(kt/tau)
+            w = kt ** Decimal(schedule.xi)
+            reference = float((w / (w + 1)).sqrt())
+        assert 1e-12 < reference < 1e-9
+        eta = eta_at(schedule, t)
+        assert eta == pytest.approx(reference, rel=1e-13)
+        assert schedule.time_to_reach(eta) == pytest.approx(t, rel=1e-12)
 
     @pytest.mark.parametrize("tau", [0.5, 2.0, 4.0])
     @pytest.mark.parametrize("kt", [0.05, 0.3, 1.0, 2.0, 5.0, 30.0])
