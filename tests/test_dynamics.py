@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from jcsense import fockspace, ramp
+from jcsense import dynamics, fockspace, ramp
 from jcsense.dynamics import EvolutionConfig, embed, evolve, fidelity_against_dark
 from jcsense.fockspace import HilbertSpec, StateVector, eigenstate
 
@@ -136,6 +137,33 @@ class TestEvolve:
         with pytest.warns(fockspace.TruncationWarning):
             evolve(cfg)
 
+    def test_rhs_matches_textbook_form_bit_for_bit(self, monkeypatch):
+        # the stacked -1j operator must reproduce -1j (H_jc y + eta H_drive y)
+        # exactly, so every step, record and artifact stays the same
+        calls = []
+
+        def spy(fun, t_span, y0, **kwargs):
+            sol = solve_ivp(fun, t_span, y0, **kwargs)
+            calls.append((t_span, y0.copy(), kwargs, sol))
+            return sol
+
+        monkeypatch.setattr(dynamics, "solve_ivp", spy)
+        sched = ramp.RampSchedule(k=0.05, eta_target=0.9)
+        spec = HilbertSpec(n_max=48)  # n_max 24, 32 and 40 warn of truncation here
+        evolve(EvolutionConfig(omega=1.0, schedule=sched, spec=spec))
+        (t_span, y0, kwargs, sol), = calls
+
+        h_jc, h_drive = fockspace.jc_hamiltonian_parts(spec, 1.0)
+        m_jc, m_dr = h_jc.matrix, h_drive.matrix
+
+        def textbook(t, y):
+            return -1j * (m_jc @ y + ramp.eta_at(sched, t) * (m_dr @ y))
+
+        ref = solve_ivp(textbook, t_span, y0, **kwargs)
+        assert sol.nfev == ref.nfev
+        np.testing.assert_array_equal(sol.t, ref.t)
+        np.testing.assert_array_equal(sol.y, ref.y)
+
     def test_validation(self):
         sched = ramp.RampSchedule(k=0.1)
         with pytest.raises(ValueError):
@@ -150,6 +178,18 @@ class TestEvolve:
             EvolutionConfig(
                 omega=1.0, schedule=ramp.RampSchedule(k=0.0), spec=HilbertSpec(n_max=8)
             )
+        # each of these used to fail only inside evolve
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="record_every"):
+                EvolutionConfig(
+                    omega=1.0, schedule=sched, spec=HilbertSpec(n_max=8),
+                    record_every=bad,
+                )
+            with pytest.raises(ValueError, match="t_final"):
+                EvolutionConfig(
+                    omega=1.0, schedule=ramp.RampSchedule(k=0.0),
+                    spec=HilbertSpec(n_max=8), t_final=bad,
+                )
 
 
 class TestHeadlineTrajectory:
