@@ -70,6 +70,15 @@ class TestValidateCommand:
         assert report["peak_dimension"] == 244
         assert report["estimated_runtime_s"] > 0
 
+    def test_fidelity_sweep_estimate_calibration(self):
+        resolved = cli.resolve_config({"experiment": "fidelity_sweep"})
+        # the default config's pass takes 3.2 s at the reference core speed
+        estimate = cli._estimate_runtime(resolved, 121)
+        assert 3.2 / 2 < estimate < 3.2 * 2
+        # RHS evaluations grow like the spectral radius, ~sqrt(n_max + 1)
+        doubled = cli._estimate_runtime(resolved, 2 * 122 - 1)
+        assert doubled / estimate == pytest.approx(np.sqrt(2.0), rel=1e-12)
+
     def test_exit_2_on_bad_config(self, tmp_path, capsys):
         path = write_config(tmp_path, {"experiment": "qfi_curve", "bogus": {}})
         assert cli.main(["validate", str(path)]) == 2

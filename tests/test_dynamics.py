@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -132,10 +134,65 @@ class TestEvolve:
         assert kts[-1] == pytest.approx(sched.kt_end, abs=1e-12)
 
     def test_truncation_warning_on_tiny_cutoff(self):
+        # the message says when the worst tail mass occurred; the benchmark
+        # reads the tail mass from it with the pattern "tail mass ([0-9.eE+-]+)"
         sched = ramp.RampSchedule(k=0.1, eta_target=0.9)
         cfg = EvolutionConfig(omega=1.0, schedule=sched, spec=HilbertSpec(n_max=6))
-        with pytest.warns(fockspace.TruncationWarning):
-            evolve(cfg)
+        pattern = r"tail mass ([0-9.eE+-]+) > 1e-08 at t = ([0-9.eE+-]+), kt = ([0-9.eE+-]+)\)"
+        with pytest.warns(fockspace.TruncationWarning, match=pattern) as caught:
+            records = evolve(cfg)
+        (message,) = [str(w.message) for w in caught if re.search(pattern, str(w.message))]
+        tail, t, kt = (float(v) for v in re.search(pattern, message).groups())
+        assert tail > dynamics.EVOLVE_TAIL_TOL
+        assert min(abs(r.t - t) for r in records) <= 1e-5 * max(t, 1.0)  # printed to 6 digits
+        assert kt == pytest.approx(sched.k * t, rel=1e-5)
+
+    def _capture_rhs(self, monkeypatch):
+        # a k = 0.05 ramp to eta 0.9 at n_max 48 raises no truncation warning
+        calls = []
+
+        def spy(fun, t_span, y0, **kwargs):
+            sol = solve_ivp(fun, t_span, y0, **kwargs)
+            calls.append((fun, sol))
+            return sol
+
+        monkeypatch.setattr(dynamics, "solve_ivp", spy)
+        sched = ramp.RampSchedule(k=0.05, eta_target=0.9)
+        spec = HilbertSpec(n_max=48)
+        records = evolve(EvolutionConfig(omega=1.0, schedule=sched, spec=spec))
+        (fun, sol), = calls
+        return fun, sol, records, sched, spec
+
+    def test_rhs_contract(self, monkeypatch):
+        rhs, _, _, sched, spec = self._capture_rhs(monkeypatch)
+        h_jc, h_drive = fockspace.jc_hamiltonian_parts(spec, 1.0)
+        rng = np.random.default_rng(11)
+        y = rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)
+        t = 0.37 * sched.duration
+        expected = -1j * (h_jc.matrix @ y + ramp.eta_at(sched, t) * (h_drive.matrix @ y))
+        first = rhs(t, y)
+        np.testing.assert_array_equal(first, expected)
+        # the integrator keeps each returned derivative as the next step's
+        # first stage, so a later call must not write into an earlier result
+        kept = first.copy()
+        second = rhs(2.0 * t, y)
+        assert not np.shares_memory(first, second)
+        np.testing.assert_array_equal(first, kept)
+
+    def test_eta_at_called_once_per_rhs_and_record(self, monkeypatch):
+        # the benchmark's counters wrap dynamics.solve_ivp and ramp.eta_at;
+        # both must stay module-attribute lookups made once per evaluation
+        counts = {"eta_at": 0}
+        eta_at = ramp.eta_at
+
+        def counting(*args, **kwargs):
+            counts["eta_at"] += 1
+            return eta_at(*args, **kwargs)
+
+        monkeypatch.setattr(ramp, "eta_at", counting)
+        _, sol, records, _, _ = self._capture_rhs(monkeypatch)
+        assert sol.nfev > 0
+        assert counts["eta_at"] == sol.nfev + len(records)
 
     def test_rhs_matches_textbook_form_bit_for_bit(self, monkeypatch):
         # the stacked -1j operator must reproduce -1j (H_jc y + eta H_drive y)
