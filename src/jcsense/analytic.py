@@ -18,12 +18,13 @@ from .fockspace import HilbertSpec, adaptive_n_max
 
 @dataclass(frozen=True)
 class AnalyticPoint:
-    """Every closed-form quantity of the sensor evaluated at one eta.
+    """Every closed-form quantity of the sensor evaluated at eta.
 
-    The three inverted variances (photon number, X^2, P^2) coincide with the
-    quantum Fisher information identically; they are computed through their
-    defining susceptibility/variance ratios so the identity stays a check,
-    not an assumption.
+    Each field is a float for a scalar eta and an array of eta's shape for
+    an array of etas.  The three inverted variances (photon number, X^2,
+    P^2) coincide with the quantum Fisher information identically; they are
+    computed through their defining susceptibility/variance ratios so the
+    identity stays a check, not an assumption.
     """
 
     eta: float
@@ -43,13 +44,15 @@ class AnalyticPoint:
     epsilon: float      # 1 - eta^2, distance from criticality
 
 
-def _check_eta(eta: float) -> None:
-    if not 0.0 <= eta < 1.0:
-        raise ValueError(f"eta must be in [0, 1), got {eta}")
+def _check_eta(eta) -> None:
+    eta = np.asarray(eta)
+    inside = (0.0 <= eta) & (eta < 1.0)
+    if not inside.all():
+        raise ValueError(f"eta must be in [0, 1), got {eta[~inside].flat[0]}")
 
 
-def evaluate(eta: float) -> AnalyticPoint:
-    """All closed-form quantities at drive amplitude eta.
+def evaluate(eta) -> AnalyticPoint:
+    """All closed-form quantities at drive amplitude eta (a float or an array).
 
     Formulas (u = sqrt(1 - eta^2)):
         qfi      = eta^2 / (2 (1-eta^2)^2)
@@ -58,14 +61,17 @@ def evaluate(eta: float) -> AnalyticPoint:
         chi      = eta^3 / (4 (1-eta^2)^{3/2})
         <X^2>    = 1/(4u),    Var[X^2] = 1/(8(1-eta^2))
         <P^2>    = u/4,       Var[P^2] = (1-eta^2)/8
-    and the inverted variances (d_eta <O>)^2 / Var[O] for O in {N, X^2, P^2}.
+    and the inverted variances (d_eta <O>)^2 / Var[O] for O in {N, X^2, P^2},
+    which are 0 at eta = 0, where every susceptibility vanishes.
     """
     _check_eta(eta)
+    scalar = np.ndim(eta) == 0
+    eta = np.asarray(eta, dtype=float)
     eta2 = eta * eta
     eps = 1.0 - eta2
     u = np.sqrt(eps)
 
-    r = 0.25 * np.log(eps)
+    r = fockspace.squeezing_parameter(eta)
     c = np.sqrt((1.0 + u) / 2.0)
 
     qfi = eta2 / (2.0 * eps * eps)
@@ -82,31 +88,21 @@ def evaluate(eta: float) -> AnalyticPoint:
     d_mean_x2 = eta / (4.0 * eps * u)
     d_mean_p2 = -eta / (4.0 * u)
 
-    if eta == 0.0:
-        # chi and both quadrature susceptibilities vanish; the ratios are 0/Var -> 0
-        inv_var_n = inv_var_x2 = inv_var_p2 = 0.0
-    else:
-        inv_var_n = chi * chi / var_n
-        inv_var_x2 = d_mean_x2 * d_mean_x2 / var_x2
-        inv_var_p2 = d_mean_p2 * d_mean_p2 / var_p2
+    # Var[N] vanishes at eta = 0, where chi^2 / Var[N] is 0/0; the ratio is 0
+    with np.errstate(invalid="ignore"):
+        inv_var_n = np.where(eta == 0.0, 0.0, chi * chi / var_n)
+    inv_var_x2 = d_mean_x2 * d_mean_x2 / var_x2
+    inv_var_p2 = d_mean_p2 * d_mean_p2 / var_p2
 
-    return AnalyticPoint(
-        eta=eta,
-        r=float(r),
-        C=float(c),
-        qfi=float(qfi),
-        mean_n=float(mean_n),
-        var_n=float(var_n),
-        chi=float(chi),
-        inv_var_n=float(inv_var_n),
-        inv_var_x2=float(inv_var_x2),
-        inv_var_p2=float(inv_var_p2),
-        mean_x2=float(mean_x2),
-        var_x2=float(var_x2),
-        mean_p2=float(mean_p2),
-        var_p2=float(var_p2),
-        epsilon=float(eps),
+    fields = dict(
+        eta=eta, r=r, C=c, qfi=qfi,
+        mean_n=mean_n, var_n=var_n, chi=chi, inv_var_n=inv_var_n,
+        inv_var_x2=inv_var_x2, inv_var_p2=inv_var_p2, mean_x2=mean_x2,
+        var_x2=var_x2, mean_p2=mean_p2, var_p2=var_p2, epsilon=eps,
     )
+    if scalar:
+        fields = {name: float(value) for name, value in fields.items()}
+    return AnalyticPoint(**fields)
 
 
 def eigenvalue(omega: float, eta: float, n: int, branch: str) -> float:
@@ -142,8 +138,7 @@ def qfi_from_state_derivative(eta: float, h: float = 1e-4) -> float:
     spec = HilbertSpec(n_max=adaptive_n_max(eta + h), with_qubit=False)
 
     def state(e: float) -> np.ndarray:
-        r = 0.25 * np.log(1.0 - e * e)
-        return fockspace.squeezed_vacuum(spec, r).amplitudes.real
+        return fockspace.squeezed_vacuum(spec, fockspace.squeezing_parameter(e)).amplitudes.real
 
     d_full = (state(eta + h) - state(eta - h)) / (2.0 * h)
     d_half = (state(eta + h / 2) - state(eta - h / 2)) / h

@@ -175,11 +175,8 @@ def evolve(cfg: EvolutionConfig) -> list[TrajectoryRecord]:
             f"{sol.message}"
         )
 
-    num = fockspace.number_op(spec).matrix
-    mx = fockspace.quadrature_x(spec).matrix
-    mp = fockspace.quadrature_p(spec).matrix
-    x2 = mx @ mx
-    p2 = mp @ mp
+    obs = fockspace.field_observables(spec)
+    num, x2, p2 = obs["photon_number"], obs["x_squared"], obs["p_squared"]
     num2 = num @ num
 
     records = []

@@ -32,13 +32,11 @@ def qfi_curve(resolved: dict) -> tuple[list[str], list[list[float]], dict]:
         "eta", "qfi", "mean_n", "var_n", "chi",
         "mean_x2", "var_x2", "mean_p2", "var_p2", "squeeze_r", "epsilon",
     ]
-    rows = []
-    for eta in etas:
-        p = analytic.evaluate(float(eta))
-        rows.append([
-            p.eta, p.qfi, p.mean_n, p.var_n, p.chi,
-            p.mean_x2, p.var_x2, p.mean_p2, p.var_p2, p.r, p.epsilon,
-        ])
+    p = analytic.evaluate(etas)
+    rows = np.column_stack([
+        p.eta, p.qfi, p.mean_n, p.var_n, p.chi,
+        p.mean_x2, p.var_x2, p.mean_p2, p.var_p2, p.r, p.epsilon,
+    ]).tolist()
     return columns, rows, {}
 
 
@@ -104,18 +102,14 @@ def fidelity_sweep(resolved: dict) -> tuple[list[str], list[list[float]], dict]:
 def scaling(resolved: dict) -> tuple[list[str], list[list[float]], dict]:
     """Scaling table plus fitted exponents (in the extras block)."""
     sched = _schedule(resolved)
-    ramp.require_paper_clock(sched, "the scaling experiment")
     kts = np.logspace(
         np.log10(SCALING_KT_RANGE[0]), np.log10(SCALING_KT_RANGE[1]), SCALING_KT_POINTS
     )
     fits = metrology.scaling_experiment(sched, kts)
     ratio = metrology.heisenberg_ratio(sched, kts)
+    _, p = metrology.paper_ramp_points(sched, kts)
     columns = ["kt", "eta", "epsilon", "inverted_variance", "mean_n", "fisher_per_n_kt2"]
-    rows = []
-    for i, kt in enumerate(kts):
-        eps = 1.0 / (kt**sched.xi + 1.0)
-        p = analytic.evaluate(float(np.sqrt(1.0 - eps)))
-        rows.append([float(kt), p.eta, p.epsilon, p.qfi, p.mean_n, float(ratio[i])])
+    rows = np.column_stack([kts, p.eta, p.epsilon, p.qfi, p.mean_n, ratio]).tolist()
     extras = {
         "fits": [
             {
@@ -177,18 +171,16 @@ def moments_check(resolved: dict) -> tuple[list[str], list[list[float]], dict]:
     for eta in MOMENTS_ETAS:
         n_max = _resolve_n_max(resolved, eta)
         spec = fockspace.HilbertSpec(n_max=n_max, with_qubit=False)
-        state = fockspace.squeezed_vacuum(spec, 0.25 * np.log(1.0 - eta * eta))
+        state = fockspace.squeezed_vacuum(spec, fockspace.squeezing_parameter(eta))
         p = analytic.evaluate(eta)
-        num_op = fockspace.number_op(spec).matrix
-        mx = fockspace.quadrature_x(spec).matrix
-        mp = fockspace.quadrature_p(spec).matrix
+        observables = fockspace.field_observables(spec)
         pairs = []
-        for op, mean_exact, var_exact in (
-            (num_op, p.mean_n, p.var_n),
-            (mx @ mx, p.mean_x2, p.var_x2),
-            (mp @ mp, p.mean_p2, p.var_p2),
+        for kind, mean_exact, var_exact in (
+            ("photon_number", p.mean_n, p.var_n),
+            ("x_squared", p.mean_x2, p.var_x2),
+            ("p_squared", p.mean_p2, p.var_p2),
         ):
-            mean_num, var_num = metrology.mean_and_variance(state, op)
+            mean_num, var_num = metrology.mean_and_variance(state, observables[kind])
             pairs.append((mean_num, mean_exact, var_num, var_exact))
         rel_errs = [
             abs(num - exact) / abs(exact) if exact != 0 else abs(num - exact)

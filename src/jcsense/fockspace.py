@@ -199,6 +199,13 @@ def quadrature_p(spec: HilbertSpec) -> SparseOperator:
     return SparseOperator(spec, _lift(spec, (1j * (ad - a) / 2).tocsr()))
 
 
+def field_observables(spec: HilbertSpec) -> dict[str, sp.csr_matrix]:
+    """The measured observables N, X^2 and P^2, keyed by measurement scheme."""
+    x = quadrature_x(spec).matrix
+    p = quadrature_p(spec).matrix
+    return {"photon_number": number_op(spec).matrix, "x_squared": x @ x, "p_squared": p @ p}
+
+
 def build_hamiltonian(spec: HilbertSpec, omega: float, eta: float) -> SparseOperator:
     """Interaction Hamiltonian of the resonantly driven qubit-photon system.
 
@@ -258,7 +265,8 @@ def _apply_generators(field_dim: int, r: float, alpha: complex, seed: np.ndarray
     return vec[:field_dim]
 
 
-def _squeezing_parameter(eta: float) -> float:
+def squeezing_parameter(eta):
+    """Squeezing r = ln(1 - eta^2)/4 <= 0 of the probe and the dark state."""
     return 0.25 * np.log(1.0 - eta * eta)
 
 
@@ -331,7 +339,7 @@ def eigenstate(
         raise ValueError("branches '+'/'-' need n >= 1")
 
     fd = spec.field_dim
-    r = _squeezing_parameter(eta)
+    r = squeezing_parameter(eta)
     c = _qubit_coefficient(eta)
     s = np.sqrt(1.0 - c * c)
     phi0 = np.array([c, -s], dtype=complex)  # in (|g>, |e>) order

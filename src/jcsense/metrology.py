@@ -8,6 +8,11 @@ grid.  Sampling is deterministic per (seed, scheme, state); replica fans
 use spawned seed sequences so accumulation order never matters, and build
 the probe's outcome distribution once, drawing every replica from it.
 Detector imperfections are not modeled.
+
+The observables N, X^2 and P^2 come from :func:`fockspace.field_observables`.
+The scaling fits map kt onto the closed forms through one helper,
+:func:`paper_ramp_points`, which evaluates the paper's schedule (onset 0)
+and calls :func:`analytic.evaluate` once on the whole kt array.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analytic, fockspace, ramp
+from . import analytic, fockspace
 from .fockspace import HilbertSpec, StateVector
 
 SCHEME_KINDS = ("photon_number", "x_squared", "p_squared")
@@ -68,16 +73,6 @@ def _require_field_state(state: StateVector) -> None:
         raise ValueError("state must be normalized")
 
 
-def _observable(spec: HilbertSpec, kind: str):
-    if kind == "photon_number":
-        return fockspace.number_op(spec).matrix
-    if kind == "x_squared":
-        m = fockspace.quadrature_x(spec).matrix
-        return m @ m
-    m = fockspace.quadrature_p(spec).matrix
-    return m @ m
-
-
 def mean_and_variance(state: StateVector, op) -> tuple[float, float]:
     """Expectation value and variance of a sparse observable in a pure state."""
     psi = state.amplitudes
@@ -106,13 +101,13 @@ def inverted_variance_numeric(
     if not (0.0 < eta - d_eta and eta + d_eta < 1.0):
         raise ValueError(f"need 0 < eta-d_eta and eta+d_eta < 1, got eta={eta}")
     spec = state.spec
-    op = _observable(spec, scheme.kind)
+    op = fockspace.field_observables(spec)[scheme.kind]
     mean, var = mean_and_variance(state, op)
     if var <= 0.0:
         raise ValueError(f"Var[{scheme.kind}] vanishes at eta={eta}; ratio undefined")
 
     def mean_at(e: float) -> float:
-        probe = fockspace.squeezed_vacuum(spec, 0.25 * np.log(1.0 - e * e))
+        probe = fockspace.squeezed_vacuum(spec, fockspace.squeezing_parameter(e))
         return float(np.real(np.vdot(probe.amplitudes, op @ probe.amplitudes)))
 
     d_full = (mean_at(eta + d_eta) - mean_at(eta - d_eta)) / (2.0 * d_eta)
@@ -293,7 +288,7 @@ def replica_estimates(
         n_max=n_max if n_max is not None else fockspace.adaptive_n_max(eta),
         with_qubit=False,
     )
-    probe = fockspace.squeezed_vacuum(spec, 0.25 * np.log(1.0 - eta * eta))
+    probe = fockspace.squeezed_vacuum(spec, fockspace.squeezing_parameter(eta))
     distribution = _outcome_distribution(probe, scheme.kind)
     children = np.random.SeedSequence(seed).spawn(replicas)
     estimates = np.empty(replicas)
@@ -340,6 +335,22 @@ def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return float(slope), r2
 
 
+def paper_ramp_points(schedule, kt_points) -> tuple[np.ndarray, analytic.AnalyticPoint]:
+    """Distance from criticality and the closed forms at each kt of the ramp.
+
+    epsilon = 1/((kt)^xi + 1) is the paper's schedule (onset 0); an onset
+    schedule is rejected, because its clock is not kt.
+    """
+    if schedule.onset:
+        raise ValueError(
+            f"the closed-form ramp points assume the paper's schedule (onset 0), "
+            f"got onset {schedule.onset}"
+        )
+    kt_points = np.asarray(kt_points, dtype=float)
+    eps = 1.0 / (kt_points**schedule.xi + 1.0)
+    return eps, analytic.evaluate(np.sqrt(1.0 - eps))
+
+
 def scaling_experiment(
     schedule, kt_points: np.ndarray
 ) -> list[ScalingFit]:
@@ -360,14 +371,11 @@ def scaling_experiment(
         raise ValueError("scaling fits need kt >= 10 everywhere")
     if abs(schedule.xi - 4.0 / 3.0) > 1e-12:
         raise ValueError("the scaling exponents assume the xi = 4/3 schedule")
-    ramp.require_paper_clock(schedule, "scaling_experiment")
 
-    eps = 1.0 / (kt_points**schedule.xi + 1.0)
-    eta = np.sqrt(1.0 - eps)
-    points = [analytic.evaluate(e) for e in eta]
+    eps, points = paper_ramp_points(schedule, kt_points)
     series = {
-        "inverted_variance": (np.array([p.qfi for p in points]), 8.0 / 3.0),
-        "mean_n": (np.array([p.mean_n for p in points]), 2.0 / 3.0),
+        "inverted_variance": (points.qfi, 8.0 / 3.0),
+        "mean_n": (points.mean_n, 2.0 / 3.0),
         "epsilon": (eps, -4.0 / 3.0),
     }
     fits = []
@@ -389,11 +397,6 @@ def heisenberg_ratio(schedule, kt_points: np.ndarray) -> np.ndarray:
 
     Evaluates the paper's schedule (onset 0) in closed form.
     """
-    ramp.require_paper_clock(schedule, "heisenberg_ratio")
     kt_points = np.asarray(kt_points, dtype=float)
-    eps = 1.0 / (kt_points**schedule.xi + 1.0)
-    eta = np.sqrt(1.0 - eps)
-    points = [analytic.evaluate(e) for e in eta]
-    qfi = np.array([p.qfi for p in points])
-    mean_n = np.array([p.mean_n for p in points])
-    return qfi / (mean_n * kt_points**2)
+    _, points = paper_ramp_points(schedule, kt_points)
+    return points.qfi / (points.mean_n * kt_points**2)

@@ -120,14 +120,6 @@ class RampSchedule:
         return self._kt_at(eta) / self.k
 
 
-def require_paper_clock(s: RampSchedule, what: str) -> None:
-    """Reject an onset schedule where ``what`` assumes the paper's clock kt."""
-    if s.onset:
-        raise ValueError(
-            f"{what} assumes the paper's schedule (onset 0), got onset {s.onset}"
-        )
-
-
 def epsilon_at(s: RampSchedule, t: float) -> float:
     """Distance from criticality epsilon(t) = [phi(k t)^xi + 1]^{-1} = 1 - eta^2.
 

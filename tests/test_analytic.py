@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from jcsense import analytic
+from jcsense import analytic, experiments
+
+FIELDS = [f.name for f in dataclasses.fields(analytic.AnalyticPoint)]
 
 
 class TestEvaluate:
@@ -70,6 +74,36 @@ class TestEvaluate:
     def test_squeezing_parameter_negative(self):
         assert analytic.evaluate(0.5).r < 0
         assert analytic.evaluate(0.5).r == pytest.approx(0.25 * np.log(0.75))
+
+
+class TestEvaluateOnArrays:
+    def test_qfi_curve_grid_equals_scalar_calls(self):
+        # the qfi_curve grid includes eta = 0, where Var[N] = 0 is masked
+        etas = np.linspace(0.0, 0.995, experiments.QFI_GRID_POINTS)
+        grid = analytic.evaluate(etas)
+        points = [analytic.evaluate(float(e)) for e in etas]
+        for name in FIELDS:
+            scalar = np.array([getattr(p, name) for p in points])
+            assert np.array_equal(getattr(grid, name), scalar), name
+
+    def test_fields_take_the_shape_of_eta(self):
+        etas = np.array([[0.0, 0.3], [0.6, 0.9]])
+        p = analytic.evaluate(etas)
+        for name in FIELDS:
+            assert np.shape(getattr(p, name)) == etas.shape, name
+        assert p.inv_var_n[0, 0] == 0.0
+        assert p.inv_var_n[1, 1] == pytest.approx(p.qfi[1, 1], rel=1e-12)
+
+    def test_rejects_an_array_with_one_eta_at_or_above_one(self):
+        for bad in (1.0, 1.5):
+            with pytest.raises(ValueError, match=rf"eta must be in \[0, 1\), got {bad}"):
+                analytic.evaluate(np.array([0.1, 0.5, bad, 0.2]))
+
+    @pytest.mark.parametrize("eta", [0.0, 0.5, np.float64(0.5), np.array(0.5)])
+    def test_scalar_eta_gives_float_fields(self, eta):
+        p = analytic.evaluate(eta)
+        for name in FIELDS:
+            assert type(getattr(p, name)) is float, name
 
 
 class TestEigenvalue:

@@ -41,6 +41,12 @@ class TestConfigResolution:
         with pytest.raises(cli.ConfigError, match="physics.omega"):
             cli.resolve_config({"experiment": "qfi_curve", "physics": {"omega": 1}})
 
+    def test_removed_d_eta_key_rejected(self):
+        # numerics.d_eta had no reader and is no longer part of the schema
+        assert "d_eta" not in cli.DEFAULTS["numerics"]
+        with pytest.raises(cli.ConfigError, match="numerics.d_eta"):
+            cli.resolve_config({"experiment": "qfi_curve", "numerics": {"d_eta": 1e-4}})
+
     def test_missing_experiment_rejected(self):
         with pytest.raises(cli.ConfigError, match="experiment"):
             cli.resolve_config({})
@@ -78,6 +84,17 @@ class TestValidateCommand:
         # RHS evaluations grow like the spectral radius, ~sqrt(n_max + 1)
         doubled = cli._estimate_runtime(resolved, 2 * 122 - 1)
         assert doubled / estimate == pytest.approx(np.sqrt(2.0), rel=1e-12)
+
+    def test_cramer_rao_estimate_calibration(self):
+        def estimate(numerics):
+            resolved = cli.resolve_config({"experiment": "cramer_rao", "numerics": numerics})
+            return cli._estimate_runtime(resolved, 121)
+
+        # measured wall times: the default 500 replicas x 10,000 shots takes
+        # 0.24-0.32 s; at 100 shots the per-replica set-up dominates (0.094 s)
+        assert 0.28 / 2 < estimate({}) < 0.28 * 2
+        assert 0.094 / 2 < estimate({"shots": 100}) < 0.094 * 2
+        assert estimate({"replicas": 1000}) == pytest.approx(2 * estimate({}), rel=1e-12)
 
     def test_exit_2_on_bad_config(self, tmp_path, capsys):
         path = write_config(tmp_path, {"experiment": "qfi_curve", "bogus": {}})

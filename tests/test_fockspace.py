@@ -81,6 +81,19 @@ class TestLadderOps:
         assert np.abs(dense[:fd, fd:]).max() == 0.0
 
 
+class TestFieldObservables:
+    @pytest.mark.parametrize("with_qubit", [False, True])
+    def test_n_x2_p2_from_the_ladder_operators(self, with_qubit):
+        spec = HilbertSpec(n_max=12, with_qubit=with_qubit)
+        a, ad = (op.matrix.toarray() for op in build_ladder_ops(spec))
+        x, p = (a + ad) / 2, 1j * (ad - a) / 2
+        obs = fockspace.field_observables(spec)
+        assert list(obs) == ["photon_number", "x_squared", "p_squared"]
+        for kind, expected in (("photon_number", ad @ a), ("x_squared", x @ x),
+                               ("p_squared", p @ p)):
+            np.testing.assert_allclose(obs[kind].toarray(), expected, atol=1e-15)
+
+
 class TestHamiltonian:
     def test_hermitian(self):
         h = build_hamiltonian(HilbertSpec(n_max=30), omega=1.0, eta=0.7)

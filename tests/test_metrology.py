@@ -256,6 +256,18 @@ class TestScalingExperiment:
         with pytest.raises(ValueError):
             scaling_experiment(bad, np.logspace(2, 4, 10))
 
+    def test_paper_ramp_points_follow_the_schedule(self):
+        sched = ramp.RampSchedule(k=0.5, xi=4.0 / 3.0, eta_target=0.995)
+        kts = np.logspace(2, 4, 8)
+        eps, points = metrology.paper_ramp_points(sched, kts)
+        for i, kt in enumerate(kts):
+            t = kt / sched.k
+            assert eps[i] == pytest.approx(ramp.epsilon_at(sched, t), rel=1e-14)
+            assert points.eta[i] == pytest.approx(ramp.eta_at(sched, t), rel=1e-14)
+        assert points.epsilon == pytest.approx(eps, rel=1e-12)
+        with pytest.raises(ValueError, match="onset"):
+            metrology.paper_ramp_points(ramp.RampSchedule(k=0.5, onset=1.0), kts)
+
     def test_heisenberg_ratio_constant_in_power_law_regime(self):
         sched = ramp.RampSchedule(k=1.0, xi=4.0 / 3.0, eta_target=0.995)
         kts = np.logspace(3, 4, 10)
