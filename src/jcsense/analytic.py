@@ -56,8 +56,8 @@ def evaluate(eta) -> AnalyticPoint:
 
     Formulas (u = sqrt(1 - eta^2)):
         qfi      = eta^2 / (2 (1-eta^2)^2)
-        <N>      = (2-eta^2)/(4u) - 1/2
-        Var[N]   = ((1-eta^2)^2 + 1)/(8(1-eta^2)) - 1/4
+        <N>      = eta^4 / (4u (1+u)^2)
+        Var[N]   = eta^4 / (8(1-eta^2))
         chi      = eta^3 / (4 (1-eta^2)^{3/2})
         <X^2>    = 1/(4u),    Var[X^2] = 1/(8(1-eta^2))
         <P^2>    = u/4,       Var[P^2] = (1-eta^2)/8
@@ -75,8 +75,11 @@ def evaluate(eta) -> AnalyticPoint:
     c = np.sqrt((1.0 + u) / 2.0)
 
     qfi = eta2 / (2.0 * eps * eps)
-    mean_n = (2.0 - eta2) / (4.0 * u) - 0.5
-    var_n = (eps * eps + 1.0) / (8.0 * eps) - 0.25
+    # (2-eta^2)/(4u) - 1/2 and ((1-eta^2)^2 + 1)/(8(1-eta^2)) - 1/4, and
+    # (1-u)^2/(4u), cancel at small eta; these forms do not
+    eta4 = eta2 * eta2
+    mean_n = eta4 / (4.0 * u * (1.0 + u) ** 2)
+    var_n = eta4 / (8.0 * eps)
     chi = eta2 * eta / (4.0 * eps * u)
 
     mean_x2 = 1.0 / (4.0 * u)

@@ -9,7 +9,8 @@ rejected at every level):
       "physics":  {"Omega": 1.0, "k": 0.005, "xi": 1.3333333333333333,
                    "eta_target": 0.995},
       "numerics": {"n_max": "auto", "rtol": 1e-9, "atol": 1e-11,
-                   "seed": 2026, "shots": 10000, "replicas": 500},
+                   "seed": 2026, "shots": 10000, "replicas": 500,
+                   "scheme": "photon_number"},
       "output":   {"path": "out.csv", "format": "csv", "precision": 12,
                    "dump_outcomes": false}
     }
@@ -34,7 +35,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from . import __version__, experiments
+from . import __version__, experiments, metrology
 from .fockspace import TruncationWarning
 
 DEFAULTS = {
@@ -46,6 +47,7 @@ DEFAULTS = {
         "seed": 2026,
         "shots": 10000,
         "replicas": 500,
+        "scheme": "photon_number",
     },
     "output": {"path": "", "format": "csv", "precision": 12, "dump_outcomes": False},
 }
@@ -123,6 +125,10 @@ def _validate_numerics(num: dict) -> None:
     for key in ("seed", "shots", "replicas"):
         if not isinstance(num[key], int) or isinstance(num[key], bool) or num[key] < 0:
             raise ConfigError(f"numerics.{key} must be a non-negative integer")
+    if num["scheme"] not in metrology.SCHEME_KINDS:
+        raise ConfigError(
+            f"numerics.scheme must be one of {metrology.SCHEME_KINDS}, got {num['scheme']!r}"
+        )
 
 
 def _validate_cramer_rao(num: dict) -> None:
@@ -234,6 +240,15 @@ def _emit_error(resolved: dict, kind: str, message: str) -> None:
     print(json.dumps(record, sort_keys=True), file=sys.stderr)
 
 
+# measured cost of one cramer_rao experiment and of one draw, in seconds,
+# by scheme (see _estimate_runtime)
+_CRAMER_RAO_COST = {
+    "photon_number": (63e-6, 33e-9),
+    "x_squared": (30e-6, 20e-9),
+    "p_squared": (30e-6, 20e-9),
+}
+
+
 def _estimate_runtime(resolved: dict, n_max: int) -> float:
     """Crude wall-time estimate in seconds (order of magnitude).
 
@@ -250,11 +265,16 @@ def _estimate_runtime(resolved: dict, n_max: int) -> float:
 
     cramer_rao: three replica fans of ``shots``, ``shots // 10`` and
     ``shots // 100`` draws, so 3 * replicas experiments and about
-    1.11 * replicas * shots draws.  Each experiment costs a fixed ~63 us (its
-    spawned seed, generator, distribution set-up and estimate) and each draw
-    ~33 ns, fitted to wall times measured on a 2-vCPU 2.0 GHz Xeon host:
-    0.094 s at 500 replicas x 100 shots, 0.27-0.28 s at the default 500 x
-    10,000 and 0.39 s at 100 x 100,000.
+    1.11 * replicas * shots draws.  Each experiment costs a fixed amount (its
+    spawned seed, generator and estimate) and each draw a per-draw amount,
+    both depending on the scheme; ``_CRAMER_RAO_COST`` holds them.  Photon
+    counts (``rng.choice`` on |c_n|^2): ~63 us and ~33 ns, fitted to wall
+    times measured on a 2-vCPU 2.0 GHz Xeon host: 0.094 s at 500 replicas x
+    100 shots, 0.27-0.28 s at the default 500 x 10,000 and 0.39 s at 100 x
+    100,000.  Quadratures (``rng.normal`` squared): ~30 us and ~20 ns.  On
+    the same host, fits over 500 x 100, 500 x 10,000, 100 x 100,000 and
+    2,000 x 100 put them at 0.4-0.6x and 0.5-0.65x the photon-count costs
+    fitted in the same runs; the default 500 x 10,000 took 0.13-0.15 s.
     """
     experiment = resolved["experiment"]
     if experiment == "fidelity_sweep":
@@ -263,7 +283,8 @@ def _estimate_runtime(resolved: dict, n_max: int) -> float:
         return 4.6e-5 * omega * sched.duration * (n_max + 1) ** 0.5
     if experiment == "cramer_rao":
         num = resolved["numerics"]
-        return num["replicas"] * (3 * 63e-6 + 1.11 * 33e-9 * num["shots"])
+        per_experiment, per_draw = _CRAMER_RAO_COST[num["scheme"]]
+        return num["replicas"] * (3 * per_experiment + 1.11 * per_draw * num["shots"])
     return 1.0
 
 

@@ -127,6 +127,9 @@ def scaling(resolved: dict) -> tuple[list[str], list[list[float]], dict]:
 def cramer_rao(resolved: dict) -> tuple[list[str], list[list[float]], dict]:
     """Monte-Carlo estimator study over three decades of shot counts.
 
+    ``numerics.scheme`` picks the measured observable: photon counts
+    (default), X^2 or P^2.
+
     With ``output.dump_outcomes`` the raw per-replica outcome arrays are
     collected in the extras under ``raw_outcomes`` (one matrix per shot
     count); the emitter writes them to a sidecar file.
@@ -142,7 +145,7 @@ def cramer_rao(resolved: dict) -> tuple[list[str], list[list[float]], dict]:
     rows = []
     raw = {}
     for nu in (shots // 100, shots // 10, shots):
-        scheme = metrology.MeasurementScheme(kind="photon_number", shots=nu)
+        scheme = metrology.MeasurementScheme(kind=num["scheme"], shots=nu)
         sink = [] if dump else None
         ratio, mean_hat = metrology.cramer_rao_ratio(
             eta, scheme, replicas=int(num["replicas"]), seed=int(num["seed"]),

@@ -2,9 +2,11 @@
 construction, Cramer-Rao comparison, and the near-critical scaling fits.
 
 Measurement outcomes are drawn from exact probe-state distributions:
-photon-number statistics directly from the Fock amplitudes, quadrature
-statistics from the wavefunction expanded in Hermite functions on a uniform
-grid.  Sampling is deterministic per (seed, scheme, state); replica fans
+photon counts from the Fock amplitudes |c_n|^2, quadratures from their
+exact Gaussian law.  The probe is a squeezed vacuum, so X and P are normal
+with zero mean and variances <X^2> = 1/(4u) and <P^2> = u/4
+(u = sqrt(1 - eta^2)); quadrature sampling assumes this and checks it.
+Sampling is deterministic per (seed, scheme, state); replica fans
 use spawned seed sequences so accumulation order never matters, and build
 the probe's outcome distribution once, drawing every replica from it.
 Detector imperfections are not modeled.
@@ -27,10 +29,8 @@ from .fockspace import HilbertSpec, StateVector
 
 SCHEME_KINDS = ("photon_number", "x_squared", "p_squared")
 
-# quadrature grid policy: half-width in units of sqrt(<Q^2>), minimum points
-QUAD_GRID_SIGMAS = 6.0
-QUAD_GRID_POINTS = 4096
-QUAD_MASS_TOL = 1e-8
+# largest 1 - |<S(r)0|psi>|^2 accepted by the quadrature sampler
+SQUEEZED_VACUUM_TOL = 1e-10
 
 DEFAULT_D_ETA = 1e-4
 DEFAULT_REPLICAS = 500
@@ -116,83 +116,61 @@ def inverted_variance_numeric(
     return deriv * deriv / var
 
 
-def _hermite_functions(levels: int, v: np.ndarray) -> np.ndarray:
-    """Normalized Hermite functions h_0..h_{levels-1} on the grid v.
+def quadrature_distribution(state: StateVector, kind: str) -> tuple[float, float]:
+    """Gaussian law (mean 0, standard deviation sigma) of the X (or P) quadrature.
 
-    Stable two-term recurrence: h_{n+1} = v sqrt(2/(n+1)) h_n - sqrt(n/(n+1)) h_{n-1}.
-    """
-    h = np.zeros((levels, len(v)))
-    h[0] = np.pi**-0.25 * np.exp(-0.5 * v * v)
-    if levels > 1:
-        h[1] = np.sqrt(2.0) * v * h[0]
-    for n in range(1, levels - 1):
-        h[n + 1] = np.sqrt(2.0 / (n + 1)) * v * h[n] - np.sqrt(n / (n + 1)) * h[n - 1]
-    return h
-
-
-def quadrature_distribution(
-    state: StateVector, kind: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Grid and probability weights of the X (or P) quadrature distribution.
-
-    The wavefunction in the quadrature eigenbasis is the Hermite-function
-    expansion of the Fock amplitudes; for P the amplitudes are first rotated
-    by (-i)^n.  The grid spans +/- 6 standard deviations of the respective
-    quadrature with 4096 points; a warning is emitted when the captured
-    probability mass is not within 1e-8 of unity.
+    The probe is a squeezed vacuum, whose quadratures are exactly normal
+    with zero mean, so sigma^2 = <psi|Q^2|psi> fixes the law; no grid and no
+    cutoff enter the draws.  The state is checked first: S(r)|0> at
+    r = -ln(4<X^2>)/2 is rebuilt on the same cutoff, and a ValueError is
+    raised when 1 - |overlap|^2 exceeds ``SQUEEZED_VACUUM_TOL`` (a Fock
+    state, a displaced state, or a squeezed vacuum along another axis).
     """
     _require_field_state(state)
-    if kind == "x_squared":
-        coeff = state.amplitudes
-        op = fockspace.quadrature_x(state.spec).matrix
-    elif kind == "p_squared":
-        coeff = state.amplitudes * np.power(-1j, np.arange(state.spec.dim))
-        op = fockspace.quadrature_p(state.spec).matrix
-    else:
+    if kind not in ("x_squared", "p_squared"):
         raise ValueError(f"no quadrature distribution for kind {kind!r}")
-    second_moment = float(np.real(np.vdot(state.amplitudes, op @ (op @ state.amplitudes))))
-    half_width = QUAD_GRID_SIGMAS * np.sqrt(max(second_moment, 0.25))
-    grid = np.linspace(-half_width, half_width, QUAD_GRID_POINTS)
-    # X = (a + a^dag)/2 eigenfunctions at value u: 2^{1/4} h_n(sqrt2 u)
-    h = _hermite_functions(state.spec.dim, np.sqrt(2.0) * grid)
-    psi = 2**0.25 * (coeff[:, None] * h).sum(axis=0)
-    pdf = np.abs(psi) ** 2
-    weights = pdf * (grid[1] - grid[0])
-    mass = weights.sum()
-    if not (1.0 - QUAD_MASS_TOL <= mass <= 1.0 + QUAD_MASS_TOL):
-        warnings.warn(
-            f"quadrature grid captures probability mass {mass:.12f}; "
-            "distribution is under-resolved",
-            stacklevel=2,
+    psi = state.amplitudes
+    observables = fockspace.field_observables(state.spec)
+    mean_x2 = float(np.real(np.vdot(psi, observables["x_squared"] @ psi)))
+    r = -0.5 * np.log(4.0 * mean_x2)
+    reference = fockspace._squeezed_vacuum_field(state.spec.field_dim, r)
+    overlap = np.vdot(reference, psi) / np.linalg.norm(reference)
+    residual = 1.0 - abs(overlap) ** 2
+    if residual > SQUEEZED_VACUUM_TOL:
+        raise ValueError(
+            f"quadrature sampling needs a squeezed vacuum; the state is "
+            f"1 - |overlap|^2 = {residual:.3e} away from one"
         )
-    return grid, weights / mass
+    second_moment = mean_x2
+    if kind == "p_squared":
+        second_moment = float(np.real(np.vdot(psi, observables["p_squared"] @ psi)))
+    return 0.0, float(np.sqrt(second_moment))
 
 
-def _outcome_distribution(
-    state: StateVector, kind: str
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Outcome values, their probabilities, and whether draws are squared.
+def _outcome_distribution(state: StateVector, kind: str) -> tuple:
+    """What one draw of ``kind`` needs, built once per probe.
 
-    photon_number: the values 0..dim-1 with p(n) = |<n|phi>|^2.
-    x_squared / p_squared: the quadrature grid and weights of
-    :func:`quadrature_distribution`; draws are squared.
+    photon_number: the values 0..dim-1 and p(n) = |<n|phi>|^2.
+    x_squared / p_squared: the Gaussian law (0, sigma) of
+    :func:`quadrature_distribution`, which assumes and checks that the
+    state is a squeezed vacuum.
     """
     _require_field_state(state)
     if kind == "photon_number":
         p = np.abs(state.amplitudes) ** 2
         p = np.clip(p, 0.0, None)
         p /= p.sum()
-        return np.arange(state.spec.dim, dtype=float), p, False
-    grid, weights = quadrature_distribution(state, kind)
-    return grid, weights, True
+        return np.arange(state.spec.dim, dtype=float), p
+    return quadrature_distribution(state, kind)
 
 
-def _draw(
-    distribution: tuple[np.ndarray, np.ndarray, bool], shots: int, seed
-) -> np.ndarray:
-    values, weights, square = distribution
-    draws = np.random.default_rng(seed).choice(values, size=shots, p=weights)
-    return draws**2 if square else draws
+def _draw(kind: str, distribution: tuple, shots: int, seed) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "photon_number":
+        values, weights = distribution
+        return rng.choice(values, size=shots, p=weights)
+    mean, sigma = distribution
+    return rng.normal(mean, sigma, shots) ** 2
 
 
 def sample_outcomes(
@@ -201,13 +179,15 @@ def sample_outcomes(
     """Draw ``scheme.shots`` measurement outcomes from the probe state.
 
     photon_number: integer draws from p(n) = |<n|phi>|^2.
-    x_squared / p_squared: draws of the quadrature value from its
-    distribution, returned already squared.
+    x_squared / p_squared: normal draws of the quadrature value, returned
+    already squared; the state must be a squeezed vacuum (checked, see
+    :func:`quadrature_distribution`).
 
     Deterministic for a fixed (seed, scheme, state); ``seed`` may be an
     integer or a numpy SeedSequence.
     """
-    return _draw(_outcome_distribution(state, scheme.kind), scheme.shots, seed)
+    kind = scheme.kind
+    return _draw(kind, _outcome_distribution(state, kind), scheme.shots, seed)
 
 
 def _invert_mean_n(m: float) -> float:
@@ -295,7 +275,7 @@ def replica_estimates(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EstimateClippedWarning)
         for i, child in enumerate(children):
-            outcomes = _draw(distribution, scheme.shots, child)
+            outcomes = _draw(scheme.kind, distribution, scheme.shots, child)
             if outcome_sink is not None:
                 outcome_sink.append(outcomes)
             estimates[i] = estimate_eta(outcomes, scheme)

@@ -1,8 +1,9 @@
 """Shared oracles and expensive shared runs for the test suite.
 
 The oracles here are deliberately independent of the package's construction
-path: dense matrix exponentials built from scratch, and the closed-form Fock
-coefficients of the squeezed vacuum.
+path: dense matrix exponentials built from scratch, the closed-form Fock
+coefficients of the squeezed vacuum, and quadrature densities expanded in
+Hermite functions.
 """
 
 from __future__ import annotations
@@ -43,6 +44,33 @@ def squeezed_vacuum_coefficients(field_dim: int, r: float) -> np.ndarray:
         log_comb = 0.5 * lgamma(2 * m + 1) - m * log(2.0) - lgamma(m + 1)
         c[2 * m] = (base**m) * np.exp(log_comb)
     return c / np.sqrt(np.cosh(r))
+
+
+def hermite_functions(levels: int, v: np.ndarray) -> np.ndarray:
+    """Normalized Hermite functions h_0..h_{levels-1} on the points v.
+
+    Stable two-term recurrence: h_{n+1} = v sqrt(2/(n+1)) h_n - sqrt(n/(n+1)) h_{n-1}.
+    """
+    h = np.zeros((levels, len(v)))
+    h[0] = np.pi**-0.25 * np.exp(-0.5 * v * v)
+    if levels > 1:
+        h[1] = np.sqrt(2.0) * v * h[0]
+    for n in range(1, levels - 1):
+        h[n + 1] = np.sqrt(2.0 / (n + 1)) * v * h[n] - np.sqrt(n / (n + 1)) * h[n - 1]
+    return h
+
+
+def quadrature_density(amplitudes: np.ndarray, q: np.ndarray, quadrature: str) -> np.ndarray:
+    """|psi(q)|^2 of X = (a + a^dag)/2 or P = i(a^dag - a)/2 from Fock amplitudes.
+
+    The X eigenfunction at value q is 2^{1/4} h_n(sqrt2 q); for P the
+    amplitudes are first rotated by (-i)^n.
+    """
+    coeff = np.asarray(amplitudes, dtype=complex)
+    if quadrature == "p":
+        coeff = coeff * np.power(-1j, np.arange(len(coeff)))
+    h = hermite_functions(len(coeff), np.sqrt(2.0) * q)
+    return np.abs(2**0.25 * (coeff[:, None] * h).sum(axis=0)) ** 2
 
 
 @pytest.fixture(scope="session")

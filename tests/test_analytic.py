@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -74,6 +75,33 @@ class TestEvaluate:
     def test_squeezing_parameter_negative(self):
         assert analytic.evaluate(0.5).r < 0
         assert analytic.evaluate(0.5).r == pytest.approx(0.25 * np.log(0.75))
+
+
+def _photon_number_moments_60_digits(eta: float) -> tuple[float, float]:
+    """<N> and Var[N] from their textbook forms in 60-digit arithmetic.
+
+    (2-eta^2)/(4u) - 1/2 and ((1-eta^2)^2 + 1)/(8(1-eta^2)) - 1/4 cancel at
+    small eta; 60 digits leave more than 30 of them after the cancellation
+    (down to eta = 1e-6).
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        e2 = Decimal(eta) ** 2
+        eps = 1 - e2
+        u = eps.sqrt()
+        mean_n = (2 - e2) / (4 * u) - Decimal("0.5")
+        var_n = (eps * eps + 1) / (8 * eps) - Decimal("0.25")
+        return float(mean_n), float(var_n)
+
+
+class TestPhotonNumberPrecision:
+    @pytest.mark.parametrize("eta", [1e-6, 1e-3, 5e-3, 1e-2, 0.1, 0.5, 0.9, 0.995])
+    def test_matches_60_digit_reference(self, eta):
+        mean_n, var_n = _photon_number_moments_60_digits(eta)
+        p = analytic.evaluate(eta)
+        assert p.mean_n == pytest.approx(mean_n, rel=1e-12, abs=0)
+        assert p.var_n == pytest.approx(var_n, rel=1e-12, abs=0)
+        assert p.inv_var_n == pytest.approx(p.qfi, rel=1e-12, abs=0)
 
 
 class TestEvaluateOnArrays:

@@ -47,6 +47,17 @@ class TestConfigResolution:
         with pytest.raises(cli.ConfigError, match="numerics.d_eta"):
             cli.resolve_config({"experiment": "qfi_curve", "numerics": {"d_eta": 1e-4}})
 
+    def test_scheme_defaults_to_photon_number(self):
+        resolved = cli.resolve_config({"experiment": "cramer_rao"})
+        assert resolved["numerics"]["scheme"] == "photon_number"
+
+    @pytest.mark.parametrize("scheme", ["x_squared", "p_squared"])
+    def test_scheme_accepts_every_measurement_kind(self, scheme):
+        resolved = cli.resolve_config(
+            {"experiment": "cramer_rao", "numerics": {"scheme": scheme}}
+        )
+        assert resolved["numerics"]["scheme"] == scheme
+
     def test_missing_experiment_rejected(self):
         with pytest.raises(cli.ConfigError, match="experiment"):
             cli.resolve_config({})
@@ -95,6 +106,27 @@ class TestValidateCommand:
         assert 0.28 / 2 < estimate({}) < 0.28 * 2
         assert 0.094 / 2 < estimate({"shots": 100}) < 0.094 * 2
         assert estimate({"replicas": 1000}) == pytest.approx(2 * estimate({}), rel=1e-12)
+
+    def test_cramer_rao_estimate_per_scheme(self):
+        def estimate(scheme):
+            resolved = cli.resolve_config(
+                {"experiment": "cramer_rao", "numerics": {"scheme": scheme}}
+            )
+            return cli._estimate_runtime(resolved, 121)
+
+        # measured: the default 500 x 10,000 takes 0.13-0.15 s for a quadrature
+        for scheme in ("x_squared", "p_squared"):
+            assert 0.14 / 2 < estimate(scheme) < 0.14 * 2
+            assert estimate(scheme) < estimate("photon_number")
+
+    @pytest.mark.parametrize("scheme", ["parity", 3, None])
+    def test_exit_2_on_unknown_scheme(self, tmp_path, capsys, scheme):
+        path = write_config(
+            tmp_path, {"experiment": "cramer_rao", "numerics": {"scheme": scheme}}
+        )
+        assert cli.main(["validate", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and "numerics.scheme" in err["message"]
 
     def test_exit_2_on_bad_config(self, tmp_path, capsys):
         path = write_config(tmp_path, {"experiment": "qfi_curve", "bogus": {}})
@@ -286,6 +318,27 @@ class TestOutcomeDumps:
         # outcomes are photon counts: non-negative even integers
         values = np.array(doc["outcomes"]["200"][0])
         assert (values >= 0).all() and (values % 2 == 0).all()
+
+    @pytest.mark.parametrize("scheme", ["x_squared", "p_squared"])
+    def test_quadrature_scheme_dumps_squared_quadratures(self, tmp_path, scheme):
+        out = tmp_path / "cr.csv"
+        body = {
+            "experiment": "cramer_rao",
+            "physics": {"eta_target": 0.8},
+            "numerics": {"shots": 200, "replicas": 5, "scheme": scheme},
+            "output": {"path": str(out), "dump_outcomes": True},
+        }
+        path = write_config(tmp_path, body)
+        assert cli.main(["run", str(path)]) == 0
+        doc = json.loads((tmp_path / "cr.csv.outcomes.json").read_text())
+        values = np.array(doc["outcomes"]["200"])
+        assert values.shape == (5, 200) and (values >= 0).all()
+        # squared normal draws are not integers
+        assert (values % 1 != 0).any()
+        assert json.loads(
+            next(line for line in out.read_text().splitlines()
+                 if line.startswith("# config: "))[len("# config: "):]
+        )["numerics"]["scheme"] == scheme
 
     def test_not_written_by_default(self, tmp_path):
         out = tmp_path / "cr.csv"

@@ -1,9 +1,8 @@
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
+from conftest import dense_displace, dense_squeeze, quadrature_density
 
 from jcsense import analytic, fockspace, metrology, ramp
 from jcsense.fockspace import HilbertSpec
@@ -78,20 +77,93 @@ class TestInvertedVariance:
         assert got == pytest.approx(analytic.evaluate(eta).qfi, rel=1e-3)
 
 
-class TestQuadratureDistribution:
-    def test_mass_and_moments(self):
-        state = probe_state(0.8)
-        grid, weights = quadrature_distribution(state, "x_squared")
-        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
-        mean_x2 = float((weights * grid**2).sum())
-        assert mean_x2 == pytest.approx(analytic.evaluate(0.8).mean_x2, rel=1e-6)
+class TestQuadratureLaw:
+    """The exact Gaussian law of the quadratures against the Fock route."""
 
-    def test_p_distribution_squeezed_below_vacuum(self):
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.6, 0.9])
+    @pytest.mark.parametrize("kind, quadrature", [("x_squared", "x"), ("p_squared", "p")])
+    def test_gaussian_pdf_matches_fock_density(self, eta, kind, quadrature):
+        # a cutoff well past adaptive_n_max, so the Fock expansion is converged
+        state = probe_state(eta, n_max=96)
+        mean, sigma = quadrature_distribution(state, kind)
+        assert mean == 0.0
+        q = np.linspace(-6.0 * sigma, 6.0 * sigma, 801)
+        gaussian = np.exp(-0.5 * (q / sigma) ** 2) / (np.sqrt(2.0 * np.pi) * sigma)
+        fock = quadrature_density(state.amplitudes, q, quadrature)
+        np.testing.assert_allclose(gaussian, fock, rtol=0, atol=1e-12 * gaussian.max())
+
+    @pytest.mark.parametrize("eta", [0.0, 0.5, 0.9, 0.99, 0.995, 0.9999])
+    def test_variance_matches_closed_form(self, eta):
+        # a cutoff sized like adaptive_n_max but not clamped at 512
+        state = probe_state(eta, n_max=max(32, int(np.ceil(12.0 / np.sqrt(1.0 - eta**2)))))
+        p = analytic.evaluate(eta)
+        _, sigma_x = quadrature_distribution(state, "x_squared")
+        _, sigma_p = quadrature_distribution(state, "p_squared")
+        assert sigma_x**2 == pytest.approx(p.mean_x2, rel=1e-7)
+        assert sigma_p**2 == pytest.approx(p.mean_p2, rel=1e-7)
+
+    def test_rejects_fock_state(self):
+        spec = HilbertSpec(n_max=32, with_qubit=False)
+        amplitudes = np.zeros(spec.dim)
+        amplitudes[2] = 1.0
+        with pytest.raises(ValueError, match="squeezed vacuum"):
+            quadrature_distribution(fockspace.StateVector(spec, amplitudes), "x_squared")
+
+    def test_rejects_displaced_state(self):
+        spec = HilbertSpec(n_max=48, with_qubit=False)
+        vacuum = np.zeros(spec.dim)
+        vacuum[0] = 1.0
+        squeezed = dense_squeeze(spec.dim, -0.3) @ vacuum
+        state = fockspace.StateVector(spec, dense_displace(spec.dim, 0.4) @ squeezed)
+        with pytest.raises(ValueError, match="squeezed vacuum"):
+            quadrature_distribution(state.normalized(), "p_squared")
+
+    def test_rejects_composite_state(self):
+        state = fockspace.eigenstate(HilbertSpec(n_max=32), 1.0, 0.2, 0, "dark")
+        with pytest.raises(ValueError, match="field-only"):
+            quadrature_distribution(state, "x_squared")
+
+    def test_rejects_photon_number_kind(self):
+        with pytest.raises(ValueError, match="no quadrature distribution"):
+            quadrature_distribution(probe_state(0.5), "photon_number")
+
+    @pytest.mark.parametrize("kind", ["x_squared", "p_squared"])
+    def test_sample_outcomes_are_squared_normal_draws(self, kind):
         state = probe_state(0.8)
-        grid, weights = quadrature_distribution(state, "p_squared")
-        mean_p2 = float((weights * grid**2).sum())
-        assert mean_p2 == pytest.approx(analytic.evaluate(0.8).mean_p2, rel=1e-6)
-        assert mean_p2 < 0.25
+        _, sigma = quadrature_distribution(state, kind)
+        got = sample_outcomes(state, MeasurementScheme(kind, 1000), seed=17)
+        want = np.random.default_rng(17).normal(0.0, sigma, 1000) ** 2
+        np.testing.assert_array_equal(got, want)
+
+    def test_photon_counts_are_choice_draws_on_the_fock_populations(self):
+        state = probe_state(0.8)
+        got = sample_outcomes(state, MeasurementScheme("photon_number", 1000), seed=17)
+        p = np.abs(state.amplitudes) ** 2
+        want = np.random.default_rng(17).choice(
+            np.arange(state.spec.dim, dtype=float), size=1000, p=p / p.sum()
+        )
+        np.testing.assert_array_equal(got, want)
+
+
+class TestChiSquaredLaw:
+    """A replica's quadrature sample mean is sigma^2 chi^2_nu / nu, exactly."""
+
+    @pytest.mark.parametrize("kind", ["x_squared", "p_squared"])
+    def test_sample_mean_moments_over_a_fan(self, kind):
+        eta, shots, replicas = 0.9, 50, 4000
+        p = analytic.evaluate(eta)
+        sigma2 = p.mean_x2 if kind == "x_squared" else p.mean_p2
+        sink = []
+        replica_estimates(eta, MeasurementScheme(kind, shots), replicas, seed=8, outcome_sink=sink)
+        means = np.array([outcomes.mean() for outcomes in sink])
+        # moments of m = sigma^2 chi^2_nu / nu: variance 2 sigma^4 / nu and
+        # fourth central moment 12 (nu + 4) sigma^8 / nu^3
+        var = 2.0 * sigma2**2 / shots
+        mu4 = 12.0 * (shots + 4) * sigma2**4 / shots**3
+        se_mean = np.sqrt(var / replicas)
+        se_var = np.sqrt((mu4 - var**2 * (replicas - 3) / (replicas - 1)) / replicas)
+        assert abs(means.mean() - sigma2) <= 4.0 * se_mean
+        assert abs(means.var(ddof=1) - var) <= 4.0 * se_var
 
 
 class TestSampleOutcomes:
@@ -224,15 +296,6 @@ class TestReplicaFan:
         monkeypatch.setattr(metrology, "quadrature_distribution", counting)
         replica_estimates(0.8, MeasurementScheme(kind, 64), 5, seed=3)
         assert len(calls) == builds
-
-    def test_under_resolved_grid_still_warns(self, monkeypatch):
-        # the squeezed probe's X is Gaussian: a +/- 2 sigma grid misses ~5% of it
-        sigmas = 2.0
-        assert 1.0 - math.erf(sigmas / math.sqrt(2.0)) > metrology.QUAD_MASS_TOL
-        monkeypatch.setattr(metrology, "QUAD_GRID_SIGMAS", sigmas)
-        scheme = MeasurementScheme("x_squared", 100)
-        with pytest.warns(UserWarning, match="distribution is under-resolved"):
-            cramer_rao_ratio(0.8, scheme, replicas=3, seed=5)
 
 
 class TestScalingExperiment:
