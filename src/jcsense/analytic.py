@@ -68,7 +68,8 @@ def evaluate(eta) -> AnalyticPoint:
     scalar = np.ndim(eta) == 0
     eta = np.asarray(eta, dtype=float)
     eta2 = eta * eta
-    eps = 1.0 - eta2
+    # exact to rounding; 1 - eta*eta amplifies the rounding of eta*eta near 1
+    eps = (1.0 - eta) * (1.0 + eta)
     u = np.sqrt(eps)
 
     r = fockspace.squeezing_parameter(eta)

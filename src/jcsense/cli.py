@@ -259,9 +259,10 @@ def _estimate_runtime(resolved: dict, n_max: int) -> float:
     is mostly fixed Python overhead at these dimensions, so the estimate is
     c * Omega * t_end * sqrt(n_max + 1).  The default config (Omega = 1,
     t_end = 6289, n_max 121) takes 267,785 evaluations, 3.86 per unit of
-    Omega t_end sqrt(n_max + 1), and one pass takes 3.2 s at perfbench's
-    reference core speed, 12 us per evaluation with the integrator's step
-    overhead and the per-record diagnostics included: c = 3.86 * 12e-6.
+    Omega t_end sqrt(n_max + 1), and one pass takes 2.7 s at perfbench's
+    reference core speed (median of 10 runs), 10.1 us per evaluation with
+    the integrator's step overhead and the per-record diagnostics included:
+    c = 3.86 * 10.1e-6.
 
     cramer_rao: three replica fans of ``shots``, ``shots // 10`` and
     ``shots // 100`` draws, so 3 * replicas experiments and about
@@ -280,7 +281,7 @@ def _estimate_runtime(resolved: dict, n_max: int) -> float:
     if experiment == "fidelity_sweep":
         sched = experiments._schedule(resolved)
         omega = resolved["physics"]["Omega"]
-        return 4.6e-5 * omega * sched.duration * (n_max + 1) ** 0.5
+        return 3.9e-5 * omega * sched.duration * (n_max + 1) ** 0.5
     if experiment == "cramer_rao":
         num = resolved["numerics"]
         per_experiment, per_draw = _CRAMER_RAO_COST[num["scheme"]]

@@ -8,9 +8,16 @@ kernel on its arrays: the same kernel ``stacked @ y`` reaches, without the
 Python dispatch in front of it, so the trajectory is bit-identical.  Every
 evaluation returns a new array, because the integrator keeps the returned
 derivative as the next step's first stage; a reused output buffer would be
-overwritten under it.  The integrator is an adaptive embedded Runge-Kutta
-pair of order 8 (DOP853) with PI step control; norm conservation is tracked
-as a per-record diagnostic rather than enforced.
+overwritten under it.  The right-hand side must not keep its ``y`` argument
+either: the stepper passes one stage buffer that the next stage overwrites.
+
+The integrator is scipy's adaptive embedded Runge-Kutta pair of order 8
+(DOP853, Hairer, Norsett & Wanner, *Solving ODEs I*, Sec. II) with its own
+step-size control, stepped by :class:`_InPlaceDOP853`: the stage sums are
+formed in one preallocated buffer instead of three temporaries per stage,
+from the same IEEE operations on the same operands, so steps, evaluation
+count and trajectory are bit-identical to ``method="DOP853"``.  Norm
+conservation is tracked as a per-record diagnostic rather than enforced.
 """
 
 from __future__ import annotations
@@ -20,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
 from scipy.sparse._sparsetools import csr_matvec
 
 from . import fockspace, ramp
@@ -79,6 +87,101 @@ class TrajectoryRecord:
     mean_x2: float
     mean_p2: float
     norm_defect: float
+
+
+class _InPlaceDOP853(DOP853):
+    """scipy's DOP853 with each step's stage arithmetic done in place.
+
+    Only ``_step_impl`` is replaced; initial step, error norm and dense
+    output are inherited.  The step-size control is scipy's, operation for
+    operation.  Each stage is scipy's ``np.dot(K[:s].T, a[:s]) * h`` then
+    ``y + dy``, written into one buffer, with the tableau rows cast to
+    complex once (``np.dot`` would cast them on every call) and h and the
+    stage times as Python floats: the same IEEE operations on the same
+    values, so the results are bit-identical.  Taking the stage sums through
+    a real view of K instead would change the rounding, and with it the
+    steps.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        dtype = self.y.dtype
+        # per stage s: the earlier stages as columns, the row a[:s], the node
+        self._stages = [
+            (self.K[:s].T, a[:s].astype(dtype), float(c))
+            for s, (a, c) in enumerate(zip(self.A[1:], self.C[1:]), start=1)
+        ]
+        self._b = self.B.astype(dtype)
+        self._dy = np.empty(self.n, dtype=dtype)
+
+    def _rk_step(self, t, y, h):
+        # scipy's rk_step; fun_single skips the counting wrapper, so the
+        # evaluations are counted here, n_stages per attempt
+        K, dy, fun = self.K, self._dy, self.fun_single
+        t, h = float(t), float(h)
+        K[0] = self.f
+        for s, (k_prev, a, c) in enumerate(self._stages, start=1):
+            np.dot(k_prev, a, out=dy)
+            np.multiply(dy, h, out=dy)
+            np.add(dy, y, out=dy)
+            K[s] = fun(t + c * h, dy)
+        y_new = np.dot(K[:-1].T, self._b)
+        np.multiply(y_new, h, out=y_new)
+        np.add(y_new, y, out=y_new)
+        f_new = fun(t + h, y_new)
+        K[-1] = f_new
+        self.nfev += self.n_stages
+        return y_new, f_new
+
+    def _step_impl(self):
+        t = self.t
+        y = self.y
+
+        min_step = 10 * np.abs(np.nextafter(t, self.direction * np.inf) - t)
+        if self.h_abs > self.max_step:
+            h_abs = self.max_step
+        elif self.h_abs < min_step:
+            h_abs = min_step
+        else:
+            h_abs = self.h_abs
+
+        step_accepted = False
+        step_rejected = False
+        while not step_accepted:
+            if h_abs < min_step:
+                return False, self.TOO_SMALL_STEP
+
+            h = h_abs * self.direction
+            t_new = t + h
+            if self.direction * (t_new - self.t_bound) > 0:
+                t_new = self.t_bound
+            h = t_new - t
+            h_abs = np.abs(h)
+
+            y_new, f_new = self._rk_step(t, y, h)
+            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+            error_norm = self._estimate_error_norm(self.K, h, scale)
+
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = MAX_FACTOR
+                else:
+                    factor = min(MAX_FACTOR, SAFETY * error_norm**self.error_exponent)
+                if step_rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                step_accepted = True
+            else:
+                h_abs *= max(MIN_FACTOR, SAFETY * error_norm**self.error_exponent)
+                step_rejected = True
+
+        self.h_previous = h
+        self.y_old = y
+        self.t = t_new
+        self.y = y_new
+        self.h_abs = h_abs
+        self.f = f_new
+        return True, None
 
 
 def _record_times(cfg: EvolutionConfig) -> np.ndarray:
@@ -154,7 +257,10 @@ def evolve(cfg: EvolutionConfig) -> list[TrajectoryRecord]:
         # csr_matvec accumulates into z, so z starts zeroed as in stacked @ y
         z = np.zeros(2 * dim, dtype=complex)
         csr_matvec(2 * dim, dim, indptr, indices, data, y, z)
-        return z[:dim] + ramp.eta_at(sched, t) * z[dim:]
+        # a fresh array each call; operand order does not change IEEE sums
+        out = np.multiply(z[dim:], ramp.eta_at(sched, t))
+        np.add(out, z[:dim], out=out)
+        return out
 
     y0 = np.zeros(dim, dtype=complex)
     y0[0] = 1.0  # |0>|g> in field-fast order
@@ -164,14 +270,15 @@ def evolve(cfg: EvolutionConfig) -> list[TrajectoryRecord]:
         rhs,
         (times[0], times[-1]),
         y0,
-        method="DOP853",
+        method=_InPlaceDOP853,
         rtol=cfg.rtol,
         atol=cfg.atol,
         t_eval=times,
     )
     if sol.status != 0:
         raise RuntimeError(
-            f"time integration failed at t={sol.t[-1] if len(sol.t) else 0.0:g}: "
+            f"time integration failed after the record at "
+            f"t={sol.t[-1] if len(sol.t) else 0.0:g}: "
             f"{sol.message}"
         )
 

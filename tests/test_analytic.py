@@ -6,7 +6,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from jcsense import analytic, experiments
+from jcsense import analytic, experiments, metrology
 
 FIELDS = [f.name for f in dataclasses.fields(analytic.AnalyticPoint)]
 
@@ -102,6 +102,33 @@ class TestPhotonNumberPrecision:
         assert p.mean_n == pytest.approx(mean_n, rel=1e-12, abs=0)
         assert p.var_n == pytest.approx(var_n, rel=1e-12, abs=0)
         assert p.inv_var_n == pytest.approx(p.qfi, rel=1e-12, abs=0)
+
+
+def _near_critical_forms_60_digits(eta: float) -> dict[str, float]:
+    """The epsilon-based closed forms in 60-digit arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        e = Decimal(eta)
+        eps = 1 - e * e
+        u = eps.sqrt()
+        forms = dict(
+            epsilon=eps, qfi=e * e / (2 * eps * eps),
+            mean_n=(1 - u) ** 2 / (4 * u), var_n=e**4 / (8 * eps),
+            chi=e**3 / (4 * eps * u), mean_x2=1 / (4 * u), var_x2=1 / (8 * eps),
+            mean_p2=u / 4, var_p2=eps / 8,
+        )
+        return {name: float(value) for name, value in forms.items()}
+
+
+class TestNearCriticalPrecision:
+    # epsilon = 1 - eta^2 formed from the rounded eta^2 was off by 2.5e-13
+    # (relative) at eta = 0.9999 and 5e-10 at the estimator's clip
+    @pytest.mark.parametrize("eta", [0.9999, metrology.ETA_CLIP])
+    def test_matches_60_digit_reference(self, eta):
+        p = analytic.evaluate(eta)
+        for name, value in _near_critical_forms_60_digits(eta).items():
+            assert getattr(p, name) == pytest.approx(value, rel=2e-15, abs=0), name
+        assert p.inv_var_n == pytest.approx(p.qfi, rel=2e-15, abs=0)
 
 
 class TestEvaluateOnArrays:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from jcsense import cli
+from jcsense import cli, ramp
 
 
 def write_config(tmp_path, body: dict, name="config.json"):
@@ -89,9 +89,9 @@ class TestValidateCommand:
 
     def test_fidelity_sweep_estimate_calibration(self):
         resolved = cli.resolve_config({"experiment": "fidelity_sweep"})
-        # the default config's pass takes 3.2 s at the reference core speed
+        # the default config's pass takes 2.7 s at the reference core speed
         estimate = cli._estimate_runtime(resolved, 121)
-        assert 3.2 / 2 < estimate < 3.2 * 2
+        assert 2.7 / 2 < estimate < 2.7 * 2
         # RHS evaluations grow like the spectral radius, ~sqrt(n_max + 1)
         doubled = cli._estimate_runtime(resolved, 2 * 122 - 1)
         assert doubled / estimate == pytest.approx(np.sqrt(2.0), rel=1e-12)
@@ -297,6 +297,30 @@ class TestStrictMode:
         out = tmp_path / "sweep.csv"
         assert cli.main(["run", str(path), "--out", str(out)]) == 0
         assert out.exists()
+
+
+class TestIntegratorFailure:
+    def test_nan_drive_exits_3(self, tmp_path, monkeypatch, capsys):
+        # a drive that turns NaN mid-ramp underflows the step size; the run
+        # must end with a numerical error, not a table
+        eta_at = ramp.eta_at
+        monkeypatch.setattr(
+            ramp, "eta_at",
+            lambda s, t: float("nan") if t > 0.5 * s.duration else eta_at(s, t),
+        )
+        body = {
+            "experiment": "fidelity_sweep",
+            "physics": {"k": 0.1, "eta_target": 0.9},
+            "numerics": {"n_max": 16},
+        }
+        path = write_config(tmp_path, body)
+        out = tmp_path / "sweep.csv"
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            assert cli.main(["run", str(path), "--out", str(out)]) == cli.EXIT_NUMERICAL == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "numerical"
+        assert "time integration failed" in err["message"]
+        assert not out.exists()
 
 
 class TestOutcomeDumps:

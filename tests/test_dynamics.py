@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 from jcsense import dynamics, fockspace, ramp
 from jcsense.dynamics import EvolutionConfig, embed, evolve, fidelity_against_dark
@@ -196,7 +196,9 @@ class TestEvolve:
 
     def test_rhs_matches_textbook_form_bit_for_bit(self, monkeypatch):
         # the stacked -1j operator must reproduce -1j (H_jc y + eta H_drive y)
-        # exactly, so every step, record and artifact stays the same
+        # and the in-place stepper scipy's DOP853 exactly, so every step,
+        # record and artifact stays the same; the frozen schedule (eta = 0
+        # throughout) covers the zero-error step branch
         calls = []
 
         def spy(fun, t_span, y0, **kwargs):
@@ -205,21 +207,53 @@ class TestEvolve:
             return sol
 
         monkeypatch.setattr(dynamics, "solve_ivp", spy)
-        sched = ramp.RampSchedule(k=0.05, eta_target=0.9)
         spec = HilbertSpec(n_max=48)  # n_max 24, 32 and 40 warn of truncation here
-        evolve(EvolutionConfig(omega=1.0, schedule=sched, spec=spec))
-        (t_span, y0, kwargs, sol), = calls
-
         h_jc, h_drive = fockspace.jc_hamiltonian_parts(spec, 1.0)
         m_jc, m_dr = h_jc.matrix, h_drive.matrix
+        for sched, t_final in (
+            (ramp.RampSchedule(k=0.05, eta_target=0.9), None),
+            (ramp.RampSchedule(k=0.0), 50.0),
+        ):
+            calls.clear()
+            evolve(EvolutionConfig(omega=1.0, schedule=sched, spec=spec, t_final=t_final))
+            (t_span, y0, kwargs, sol), = calls
+            assert issubclass(kwargs["method"], DOP853)
 
-        def textbook(t, y):
-            return -1j * (m_jc @ y + ramp.eta_at(sched, t) * (m_dr @ y))
+            def textbook(t, y):
+                return -1j * (m_jc @ y + ramp.eta_at(sched, t) * (m_dr @ y))
 
-        ref = solve_ivp(textbook, t_span, y0, **kwargs)
-        assert sol.nfev == ref.nfev
-        np.testing.assert_array_equal(sol.t, ref.t)
-        np.testing.assert_array_equal(sol.y, ref.y)
+            ref = solve_ivp(textbook, t_span, y0, **dict(kwargs, method="DOP853"))
+            assert sol.nfev == ref.nfev
+            np.testing.assert_array_equal(sol.t, ref.t)
+            np.testing.assert_array_equal(sol.y, ref.y)
+
+    def test_nan_drive_fails_loudly(self, monkeypatch):
+        # a drive that turns NaN mid-ramp makes every step through it fail
+        # the error test; the stepper shrinks h until it underflows
+        eta_at = ramp.eta_at
+
+        def nan_after(s, t):
+            return float("nan") if t > 0.5 * s.duration else eta_at(s, t)
+
+        calls = []
+
+        def spy(fun, t_span, y0, **kwargs):
+            sol = solve_ivp(fun, t_span, y0, **kwargs)
+            calls.append(sol)
+            return sol
+
+        monkeypatch.setattr(ramp, "eta_at", nan_after)
+        monkeypatch.setattr(dynamics, "solve_ivp", spy)
+        sched = ramp.RampSchedule(k=0.05, eta_target=0.9)
+        cfg = EvolutionConfig(omega=1.0, schedule=sched, spec=HilbertSpec(n_max=16))
+        with pytest.raises(RuntimeError, match="time integration failed"):
+            with pytest.warns(RuntimeWarning, match="invalid value"):
+                evolve(cfg)
+        (sol,) = calls
+        assert sol.status == -1
+        assert sol.message == DOP853.TOO_SMALL_STEP
+        # with t_eval, sol.t holds the records reached before the failure
+        assert 0.0 < sol.t[-1] <= 0.5 * sched.duration
 
     def test_validation(self):
         sched = ramp.RampSchedule(k=0.1)
