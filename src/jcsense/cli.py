@@ -211,7 +211,7 @@ def run(resolved: dict, out_path: str | None = None, strict: bool = False) -> in
     except (ConfigError, ValueError) as exc:
         _emit_error(resolved, "config", str(exc))
         return EXIT_CONFIG
-    except (TruncationWarning, ArithmeticError, RuntimeError) as exc:
+    except (TruncationWarning, RuntimeWarning, ArithmeticError, RuntimeError) as exc:
         _emit_error(resolved, "numerical", str(exc))
         return EXIT_NUMERICAL
 
@@ -259,10 +259,10 @@ def _estimate_runtime(resolved: dict, n_max: int) -> float:
     is mostly fixed Python overhead at these dimensions, so the estimate is
     c * Omega * t_end * sqrt(n_max + 1).  The default config (Omega = 1,
     t_end = 6289, n_max 121) takes 267,785 evaluations, 3.86 per unit of
-    Omega t_end sqrt(n_max + 1), and one pass takes 2.7 s at perfbench's
-    reference core speed (median of 10 runs), 10.1 us per evaluation with
+    Omega t_end sqrt(n_max + 1), and one pass takes 2.28 s at perfbench's
+    reference core speed (median of 10 runs), 8.5 us per evaluation with
     the integrator's step overhead and the per-record diagnostics included:
-    c = 3.86 * 10.1e-6.
+    c = 3.86 * 8.5e-6.
 
     cramer_rao: three replica fans of ``shots``, ``shots // 10`` and
     ``shots // 100`` draws, so 3 * replicas experiments and about
@@ -281,7 +281,7 @@ def _estimate_runtime(resolved: dict, n_max: int) -> float:
     if experiment == "fidelity_sweep":
         sched = experiments._schedule(resolved)
         omega = resolved["physics"]["Omega"]
-        return 3.9e-5 * omega * sched.duration * (n_max + 1) ** 0.5
+        return 3.3e-5 * omega * sched.duration * (n_max + 1) ** 0.5
     if experiment == "cramer_rao":
         num = resolved["numerics"]
         per_experiment, per_draw = _CRAMER_RAO_COST[num["scheme"]]

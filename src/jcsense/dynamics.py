@@ -5,23 +5,27 @@ Hamiltonian is assembled once as H(t) = H_jc + eta(t) * H_drive.  Both
 parts, times -i, are stacked into one (2 dim, dim) CSR operator, and each
 right-hand-side evaluation is one direct call of scipy's ``csr_matvec``
 kernel on its arrays: the same kernel ``stacked @ y`` reaches, without the
-Python dispatch in front of it, so the trajectory is bit-identical.  Every
-evaluation returns a new array, because the integrator keeps the returned
-derivative as the next step's first stage; a reused output buffer would be
-overwritten under it.  The right-hand side must not keep its ``y`` argument
-either: the stepper passes one stage buffer that the next stage overwrites.
+Python dispatch in front of it, so the trajectory is bit-identical.  The
+product goes into one preallocated buffer, zeroed before each call, but
+every evaluation returns a new array, because the integrator keeps the
+returned derivative as the next step's first stage; a reused output buffer
+would be overwritten under it.  The right-hand side must not keep its ``y``
+argument either: the stepper passes one stage buffer that the next stage
+overwrites.
 
-The integrator is scipy's adaptive embedded Runge-Kutta pair of order 8
-(DOP853, Hairer, Norsett & Wanner, *Solving ODEs I*, Sec. II) with its own
-step-size control, stepped by :class:`_InPlaceDOP853`: the stage sums are
-formed in one preallocated buffer instead of three temporaries per stage,
-from the same IEEE operations on the same operands, so steps, evaluation
-count and trajectory are bit-identical to ``method="DOP853"``.  Norm
-conservation is tracked as a per-record diagnostic rather than enforced.
+The integrator is the adaptive embedded Runge-Kutta pair of order 8
+(DOP853, Hairer, Norsett & Wanner, *Solving ODEs I*, Sec. II), stepped by
+:class:`_InPlaceDOP853`, which owns each step: the stage sums and the error
+estimate are formed in preallocated buffers and the step-size control runs
+on Python floats, from the same IEEE operations on the same operands as
+scipy's, so steps, evaluation count and trajectory are bit-identical to
+``method="DOP853"``.  Norm conservation is tracked as a per-record
+diagnostic rather than enforced.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -90,35 +94,47 @@ class TrajectoryRecord:
 
 
 class _InPlaceDOP853(DOP853):
-    """scipy's DOP853 with each step's stage arithmetic done in place.
+    """scipy's DOP853 whose steps, error estimate and step control are its own.
 
-    Only ``_step_impl`` is replaced; initial step, error norm and dense
-    output are inherited.  The step-size control is scipy's, operation for
-    operation.  Each stage is scipy's ``np.dot(K[:s].T, a[:s]) * h`` then
-    ``y + dy``, written into one buffer, with the tableau rows cast to
-    complex once (``np.dot`` would cast them on every call) and h and the
-    stage times as Python floats: the same IEEE operations on the same
-    values, so the results are bit-identical.  Taking the stage sums through
-    a real view of K instead would change the rounding, and with it the
-    steps.
+    Initial step and dense output are inherited; everything a step does is
+    scipy's, operation for operation, so steps, evaluation count and
+    trajectory are bit-identical to ``method="DOP853"``.
+
+    - Stages: each is scipy's ``np.dot(K[:s].T, a[:s]) * h`` then ``y + dy``,
+      written into one buffer, with the tableau rows cast to complex once
+      (``np.dot`` would cast them on every call).  Taking the stage sums
+      through a real view of K instead would change the rounding, and with
+      it the steps.  The right-hand side is the ``fun`` solve_ivp passed in,
+      called without the solver's wrapper frames; ``nfev`` grows by
+      ``n_stages`` per attempt.
+    - Error estimate: scipy's ``scale`` line and ``_estimate_error_norm``
+      in preallocated buffers, with E5 and E3 cast to complex once.  Each
+      squared norm is ``np.linalg.norm``'s complex branch,
+      sqrt(re.re + im.im), squared afterwards as scipy does: dropping the
+      sqrt-then-square changes the last bit, and with it the steps.
+    - Step control: scipy's, on Python floats.
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, fun, *args, **kwargs):
+        super().__init__(fun, *args, **kwargs)
         dtype = self.y.dtype
+        self._rhs = fun
+        self._columns = self.K.T  # the stages as columns
         # per stage s: the earlier stages as columns, the row a[:s], the node
         self._stages = [
             (self.K[:s].T, a[:s].astype(dtype), float(c))
             for s, (a, c) in enumerate(zip(self.A[1:], self.C[1:]), start=1)
         ]
         self._b = self.B.astype(dtype)
+        self._e5, self._e3 = self.E5.astype(dtype), self.E3.astype(dtype)
         self._dy = np.empty(self.n, dtype=dtype)
+        self._err = np.empty(self.n, dtype=dtype)
+        self._scale = np.empty(self.n)
+        self._abs_new = np.empty(self.n)
 
     def _rk_step(self, t, y, h):
-        # scipy's rk_step; fun_single skips the counting wrapper, so the
-        # evaluations are counted here, n_stages per attempt
-        K, dy, fun = self.K, self._dy, self.fun_single
-        t, h = float(t), float(h)
+        # scipy's rk_step
+        K, dy, fun = self.K, self._dy, self._rhs
         K[0] = self.f
         for s, (k_prev, a, c) in enumerate(self._stages, start=1):
             np.dot(k_prev, a, out=dy)
@@ -133,17 +149,41 @@ class _InPlaceDOP853(DOP853):
         self.nfev += self.n_stages
         return y_new, f_new
 
-    def _step_impl(self):
-        t = self.t
-        y = self.y
+    def _error_norm(self, y, y_new, h):
+        # scipy's atol + maximum(|y|, |y_new|) * rtol, then
+        # DOP853._estimate_error_norm(K, h, scale)
+        scale, err = self._scale, self._err
+        np.abs(y, out=scale)
+        np.abs(y_new, out=self._abs_new)
+        np.maximum(scale, self._abs_new, out=scale)
+        np.multiply(scale, self.rtol, out=scale)
+        np.add(scale, self.atol, out=scale)
+        norms_2 = []
+        for e in (self._e5, self._e3):
+            np.dot(self._columns, e, out=err)
+            np.divide(err, scale, out=err)
+            re, im = err.real, err.imag
+            norms_2.append(math.sqrt(re.dot(re) + im.dot(im)) ** 2)
+        err5_norm_2, err3_norm_2 = norms_2
+        if err5_norm_2 == 0 and err3_norm_2 == 0:
+            return 0.0
+        denom = err5_norm_2 + 0.01 * err3_norm_2
+        return abs(h) * err5_norm_2 / math.sqrt(denom * self.n)
 
-        min_step = 10 * np.abs(np.nextafter(t, self.direction * np.inf) - t)
+    def _step_impl(self):
+        # scipy's RungeKutta._step_impl
+        t = float(self.t)
+        y = self.y
+        direction = float(self.direction)
+        t_bound = float(self.t_bound)
+
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         if self.h_abs > self.max_step:
-            h_abs = self.max_step
+            h_abs = float(self.max_step)
         elif self.h_abs < min_step:
             h_abs = min_step
         else:
-            h_abs = self.h_abs
+            h_abs = float(self.h_abs)
 
         step_accepted = False
         step_rejected = False
@@ -151,16 +191,15 @@ class _InPlaceDOP853(DOP853):
             if h_abs < min_step:
                 return False, self.TOO_SMALL_STEP
 
-            h = h_abs * self.direction
+            h = h_abs * direction
             t_new = t + h
-            if self.direction * (t_new - self.t_bound) > 0:
-                t_new = self.t_bound
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
 
             y_new, f_new = self._rk_step(t, y, h)
-            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
-            error_norm = self._estimate_error_norm(self.K, h, scale)
+            error_norm = self._error_norm(y, y_new, h)
 
             if error_norm < 1:
                 if error_norm == 0:
@@ -253,13 +292,16 @@ def evolve(cfg: EvolutionConfig) -> list[TrajectoryRecord]:
     indptr, indices, data = stacked.indptr, stacked.indices, stacked.data
     sched = cfg.schedule
 
+    z = np.empty(2 * dim, dtype=complex)
+    z_jc, z_drive = z[:dim], z[dim:]
+
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         # csr_matvec accumulates into z, so z starts zeroed as in stacked @ y
-        z = np.zeros(2 * dim, dtype=complex)
+        z.fill(0)
         csr_matvec(2 * dim, dim, indptr, indices, data, y, z)
         # a fresh array each call; operand order does not change IEEE sums
-        out = np.multiply(z[dim:], ramp.eta_at(sched, t))
-        np.add(out, z[:dim], out=out)
+        out = np.multiply(z_drive, ramp.eta_at(sched, t))
+        np.add(out, z_jc, out=out)
         return out
 
     y0 = np.zeros(dim, dtype=complex)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -89,9 +90,9 @@ class TestValidateCommand:
 
     def test_fidelity_sweep_estimate_calibration(self):
         resolved = cli.resolve_config({"experiment": "fidelity_sweep"})
-        # the default config's pass takes 2.7 s at the reference core speed
+        # the default config's pass takes 2.3 s at the reference core speed
         estimate = cli._estimate_runtime(resolved, 121)
-        assert 2.7 / 2 < estimate < 2.7 * 2
+        assert 2.3 / 2 < estimate < 2.3 * 2
         # RHS evaluations grow like the spectral radius, ~sqrt(n_max + 1)
         doubled = cli._estimate_runtime(resolved, 2 * 122 - 1)
         assert doubled / estimate == pytest.approx(np.sqrt(2.0), rel=1e-12)
@@ -300,9 +301,9 @@ class TestStrictMode:
 
 
 class TestIntegratorFailure:
-    def test_nan_drive_exits_3(self, tmp_path, monkeypatch, capsys):
-        # a drive that turns NaN mid-ramp underflows the step size; the run
-        # must end with a numerical error, not a table
+    @staticmethod
+    def _nan_drive_config(tmp_path, monkeypatch):
+        # a drive that turns NaN mid-ramp underflows the step size
         eta_at = ramp.eta_at
         monkeypatch.setattr(
             ramp, "eta_at",
@@ -313,13 +314,31 @@ class TestIntegratorFailure:
             "physics": {"k": 0.1, "eta_target": 0.9},
             "numerics": {"n_max": 16},
         }
-        path = write_config(tmp_path, body)
-        out = tmp_path / "sweep.csv"
+        return write_config(tmp_path, body), tmp_path / "sweep.csv"
+
+    def test_nan_drive_exits_3(self, tmp_path, monkeypatch, capsys):
+        # the run must end with a numerical error, not a table
+        path, out = self._nan_drive_config(tmp_path, monkeypatch)
         with pytest.warns(RuntimeWarning, match="invalid value"):
             assert cli.main(["run", str(path), "--out", str(out)]) == cli.EXIT_NUMERICAL == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "numerical"
         assert "time integration failed" in err["message"]
+        assert not out.exists()
+
+    def test_nan_drive_exits_3_when_runtime_warnings_are_errors(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # under -W error::RuntimeWarning numpy's "invalid value" warning is
+        # raised inside the stepper's error estimate; it is a numerical
+        # failure like the step-size underflow it would otherwise lead to
+        path, out = self._nan_drive_config(tmp_path, monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["run", str(path), "--out", str(out)]) == cli.EXIT_NUMERICAL
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "numerical"
+        assert "invalid value" in err["message"]
         assert not out.exists()
 
 

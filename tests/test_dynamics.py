@@ -179,6 +179,30 @@ class TestEvolve:
         assert not np.shares_memory(first, second)
         np.testing.assert_array_equal(first, kept)
 
+    def test_rhs_output_stays_fresh_while_its_buffer_is_reused(self, monkeypatch):
+        # the RHS zeroes and refills one product buffer per call, but what it
+        # returns must be owned by the caller: the stepper keeps stages
+        # across calls and overwrites the y it passed in
+        rhs, _, _, sched, spec = self._capture_rhs(monkeypatch)
+        h_jc, h_drive = fockspace.jc_hamiltonian_parts(spec, 1.0)
+
+        def textbook(t, y):
+            return -1j * (h_jc.matrix @ y + ramp.eta_at(sched, t) * (h_drive.matrix @ y))
+
+        rng = np.random.default_rng(12)
+        y1, y2 = (rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim) for _ in range(2))
+        t1, t2 = 0.41 * sched.duration, 0.83 * sched.duration
+        expected1, expected2 = textbook(t1, y1), textbook(t2, y2)
+        first = rhs(t1, y1)
+        second = rhs(t2, y2)
+        assert not np.shares_memory(first, second)
+        np.testing.assert_array_equal(first, expected1)
+        np.testing.assert_array_equal(second, expected2)
+        y1[:] = 0.0
+        y2[:] = 0.0
+        np.testing.assert_array_equal(first, expected1)
+        np.testing.assert_array_equal(second, expected2)
+
     def test_eta_at_called_once_per_rhs_and_record(self, monkeypatch):
         # the benchmark's counters wrap dynamics.solve_ivp and ramp.eta_at;
         # both must stay module-attribute lookups made once per evaluation
@@ -322,3 +346,56 @@ class TestHeadlineTrajectory:
                 assert abs(rec.mean_n - expected) <= 0.10 * expected
             elif expected >= 0.01:
                 assert abs(rec.mean_n - expected) <= 0.25 * expected
+
+
+class TestErrorNorm:
+    """The stepper's in-place error estimate against scipy's, compared with
+    ``==``: a last-bit difference would move the step sizes."""
+
+    @staticmethod
+    def _solver(n):
+        def fun(t, y):
+            return np.zeros_like(y)
+
+        y0 = np.zeros(n, dtype=complex)
+        return dynamics._InPlaceDOP853(fun, 0.0, y0, 1.0, rtol=1e-9, atol=1e-11)
+
+    @staticmethod
+    def _scipy(solver, y, y_new, h):
+        scale = solver.atol + np.maximum(np.abs(y), np.abs(y_new)) * solver.rtol
+        return DOP853._estimate_error_norm(solver, solver.K, h, scale)
+
+    @staticmethod
+    def _draw(rng, shape, spread):
+        mag = np.exp(rng.uniform(-spread, spread, size=shape))
+        return mag * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+    @pytest.mark.parametrize("n", [1, 7, 244])
+    def test_matches_scipy_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        solver = self._solver(n)
+        for _ in range(40):
+            solver.K[:] = self._draw(rng, solver.K.shape, 20.0)
+            y, y_new = self._draw(rng, n, 25.0), self._draw(rng, n, 25.0)
+            h = float(np.exp(rng.uniform(-12.0, 2.0)))
+            expected = self._scipy(solver, y, y_new, h)
+            assert solver._error_norm(y, y_new, h) == expected
+            assert solver._error_norm(y, y_new, -h) == expected
+
+    def test_zero_stages_give_zero(self):
+        solver = self._solver(9)
+        solver.K[:] = 0.0
+        rng = np.random.default_rng(5)
+        y, y_new = self._draw(rng, 9, 3.0), self._draw(rng, 9, 3.0)
+        assert self._scipy(solver, y, y_new, 0.3) == 0.0
+        assert solver._error_norm(y, y_new, 0.3) == 0.0
+
+    def test_nan_entry_gives_nan(self):
+        solver = self._solver(9)
+        rng = np.random.default_rng(6)
+        solver.K[:] = self._draw(rng, solver.K.shape, 3.0)
+        solver.K[4, 2] = complex(np.nan, 0.0)
+        y, y_new = self._draw(rng, 9, 3.0), self._draw(rng, 9, 3.0)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(self._scipy(solver, y, y_new, 0.3))
+            assert np.isnan(solver._error_norm(y, y_new, 0.3))
