@@ -96,7 +96,7 @@ def resolve_config(raw: dict) -> dict:
     _validate_numerics(resolved["numerics"])
     _validate_output(resolved["output"])
     if experiment == "cramer_rao":
-        _validate_cramer_rao(resolved["numerics"])
+        _validate_cramer_rao(resolved["physics"], resolved["numerics"])
     return resolved
 
 
@@ -131,9 +131,15 @@ def _validate_numerics(num: dict) -> None:
         )
 
 
-def _validate_cramer_rao(num: dict) -> None:
+def _validate_cramer_rao(phys: dict, num: dict) -> None:
     # run-time preconditions of experiments.cramer_rao (three decades of shot
-    # counts down to shots // 100) and of the replica variance
+    # counts down to shots // 100), of the replica variance and of the
+    # sampled eta range
+    if phys["eta_target"] > metrology.ETA_CLIP:
+        raise ConfigError(
+            f"cramer_rao needs physics.eta_target <= 1 - 1e-9, where estimates "
+            f"clip, got {phys['eta_target']!r}"
+        )
     if num["shots"] < 100:
         raise ConfigError(f"cramer_rao needs numerics.shots >= 100, got {num['shots']}")
     if num["replicas"] < 2:

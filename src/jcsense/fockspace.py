@@ -63,18 +63,22 @@ class HilbertSpec:
         return 2 * self.field_dim if self.with_qubit else self.field_dim
 
 
-def adaptive_n_max(eta: float, margin: float = 12.0) -> int:
-    """Fock cutoff adequate for the squeezed vacuum at drive amplitude eta.
+def squeezed_vacuum_n_max(eta: float) -> int:
+    """Fock cutoff that holds the squeezed vacuum at drive amplitude eta.
 
     The photon-number mean and variance of the squeezed vacuum grow like
-    e^{-2r} = (1 - eta^2)^{-1/2}; a ``margin`` multiple of that scale keeps
-    the tail mass of Gaussian states below ``TAIL_MASS_TOL``.  Clamped to
-    [32, 512].
+    e^{-2r} = (1 - eta^2)^{-1/2}; 12 times that scale, and at least 32,
+    keeps the tail mass below ``TAIL_MASS_TOL``.  Not clamped.
     """
     if not 0.0 <= eta < 1.0:
         raise ValueError(f"eta must be in [0, 1), got {eta}")
     scale = (1.0 - eta * eta) ** -0.5
-    return int(np.clip(np.ceil(margin * scale), 32, 512))
+    return max(int(np.ceil(12.0 * scale)), 32)
+
+
+def adaptive_n_max(eta: float) -> int:
+    """The Fock-space routes' cutoff: :func:`squeezed_vacuum_n_max` clamped at 512."""
+    return min(squeezed_vacuum_n_max(eta), 512)
 
 
 @dataclass

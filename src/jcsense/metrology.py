@@ -1,17 +1,20 @@
 """Fisher-information pipeline: measurement sampling, estimator
 construction, Cramer-Rao comparison, and the near-critical scaling fits.
 
-Measurement outcomes are drawn from exact probe-state distributions:
-photon counts from the Fock amplitudes |c_n|^2, quadratures from their
-exact Gaussian law.  The probe is a squeezed vacuum, so X and P are normal
-with zero mean and variances <X^2> = 1/(4u) and <P^2> = u/4
-(u = sqrt(1 - eta^2)); quadrature sampling assumes this and checks it.
-Sampling is deterministic per (seed, scheme, state); replica fans
-use spawned seed sequences so accumulation order never matters, and build
-the probe's outcome distribution once, drawing every replica from it.
-Detector imperfections are not modeled.
+The probe is the squeezed vacuum S(r)|0> at eta, a Gaussian state, so every
+outcome law is closed form in eta and sampling builds no Fock space: photon
+counts from p(2m) = binom(2m, m) 4^{-m} tanh^{2m}(r) / cosh(r) on levels
+0..max(32, ceil(12/u)) (the Fock cutoff's sizing without its 512 clamp),
+quadratures from normal laws with variances <X^2> = 1/(4u) and
+<P^2> = u/4 (u = sqrt(1 - eta^2)).  Estimates clip at ``ETA_CLIP`` =
+1 - 1e-9, so sampling accepts eta in [0, ETA_CLIP]; at the bound the
+photon-count support is about 2.7e5 levels.  Sampling is deterministic per
+(seed, scheme, eta); replica fans use spawned seed sequences so
+accumulation order never matters, and build the outcome law once, drawing
+every replica from it.  Detector imperfections are not modeled.
 
-The observables N, X^2 and P^2 come from :func:`fockspace.field_observables`.
+:func:`inverted_variance_numeric` cross-checks the Fisher figures of merit
+in Fock space, with N, X^2 and P^2 from :func:`fockspace.field_observables`.
 The scaling fits map kt onto the closed forms through one helper,
 :func:`paper_ramp_points`, which evaluates the paper's schedule (onset 0)
 and calls :func:`analytic.evaluate` once on the whole kt array.
@@ -25,12 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, fockspace
-from .fockspace import HilbertSpec, StateVector
+from .fockspace import StateVector
 
 SCHEME_KINDS = ("photon_number", "x_squared", "p_squared")
-
-# largest 1 - |<S(r)0|psi>|^2 accepted by the quadrature sampler
-SQUEEZED_VACUUM_TOL = 1e-10
 
 DEFAULT_D_ETA = 1e-4
 DEFAULT_REPLICAS = 500
@@ -66,13 +66,6 @@ class ScalingFit:
     r_squared: float
 
 
-def _require_field_state(state: StateVector) -> None:
-    if state.spec.with_qubit:
-        raise ValueError("metrology operates on field-only states")
-    if abs(state.norm() - 1.0) > 1e-9:
-        raise ValueError("state must be normalized")
-
-
 def mean_and_variance(state: StateVector, op) -> tuple[float, float]:
     """Expectation value and variance of a sparse observable in a pure state."""
     psi = state.amplitudes
@@ -97,7 +90,10 @@ def inverted_variance_numeric(
     Raises ValueError when Var[O] vanishes (eta = 0 for the photon-number
     and x/p-squared observables), where the ratio is undefined.
     """
-    _require_field_state(state)
+    if state.spec.with_qubit:
+        raise ValueError("metrology operates on field-only states")
+    if abs(state.norm() - 1.0) > 1e-9:
+        raise ValueError("state must be normalized")
     if not (0.0 < eta - d_eta and eta + d_eta < 1.0):
         raise ValueError(f"need 0 < eta-d_eta and eta+d_eta < 1, got eta={eta}")
     spec = state.spec
@@ -116,52 +112,42 @@ def inverted_variance_numeric(
     return deriv * deriv / var
 
 
-def quadrature_distribution(state: StateVector, kind: str) -> tuple[float, float]:
+def _require_estimable(eta: float) -> None:
+    if not 0.0 <= eta <= ETA_CLIP:
+        raise ValueError(
+            f"eta must be in [0, ETA_CLIP = 1 - 1e-9], where estimates lie, got {eta}"
+        )
+
+
+def quadrature_distribution(eta: float, kind: str) -> tuple[float, float]:
     """Gaussian law (mean 0, standard deviation sigma) of the X (or P) quadrature.
 
-    The probe is a squeezed vacuum, whose quadratures are exactly normal
-    with zero mean, so sigma^2 = <psi|Q^2|psi> fixes the law; no grid and no
-    cutoff enter the draws.  The state is checked first: S(r)|0> at
-    r = -ln(4<X^2>)/2 is rebuilt on the same cutoff, and a ValueError is
-    raised when 1 - |overlap|^2 exceeds ``SQUEEZED_VACUUM_TOL`` (a Fock
-    state, a displaced state, or a squeezed vacuum along another axis).
+    The probe at eta is a squeezed vacuum, whose quadratures are exactly
+    normal with zero mean and sigma^2 = <X^2> = 1/(4u) or <P^2> = u/4
+    (u = sqrt(1 - eta^2)), taken from :func:`analytic.evaluate`.
     """
-    _require_field_state(state)
     if kind not in ("x_squared", "p_squared"):
         raise ValueError(f"no quadrature distribution for kind {kind!r}")
-    psi = state.amplitudes
-    observables = fockspace.field_observables(state.spec)
-    mean_x2 = float(np.real(np.vdot(psi, observables["x_squared"] @ psi)))
-    r = -0.5 * np.log(4.0 * mean_x2)
-    reference = fockspace._squeezed_vacuum_field(state.spec.field_dim, r)
-    overlap = np.vdot(reference, psi) / np.linalg.norm(reference)
-    residual = 1.0 - abs(overlap) ** 2
-    if residual > SQUEEZED_VACUUM_TOL:
-        raise ValueError(
-            f"quadrature sampling needs a squeezed vacuum; the state is "
-            f"1 - |overlap|^2 = {residual:.3e} away from one"
-        )
-    second_moment = mean_x2
-    if kind == "p_squared":
-        second_moment = float(np.real(np.vdot(psi, observables["p_squared"] @ psi)))
+    _require_estimable(eta)
+    point = analytic.evaluate(eta)
+    second_moment = point.mean_x2 if kind == "x_squared" else point.mean_p2
     return 0.0, float(np.sqrt(second_moment))
 
 
-def _outcome_distribution(state: StateVector, kind: str) -> tuple:
-    """What one draw of ``kind`` needs, built once per probe.
+def photon_count_distribution(eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Photon-count values 0..L and their closed-form law at eta: the
+    populations p(n) of S(r)|0> (zero for odd n) on the unclamped support
+    L = :func:`fockspace.squeezed_vacuum_n_max` (eta)."""
+    _require_estimable(eta)
+    levels = fockspace.squeezed_vacuum_n_max(eta) + 1
+    p = fockspace._squeezed_vacuum_field(levels, fockspace.squeezing_parameter(eta)) ** 2
+    return np.arange(levels, dtype=float), p / p.sum()
 
-    photon_number: the values 0..dim-1 and p(n) = |<n|phi>|^2.
-    x_squared / p_squared: the Gaussian law (0, sigma) of
-    :func:`quadrature_distribution`, which assumes and checks that the
-    state is a squeezed vacuum.
-    """
-    _require_field_state(state)
+
+def _outcome_law(eta: float, kind: str) -> tuple:
     if kind == "photon_number":
-        p = np.abs(state.amplitudes) ** 2
-        p = np.clip(p, 0.0, None)
-        p /= p.sum()
-        return np.arange(state.spec.dim, dtype=float), p
-    return quadrature_distribution(state, kind)
+        return photon_count_distribution(eta)
+    return quadrature_distribution(eta, kind)
 
 
 def _draw(kind: str, distribution: tuple, shots: int, seed) -> np.ndarray:
@@ -173,21 +159,19 @@ def _draw(kind: str, distribution: tuple, shots: int, seed) -> np.ndarray:
     return rng.normal(mean, sigma, shots) ** 2
 
 
-def sample_outcomes(
-    state: StateVector, scheme: MeasurementScheme, seed
-) -> np.ndarray:
-    """Draw ``scheme.shots`` measurement outcomes from the probe state.
+def sample_outcomes(eta: float, scheme: MeasurementScheme, seed) -> np.ndarray:
+    """Draw ``scheme.shots`` measurement outcomes from the probe at eta.
 
-    photon_number: integer draws from p(n) = |<n|phi>|^2.
-    x_squared / p_squared: normal draws of the quadrature value, returned
-    already squared; the state must be a squeezed vacuum (checked, see
-    :func:`quadrature_distribution`).
+    photon_number: draws from :func:`photon_count_distribution`.
+    x_squared / p_squared: normal draws of the quadrature value from
+    :func:`quadrature_distribution`, returned already squared.
 
-    Deterministic for a fixed (seed, scheme, state); ``seed`` may be an
-    integer or a numpy SeedSequence.
+    Deterministic for a fixed (seed, scheme, eta); ``seed`` may be an
+    integer or a numpy SeedSequence.  Raises ValueError for eta outside
+    [0, ETA_CLIP].
     """
     kind = scheme.kind
-    return _draw(kind, _outcome_distribution(state, kind), scheme.shots, seed)
+    return _draw(kind, _outcome_law(eta, kind), scheme.shots, seed)
 
 
 def _invert_mean_n(m: float) -> float:
@@ -250,32 +234,28 @@ def replica_estimates(
     scheme: MeasurementScheme,
     replicas: int,
     seed=0,
-    n_max: int | None = None,
     outcome_sink: list | None = None,
 ) -> np.ndarray:
-    """Estimates from ``replicas`` independent experiments of one scheme.
+    """Estimates from ``replicas`` independent experiments of one scheme at eta.
 
-    Replica seeds are spawned from ``seed`` (splittable SeedSequence), so
-    results are reproducible and independent of execution order.  The
-    probe's outcome distribution is built once and every replica draws from
-    it, exactly as :func:`sample_outcomes` would with the replica's seed.
-    When ``outcome_sink`` is a list, the raw outcome array of every replica
-    is appended to it (outcomes are not retained otherwise).
+    The closed-form outcome law at eta is built once, with no Fock space,
+    and every replica draws from it exactly as :func:`sample_outcomes`
+    would with the replica's seed.  Replica seeds are spawned from ``seed``
+    (splittable SeedSequence), so results are reproducible and independent
+    of execution order.  When ``outcome_sink`` is a list, the raw outcome
+    array of every replica is appended to it (outcomes are not retained
+    otherwise).  Raises ValueError for eta outside [0, ETA_CLIP], where
+    every estimate clips.
     """
     if replicas < 2:
         raise ValueError(f"need at least 2 replicas, got {replicas}")
-    spec = HilbertSpec(
-        n_max=n_max if n_max is not None else fockspace.adaptive_n_max(eta),
-        with_qubit=False,
-    )
-    probe = fockspace.squeezed_vacuum(spec, fockspace.squeezing_parameter(eta))
-    distribution = _outcome_distribution(probe, scheme.kind)
+    law = _outcome_law(eta, scheme.kind)
     children = np.random.SeedSequence(seed).spawn(replicas)
     estimates = np.empty(replicas)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EstimateClippedWarning)
         for i, child in enumerate(children):
-            outcomes = _draw(scheme.kind, distribution, scheme.shots, child)
+            outcomes = _draw(scheme.kind, law, scheme.shots, child)
             if outcome_sink is not None:
                 outcome_sink.append(outcomes)
             estimates[i] = estimate_eta(outcomes, scheme)
@@ -287,7 +267,6 @@ def cramer_rao_ratio(
     scheme: MeasurementScheme,
     replicas: int = DEFAULT_REPLICAS,
     seed=0,
-    n_max: int | None = None,
     outcome_sink: list | None = None,
 ) -> tuple[float, float]:
     """Monte-Carlo check of the Cramer-Rao bound at one (eta, scheme) point.
@@ -297,9 +276,7 @@ def cramer_rao_ratio(
     first value approaches 1 from the saturation side as the shot count
     grows.
     """
-    estimates = replica_estimates(
-        eta, scheme, replicas, seed=seed, n_max=n_max, outcome_sink=outcome_sink
-    )
+    estimates = replica_estimates(eta, scheme, replicas, seed=seed, outcome_sink=outcome_sink)
     var = float(estimates.var(ddof=1))
     qfi = analytic.evaluate(eta).qfi
     return scheme.shots * var * qfi, float(estimates.mean())

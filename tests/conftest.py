@@ -2,8 +2,8 @@
 
 The oracles here are deliberately independent of the package's construction
 path: dense matrix exponentials built from scratch, the closed-form Fock
-coefficients of the squeezed vacuum, and quadrature densities expanded in
-Hermite functions.
+coefficients of the squeezed vacuum, quadrature densities expanded in
+Hermite functions, and outcome laws read off a truncated Fock-space probe.
 """
 
 from __future__ import annotations
@@ -71,6 +71,43 @@ def quadrature_density(amplitudes: np.ndarray, q: np.ndarray, quadrature: str) -
         coeff = coeff * np.power(-1j, np.arange(len(coeff)))
     h = hermite_functions(len(coeff), np.sqrt(2.0) * q)
     return np.abs(2**0.25 * (coeff[:, None] * h).sum(axis=0)) ** 2
+
+
+def fock_probe(eta: float, n_max: int | None = None) -> fockspace.StateVector:
+    """The squeezed-vacuum probe at eta on a truncated Fock space
+    (``adaptive_n_max`` by default)."""
+    spec = fockspace.HilbertSpec(
+        n_max=n_max if n_max is not None else fockspace.adaptive_n_max(eta),
+        with_qubit=False,
+    )
+    return fockspace.squeezed_vacuum(spec, 0.25 * np.log(1 - eta**2))
+
+
+def fock_outcome_law(state: fockspace.StateVector, kind: str) -> tuple:
+    """An outcome law read off a Fock-space probe.
+
+    photon_number: the levels 0..n_max and the populations |c_n|^2.
+    x_squared / p_squared: mean 0 and sigma = sqrt(<psi|Q^2|psi>) of the
+    normal law of the quadrature Q.
+    """
+    psi = state.amplitudes
+    if kind == "photon_number":
+        p = np.abs(psi) ** 2
+        return np.arange(state.spec.dim, dtype=float), p / p.sum()
+    op = fockspace.field_observables(state.spec)[kind]
+    return 0.0, float(np.sqrt(np.real(np.vdot(psi, op @ psi))))
+
+
+def fock_sample_outcomes(state: fockspace.StateVector, scheme, seed) -> np.ndarray:
+    """Outcomes drawn from the law of a Fock-space probe, the way the package
+    draws from its closed-form law."""
+    law = fock_outcome_law(state, scheme.kind)
+    rng = np.random.default_rng(seed)
+    if scheme.kind == "photon_number":
+        values, weights = law
+        return rng.choice(values, size=scheme.shots, p=weights)
+    mean, sigma = law
+    return rng.normal(mean, sigma, scheme.shots) ** 2
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,9 @@
 
 ``perfbench/tracer.py`` replaces those names with timing wrappers and puts
 the originals back on ``uninstall``.  Deleting or renaming a name it wraps
-breaks ``perfbench/run.py --trace 1``; this test fails first.
+breaks ``perfbench/run.py --trace 1``; this test fails first.  The smoke
+passes of ``perfbench/workloads.py`` run here with the tracer installed, so
+a change to the API they call fails here too.
 """
 
 from __future__ import annotations
@@ -24,6 +26,13 @@ def tracer(monkeypatch):
     import tracer
 
     return tracer
+
+
+@pytest.fixture
+def workloads(tracer):
+    import workloads
+
+    return workloads
 
 
 def _snapshot():
@@ -54,3 +63,18 @@ def test_install_wraps_and_uninstall_restores_every_original(tracer):
             assert after[attr] is value, f"{module.__name__}.{attr} not restored"
     assert experiments.RUNNERS == runners
     assert all(experiments.RUNNERS[key] is fn for key, fn in runners.items())
+
+
+@pytest.mark.parametrize("name", ["headline_ramp", "estimation_mc", "probe_sweep"])
+def test_traced_smoke_pass_fails_only_at_known_limits(tracer, workloads, name):
+    run_pass = workloads.make(name, True)
+    traced = tracer.Tracer()
+    tracer.install(traced, jcsense)
+    try:
+        log = run_pass(3)
+    finally:
+        traced.uninstall()
+    assert log.ops
+    unexpected = [op for op in log.ops if not op.ok and not op.known_limit]
+    assert not unexpected, [(op.label, op.detail) for op in unexpected]
+    assert traced.calls

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from jcsense import cli, ramp
+from jcsense import cli, metrology, ramp
 
 
 def write_config(tmp_path, body: dict, name="config.json"):
@@ -275,6 +275,42 @@ class TestRunCramerRao:
         assert data_rows(out1.read_text()) != data_rows(out3.read_text())
         rows = data_rows(out1.read_text())
         assert [int(r[0]) for r in rows] == [10, 100, 1000]
+
+
+class TestCramerRaoEtaRange:
+    @pytest.mark.parametrize("scheme", ["photon_number", "x_squared", "p_squared"])
+    def test_past_the_fock_clamp_runs_strict(self, tmp_path, scheme):
+        # 1 - eta = 1e-5 is past the 512-level Fock clamp; the outcome laws
+        # are closed forms at eta, so nothing is truncated
+        body = {
+            "experiment": "cramer_rao",
+            "physics": {"eta_target": 0.99999},
+            "numerics": {"scheme": scheme, "replicas": 10, "shots": 100},
+        }
+        path = write_config(tmp_path, body)
+        out = tmp_path / "cr.csv"
+        assert cli.main(["run", str(path), "--strict", "--out", str(out)]) == 0
+        assert [int(r[0]) for r in data_rows(out.read_text())] == [1, 10, 100]
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_exit_2_past_the_estimate_clip(self, tmp_path, capsys, command):
+        body = {"experiment": "cramer_rao", "physics": {"eta_target": 1.0 - 5e-10}}
+        path = write_config(tmp_path, body)
+        assert cli.main([command, str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and "eta_target" in err["message"]
+
+    def test_the_clip_itself_validates(self, tmp_path):
+        path = write_config(
+            tmp_path, {"experiment": "cramer_rao", "physics": {"eta_target": metrology.ETA_CLIP}}
+        )
+        assert cli.main(["validate", str(path)]) == 0
+        # experiments that do not sample keep the wider range
+        other = write_config(
+            tmp_path, {"experiment": "qfi_curve", "physics": {"eta_target": 1.0 - 5e-10}},
+            name="other.json",
+        )
+        assert cli.main(["validate", str(other)]) == 0
 
 
 class TestStrictMode:

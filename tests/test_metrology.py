@@ -2,30 +2,30 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import dense_displace, dense_squeeze, quadrature_density
+from conftest import (
+    fock_outcome_law,
+    fock_probe,
+    fock_sample_outcomes,
+    quadrature_density,
+    squeezed_vacuum_coefficients,
+)
+from scipy import stats
 
 from jcsense import analytic, fockspace, metrology, ramp
-from jcsense.fockspace import HilbertSpec
 from jcsense.metrology import (
+    ETA_CLIP,
     EstimateClippedWarning,
     MeasurementScheme,
     cramer_rao_ratio,
     estimate_eta,
     heisenberg_ratio,
     inverted_variance_numeric,
+    photon_count_distribution,
     quadrature_distribution,
     replica_estimates,
     sample_outcomes,
     scaling_experiment,
 )
-
-
-def probe_state(eta: float, n_max: int | None = None):
-    spec = HilbertSpec(
-        n_max=n_max if n_max is not None else fockspace.adaptive_n_max(eta),
-        with_qubit=False,
-    )
-    return fockspace.squeezed_vacuum(spec, 0.25 * np.log(1 - eta**2))
 
 
 class TestMeasurementScheme:
@@ -39,13 +39,13 @@ class TestMeasurementScheme:
 class TestInvertedVariance:
     def test_photon_number_at_half(self):
         # eta = 0.5: qfi = 0.25 / (2 * 0.5625) = 2/9
-        state = probe_state(0.5)
+        state = fock_probe(0.5)
         scheme = MeasurementScheme(kind="photon_number", shots=1)
         got = inverted_variance_numeric(state, scheme, 0.5)
         assert got == pytest.approx(2.0 / 9.0, rel=1e-3)
 
     def test_quadratures_agree(self):
-        state = probe_state(0.5)
+        state = fock_probe(0.5)
         x = inverted_variance_numeric(
             state, MeasurementScheme(kind="x_squared", shots=1), 0.5
         )
@@ -56,7 +56,7 @@ class TestInvertedVariance:
         assert x == pytest.approx(analytic.evaluate(0.5).qfi, rel=1e-3)
 
     def test_vanishes_toward_zero_drive(self):
-        state = probe_state(0.05)
+        state = fock_probe(0.05)
         scheme = MeasurementScheme(kind="photon_number", shots=1)
         got = inverted_variance_numeric(state, scheme, 0.05)
         assert got == pytest.approx(analytic.evaluate(0.05).qfi, rel=1e-3)
@@ -64,7 +64,7 @@ class TestInvertedVariance:
 
     def test_undefined_at_zero_variance(self):
         # the vacuum has Var[N] = 0
-        state = probe_state(0.0)
+        state = fock_probe(0.0)
         scheme = MeasurementScheme(kind="photon_number", shots=1)
         with pytest.raises(ValueError):
             inverted_variance_numeric(state, scheme, 1e-3, d_eta=1e-4)
@@ -72,77 +72,78 @@ class TestInvertedVariance:
     @pytest.mark.parametrize("eta", [0.3, 0.5, 0.8, 0.9])
     @pytest.mark.parametrize("kind", ["photon_number", "x_squared", "p_squared"])
     def test_matches_qfi_on_grid(self, eta, kind):
-        state = probe_state(eta)
+        state = fock_probe(eta)
         got = inverted_variance_numeric(state, MeasurementScheme(kind=kind, shots=1), eta)
         assert got == pytest.approx(analytic.evaluate(eta).qfi, rel=1e-3)
 
 
 class TestQuadratureLaw:
-    """The exact Gaussian law of the quadratures against the Fock route."""
+    """The exact Gaussian law of the quadratures against the Fock route, and
+    photon-count draws against the Fock-sampled route."""
 
     @pytest.mark.parametrize("eta", [0.0, 0.3, 0.6, 0.9])
     @pytest.mark.parametrize("kind, quadrature", [("x_squared", "x"), ("p_squared", "p")])
     def test_gaussian_pdf_matches_fock_density(self, eta, kind, quadrature):
-        # a cutoff well past adaptive_n_max, so the Fock expansion is converged
-        state = probe_state(eta, n_max=96)
-        mean, sigma = quadrature_distribution(state, kind)
+        mean, sigma = quadrature_distribution(eta, kind)
         assert mean == 0.0
         q = np.linspace(-6.0 * sigma, 6.0 * sigma, 801)
         gaussian = np.exp(-0.5 * (q / sigma) ** 2) / (np.sqrt(2.0 * np.pi) * sigma)
-        fock = quadrature_density(state.amplitudes, q, quadrature)
+        # a cutoff well past adaptive_n_max, so the Fock expansion is converged
+        fock = quadrature_density(fock_probe(eta, n_max=96).amplitudes, q, quadrature)
         np.testing.assert_allclose(gaussian, fock, rtol=0, atol=1e-12 * gaussian.max())
 
     @pytest.mark.parametrize("eta", [0.0, 0.5, 0.9, 0.99, 0.995, 0.9999])
     def test_variance_matches_closed_form(self, eta):
-        # a cutoff sized like adaptive_n_max but not clamped at 512
-        state = probe_state(eta, n_max=max(32, int(np.ceil(12.0 / np.sqrt(1.0 - eta**2)))))
+        # the Fock oracle on the unclamped cutoff; past the clamp
+        # (eta = 0.9999) the clamped probe's variances are 2.2e-6 low
+        state = fock_probe(eta, n_max=fockspace.squeezed_vacuum_n_max(eta))
         p = analytic.evaluate(eta)
-        _, sigma_x = quadrature_distribution(state, "x_squared")
-        _, sigma_p = quadrature_distribution(state, "p_squared")
-        assert sigma_x**2 == pytest.approx(p.mean_x2, rel=1e-7)
-        assert sigma_p**2 == pytest.approx(p.mean_p2, rel=1e-7)
-
-    def test_rejects_fock_state(self):
-        spec = HilbertSpec(n_max=32, with_qubit=False)
-        amplitudes = np.zeros(spec.dim)
-        amplitudes[2] = 1.0
-        with pytest.raises(ValueError, match="squeezed vacuum"):
-            quadrature_distribution(fockspace.StateVector(spec, amplitudes), "x_squared")
-
-    def test_rejects_displaced_state(self):
-        spec = HilbertSpec(n_max=48, with_qubit=False)
-        vacuum = np.zeros(spec.dim)
-        vacuum[0] = 1.0
-        squeezed = dense_squeeze(spec.dim, -0.3) @ vacuum
-        state = fockspace.StateVector(spec, dense_displace(spec.dim, 0.4) @ squeezed)
-        with pytest.raises(ValueError, match="squeezed vacuum"):
-            quadrature_distribution(state.normalized(), "p_squared")
-
-    def test_rejects_composite_state(self):
-        state = fockspace.eigenstate(HilbertSpec(n_max=32), 1.0, 0.2, 0, "dark")
-        with pytest.raises(ValueError, match="field-only"):
-            quadrature_distribution(state, "x_squared")
+        for kind, exact in (("x_squared", p.mean_x2), ("p_squared", p.mean_p2)):
+            _, sigma = quadrature_distribution(eta, kind)
+            _, fock_sigma = fock_outcome_law(state, kind)
+            assert sigma**2 == pytest.approx(exact, rel=1e-15), kind
+            assert sigma**2 == pytest.approx(fock_sigma**2, rel=1e-7), kind
 
     def test_rejects_photon_number_kind(self):
         with pytest.raises(ValueError, match="no quadrature distribution"):
-            quadrature_distribution(probe_state(0.5), "photon_number")
+            quadrature_distribution(0.5, "photon_number")
 
     @pytest.mark.parametrize("kind", ["x_squared", "p_squared"])
     def test_sample_outcomes_are_squared_normal_draws(self, kind):
-        state = probe_state(0.8)
-        _, sigma = quadrature_distribution(state, kind)
-        got = sample_outcomes(state, MeasurementScheme(kind, 1000), seed=17)
+        _, sigma = quadrature_distribution(0.8, kind)
+        got = sample_outcomes(0.8, MeasurementScheme(kind, 1000), seed=17)
         want = np.random.default_rng(17).normal(0.0, sigma, 1000) ** 2
         np.testing.assert_array_equal(got, want)
 
     def test_photon_counts_are_choice_draws_on_the_fock_populations(self):
-        state = probe_state(0.8)
-        got = sample_outcomes(state, MeasurementScheme("photon_number", 1000), seed=17)
-        p = np.abs(state.amplitudes) ** 2
-        want = np.random.default_rng(17).choice(
-            np.arange(state.spec.dim, dtype=float), size=1000, p=p / p.sum()
-        )
-        np.testing.assert_array_equal(got, want)
+        # below the clamp the closed-form law and the Fock populations agree
+        # to rounding, so the draws are the same
+        scheme = MeasurementScheme("photon_number", 1000)
+        got = sample_outcomes(0.8, scheme, seed=17)
+        np.testing.assert_array_equal(got, fock_sample_outcomes(fock_probe(0.8), scheme, 17))
+
+
+class TestPhotonCountLaw:
+    """The closed-form photon-count law against the Fock populations."""
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.8, 0.995, 0.9999])
+    def test_pmf_matches_fock_populations(self, eta):
+        values, p = photon_count_distribution(eta)
+        levels = fockspace.squeezed_vacuum_n_max(eta) + 1
+        np.testing.assert_array_equal(values, np.arange(levels))
+        c = squeezed_vacuum_coefficients(levels, 0.25 * np.log(1 - eta**2))
+        np.testing.assert_allclose(p, c**2 / (c**2).sum(), rtol=1e-10, atol=1e-16)
+
+    @pytest.mark.parametrize("eta", [0.9999, 0.999999])
+    def test_moments_match_closed_forms_past_the_clamp(self, eta):
+        # the support is not clamped at 512 levels
+        values, p = photon_count_distribution(eta)
+        assert values.size > fockspace.adaptive_n_max(eta) + 1
+        mean = p @ values
+        var = p @ (values - mean) ** 2
+        point = analytic.evaluate(eta)
+        assert mean == pytest.approx(point.mean_n, rel=1e-8)
+        assert var == pytest.approx(point.var_n, rel=1e-8)
 
 
 class TestChiSquaredLaw:
@@ -168,44 +169,34 @@ class TestChiSquaredLaw:
 
 class TestSampleOutcomes:
     def test_vacuum_photon_outcomes_all_zero(self):
-        state = probe_state(0.0)
-        out = sample_outcomes(state, MeasurementScheme("photon_number", 500), seed=1)
+        out = sample_outcomes(0.0, MeasurementScheme("photon_number", 500), seed=1)
         assert (out == 0).all()
 
     def test_squeezed_vacuum_outcomes_even(self):
-        state = probe_state(0.7)
-        out = sample_outcomes(state, MeasurementScheme("photon_number", 2000), seed=2)
+        out = sample_outcomes(0.7, MeasurementScheme("photon_number", 2000), seed=2)
         assert (out % 2 == 0).all()
 
     def test_deterministic_per_seed(self):
-        state = probe_state(0.6)
         scheme = MeasurementScheme("x_squared", 100)
-        a = sample_outcomes(state, scheme, seed=42)
-        b = sample_outcomes(state, scheme, seed=42)
-        c = sample_outcomes(state, scheme, seed=43)
+        a = sample_outcomes(0.6, scheme, seed=42)
+        b = sample_outcomes(0.6, scheme, seed=42)
+        c = sample_outcomes(0.6, scheme, seed=43)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_photon_sample_mean_within_three_sigma(self):
         eta, shots = 0.8, 100_000
-        state = probe_state(eta)
-        out = sample_outcomes(state, MeasurementScheme("photon_number", shots), seed=7)
+        out = sample_outcomes(eta, MeasurementScheme("photon_number", shots), seed=7)
         p = analytic.evaluate(eta)
         sigma = np.sqrt(p.var_n / shots)
         assert abs(out.mean() - p.mean_n) <= 3 * sigma
 
     def test_quadrature_sample_mean_within_three_sigma(self):
         eta, shots = 0.8, 100_000
-        state = probe_state(eta)
-        out = sample_outcomes(state, MeasurementScheme("x_squared", shots), seed=8)
+        out = sample_outcomes(eta, MeasurementScheme("x_squared", shots), seed=8)
         p = analytic.evaluate(eta)
         sigma = np.sqrt(p.var_x2 / shots)
         assert abs(out.mean() - p.mean_x2) <= 3 * sigma
-
-    def test_rejects_composite_state(self):
-        state = fockspace.eigenstate(HilbertSpec(n_max=32), 1.0, 0.2, 0, "dark")
-        with pytest.raises(ValueError):
-            sample_outcomes(state, MeasurementScheme("photon_number", 10), seed=0)
 
 
 class TestEstimateEta:
@@ -270,17 +261,16 @@ class TestCramerRao:
 
 
 class TestReplicaFan:
-    @pytest.mark.parametrize("kind", ["photon_number", "x_squared", "p_squared"])
+    @pytest.mark.parametrize("kind", metrology.SCHEME_KINDS)
     def test_replicas_draw_what_sample_outcomes_draws(self, kind):
         eta, replicas, seed = 0.8, 5, 21
         scheme = MeasurementScheme(kind, 64)
         sink = []
         replica_estimates(eta, scheme, replicas, seed=seed, outcome_sink=sink)
-        probe = probe_state(eta)
         children = np.random.SeedSequence(seed).spawn(replicas)
         assert len(sink) == replicas
         for outcomes, child in zip(sink, children):
-            np.testing.assert_array_equal(outcomes, sample_outcomes(probe, scheme, child))
+            np.testing.assert_array_equal(outcomes, sample_outcomes(eta, scheme, child))
 
     @pytest.mark.parametrize(
         "kind, builds", [("photon_number", 0), ("x_squared", 1), ("p_squared", 1)]
@@ -289,13 +279,86 @@ class TestReplicaFan:
         calls = []
         original = metrology.quadrature_distribution
 
-        def counting(state, quadrature):
+        def counting(eta, quadrature):
             calls.append(quadrature)
-            return original(state, quadrature)
+            return original(eta, quadrature)
 
         monkeypatch.setattr(metrology, "quadrature_distribution", counting)
         replica_estimates(0.8, MeasurementScheme(kind, 64), 5, seed=3)
         assert len(calls) == builds
+
+    def test_quadrature_draws_use_the_exact_variance_past_the_clamp(self):
+        eta, replicas, seed = 0.9999, 4, 5
+        scheme = MeasurementScheme("x_squared", 100)
+        sink = []
+        replica_estimates(eta, scheme, replicas, seed=seed, outcome_sink=sink)
+        sigma = np.sqrt(analytic.evaluate(eta).mean_x2)
+        for outcomes, child in zip(sink, np.random.SeedSequence(seed).spawn(replicas)):
+            want = np.random.default_rng(child).normal(0.0, sigma, scheme.shots) ** 2
+            np.testing.assert_array_equal(outcomes, want)
+
+    @pytest.mark.parametrize("kind", metrology.SCHEME_KINDS)
+    def test_builds_no_fock_space(self, monkeypatch, kind):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("replica_estimates built a Fock-space object")
+
+        monkeypatch.setattr(fockspace, "squeezed_vacuum", forbidden)
+        monkeypatch.setattr(fockspace, "field_observables", forbidden)
+        estimates = replica_estimates(0.995, MeasurementScheme(kind, 100), 3, seed=1)
+        assert np.isfinite(estimates).all()
+
+    @pytest.mark.parametrize("eta", [-0.1, np.nextafter(ETA_CLIP, 1.0), 1.0, np.nan])
+    @pytest.mark.parametrize("kind", metrology.SCHEME_KINDS)
+    def test_rejects_eta_no_estimate_reaches(self, eta, kind):
+        with pytest.raises(ValueError, match="ETA_CLIP"):
+            replica_estimates(eta, MeasurementScheme(kind, 10), 2)
+
+    def test_photon_support_at_the_clip(self):
+        # the bound caps the photon-count support at about 2.7e5 levels
+        values, _ = photon_count_distribution(ETA_CLIP)
+        assert 2.6e5 < values.size < 2.8e5
+        estimates = replica_estimates(ETA_CLIP, MeasurementScheme("photon_number", 10), 2)
+        assert ((0.0 <= estimates) & (estimates <= ETA_CLIP)).all()
+
+
+class TestPhotonEstimatorOracle:
+    """Exact nu Var[eta_hat] QFI of the photon-number estimator.
+
+    A replica's photon counts are 2 m_i with m_i ~ NegBin(1/2, sech^2 r), so
+    the pair sum S = sum_i m_i is NegBin(nu/2, sech^2 r) and
+    eta_hat = g(2S/nu), with g the inverse of <N>(eta) = (1 - u)^2/(4u).
+    The moments of eta_hat are finite sums over the law of S.
+    """
+
+    ETA, REPLICAS, SEED = 0.8, 500, 2026
+
+    @staticmethod
+    def exact_moments(eta: float, nu: int) -> tuple[float, float]:
+        """Var[eta_hat] and its fourth central moment."""
+        u = np.sqrt(1.0 - eta**2)
+        law = stats.nbinom(nu / 2, 4.0 * u / (1.0 + u) ** 2)  # sech^2 r
+        s = np.arange(int(law.mean() + 40.0 * law.std()) + 50)
+        pmf = law.pmf(s)
+        assert 1.0 - pmf.sum() < 1e-12
+        b = 1.0 + 4.0 * s / nu
+        g = np.minimum(np.sqrt(1.0 - (1.0 / (b + np.sqrt(b * b - 1.0))) ** 2), ETA_CLIP)
+        mean = pmf @ g
+        return pmf @ (g - mean) ** 2, pmf @ (g - mean) ** 4
+
+    @pytest.mark.parametrize(
+        "nu, expected", [(100, 6.807), (1000, 1.061), (10_000, 1.0057)]
+    )
+    def test_monte_carlo_within_four_standard_errors(self, nu, expected):
+        var, mu4 = self.exact_moments(self.ETA, nu)
+        r = self.REPLICAS
+        scale = nu * analytic.evaluate(self.ETA).qfi
+        exact = scale * var
+        se = scale * np.sqrt((mu4 - var**2 * (r - 3) / (r - 1)) / r)
+        assert exact == pytest.approx(expected, rel=5e-4)
+        got, _ = cramer_rao_ratio(
+            self.ETA, MeasurementScheme("photon_number", nu), replicas=r, seed=self.SEED
+        )
+        assert abs(got - exact) <= 4.0 * se, (got, exact, se)
 
 
 class TestScalingExperiment:
