@@ -110,20 +110,21 @@ def evaluate(eta) -> AnalyticPoint:
 
 
 def eigenvalue(omega: float, eta: float, n: int, branch: str) -> float:
-    """Doublet energy +/- sqrt(n) * Omega * (1 - eta^2)^{3/4}."""
+    """Doublet energy +/- sqrt(n) * Omega * (1 - eta^2)^{3/4}, with 1 - eta^2
+    formed as (1 - eta)(1 + eta), as in :func:`evaluate`."""
     _check_eta(eta)
     if n < 1:
         raise ValueError(f"doublet index n must be >= 1, got {n}")
     if branch not in ("+", "-"):
         raise ValueError(f"branch must be '+' or '-', got {branch!r}")
     sign = 1.0 if branch == "+" else -1.0
-    return float(sign * np.sqrt(n) * omega * (1.0 - eta * eta) ** 0.75)
+    return float(sign * np.sqrt(n) * omega * ((1.0 - eta) * (1.0 + eta)) ** 0.75)
 
 
 def energy_gap(omega: float, eta: float) -> float:
     """Gap between the dark state and the nearest doublet: Omega (1-eta^2)^{3/4}."""
     _check_eta(eta)
-    return float(omega * (1.0 - eta * eta) ** 0.75)
+    return float(omega * ((1.0 - eta) * (1.0 + eta)) ** 0.75)
 
 
 def qfi_from_state_derivative(eta: float, h: float = 1e-4) -> float:

@@ -36,7 +36,7 @@ import warnings
 from pathlib import Path
 
 from . import __version__, experiments, metrology
-from .fockspace import TruncationWarning
+from .fockspace import HilbertSpec, TruncationWarning
 
 DEFAULTS = {
     "physics": {"Omega": 1.0, "k": 0.005, "xi": 4.0 / 3.0, "eta_target": 0.995},
@@ -255,8 +255,26 @@ _CRAMER_RAO_COST = {
 }
 
 
-def _estimate_runtime(resolved: dict, n_max: int) -> float:
-    """Crude wall-time estimate in seconds (order of magnitude).
+def _largest_space(resolved: dict) -> HilbertSpec | None:
+    """The largest truncated space the experiment builds; None if it builds none.
+
+    fidelity_sweep builds qubit x field at the eta_target cutoff and
+    moments_check field-only spaces at each of its etas; the other
+    experiments are closed forms or sample closed-form laws.
+    """
+    experiment = resolved["experiment"]
+    if experiment == "fidelity_sweep":
+        n_max = experiments._resolve_n_max(resolved, resolved["physics"]["eta_target"])
+        return HilbertSpec(n_max=n_max, with_qubit=True)
+    if experiment == "moments_check":
+        n_max = max(experiments._resolve_n_max(resolved, eta) for eta in experiments.MOMENTS_ETAS)
+        return HilbertSpec(n_max=n_max, with_qubit=False)
+    return None
+
+
+def _estimate_runtime(resolved: dict, n_max: int | None) -> float | None:
+    """Crude wall-time estimate in seconds (order of magnitude), or None for
+    the experiments without a cost model.
 
     fidelity_sweep: DOP853 runs at its stability limit, so its RHS
     evaluation count grows like Omega * t_end times the largest eigenvalue
@@ -275,13 +293,16 @@ def _estimate_runtime(resolved: dict, n_max: int) -> float:
     1.11 * replicas * shots draws.  Each experiment costs a fixed amount (its
     spawned seed, generator and estimate) and each draw a per-draw amount,
     both depending on the scheme; ``_CRAMER_RAO_COST`` holds them.  Photon
-    counts (``rng.choice`` on |c_n|^2): ~63 us and ~33 ns, fitted to wall
-    times measured on a 2-vCPU 2.0 GHz Xeon host: 0.094 s at 500 replicas x
-    100 shots, 0.27-0.28 s at the default 500 x 10,000 and 0.39 s at 100 x
-    100,000.  Quadratures (``rng.normal`` squared): ~30 us and ~20 ns.  On
-    the same host, fits over 500 x 100, 500 x 10,000, 100 x 100,000 and
-    2,000 x 100 put them at 0.4-0.6x and 0.5-0.65x the photon-count costs
-    fitted in the same runs; the default 500 x 10,000 took 0.13-0.15 s.
+    counts: ~63 us and ~33 ns, fitted to wall times measured on a 2-vCPU
+    2.0 GHz Xeon host when every replica called ``rng.choice``: 0.094 s at
+    500 replicas x 100 shots, 0.27-0.28 s at the default 500 x 10,000 and
+    0.39 s at 100 x 100,000.  With one cumulative table per fan the same
+    host measures 0.053 s, 0.21-0.23 s and 0.42-0.46 s, all within 2x of
+    the fit, which is kept.  Quadratures (``rng.normal`` squared): ~30 us
+    and ~20 ns.  On the same host, fits over 500 x 100, 500 x 10,000,
+    100 x 100,000 and 2,000 x 100 put them at 0.4-0.6x and 0.5-0.65x the
+    photon-count costs fitted in the same runs; the default 500 x 10,000
+    took 0.13-0.15 s.
     """
     experiment = resolved["experiment"]
     if experiment == "fidelity_sweep":
@@ -292,22 +313,30 @@ def _estimate_runtime(resolved: dict, n_max: int) -> float:
         num = resolved["numerics"]
         per_experiment, per_draw = _CRAMER_RAO_COST[num["scheme"]]
         return num["replicas"] * (3 * per_experiment + 1.11 * per_draw * num["shots"])
-    return 1.0
+    return None
 
 
 def validate(resolved: dict) -> int:
-    """Dry-run report: resolved defaults, derived scales, no execution."""
-    n_max = experiments._resolve_n_max(resolved, resolved["physics"]["eta_target"])
+    """Dry-run report: resolved defaults, derived scales, no execution.
+
+    ``n_max`` and ``peak_dimension`` appear only for experiments that build
+    a truncated space, and ``estimated_runtime_s`` only where a cost model
+    exists.
+    """
     sched = experiments._schedule(resolved)
     report = {
         "experiment": resolved["experiment"],
         "resolved_config": resolved,
         "kt_end": sched.kt_end,
         "t_end": sched.duration,
-        "n_max": n_max,
-        "peak_dimension": 2 * (n_max + 1),
-        "estimated_runtime_s": _estimate_runtime(resolved, n_max),
     }
+    space = _largest_space(resolved)
+    if space is not None:
+        report["n_max"] = space.n_max
+        report["peak_dimension"] = space.dim
+    estimate = _estimate_runtime(resolved, space.n_max if space else None)
+    if estimate is not None:
+        report["estimated_runtime_s"] = estimate
     print(json.dumps(report, sort_keys=True, indent=1))
     return EXIT_OK
 

@@ -11,13 +11,15 @@ quadratures from normal laws with variances <X^2> = 1/(4u) and
 photon-count support is about 2.7e5 levels.  Sampling is deterministic per
 (seed, scheme, eta); replica fans use spawned seed sequences so
 accumulation order never matters, and build the outcome law once, drawing
-every replica from it.  Detector imperfections are not modeled.
+every replica from it; photon counts are drawn by inverse-cdf lookup in
+one cumulative table per fan.  Detector imperfections are not modeled.
 
 :func:`inverted_variance_numeric` cross-checks the Fisher figures of merit
 in Fock space, with N, X^2 and P^2 from :func:`fockspace.field_observables`.
 The scaling fits map kt onto the closed forms through one helper,
-:func:`paper_ramp_points`, which evaluates the paper's schedule (onset 0)
-and calls :func:`analytic.evaluate` once on the whole kt array.
+:func:`paper_ramp_points`, which reads the schedule's clock from
+:mod:`ramp` (the paper's kt, or the onset clock) and calls
+:func:`analytic.evaluate` once on the whole kt array.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analytic, fockspace
+from . import analytic, fockspace, ramp
 from .fockspace import StateVector
 
 SCHEME_KINDS = ("photon_number", "x_squared", "p_squared")
@@ -145,17 +147,24 @@ def photon_count_distribution(eta: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _outcome_law(eta: float, kind: str) -> tuple:
+    """(values, cumulative law) of the photon counts, or (mean, sigma) of a
+    quadrature, at eta."""
     if kind == "photon_number":
-        return photon_count_distribution(eta)
+        values, p = photon_count_distribution(eta)
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        return values, cdf
     return quadrature_distribution(eta, kind)
 
 
-def _draw(kind: str, distribution: tuple, shots: int, seed) -> np.ndarray:
+def _draw(kind: str, law: tuple, shots: int, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
     if kind == "photon_number":
-        values, weights = distribution
-        return rng.choice(values, size=shots, p=weights)
-    mean, sigma = distribution
+        # inverse-cdf lookup, the draws of rng.choice(values, size=shots, p=p)
+        # without rebuilding and checking the table on every call
+        values, cdf = law
+        return values[cdf.searchsorted(rng.random(shots), side="right")]
+    mean, sigma = law
     return rng.normal(mean, sigma, shots) ** 2
 
 
@@ -295,17 +304,12 @@ def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 def paper_ramp_points(schedule, kt_points) -> tuple[np.ndarray, analytic.AnalyticPoint]:
     """Distance from criticality and the closed forms at each kt of the ramp.
 
-    epsilon = 1/((kt)^xi + 1) is the paper's schedule (onset 0); an onset
-    schedule is rejected, because its clock is not kt.
+    With w = phi(kt)^xi on the schedule's own clock, epsilon = 1/(w + 1) and
+    the closed forms are evaluated at eta = sqrt(w/(w + 1)).
     """
-    if schedule.onset:
-        raise ValueError(
-            f"the closed-form ramp points assume the paper's schedule (onset 0), "
-            f"got onset {schedule.onset}"
-        )
-    kt_points = np.asarray(kt_points, dtype=float)
-    eps = 1.0 / (kt_points**schedule.xi + 1.0)
-    return eps, analytic.evaluate(np.sqrt(1.0 - eps))
+    phi = np.array([ramp._clock(schedule, kt)[0] for kt in kt_points], dtype=float)
+    w = phi**schedule.xi
+    return 1.0 / (w + 1.0), analytic.evaluate(np.sqrt(w / (w + 1.0)))
 
 
 def scaling_experiment(
@@ -319,7 +323,8 @@ def scaling_experiment(
     8/3, 2/3 and -4/3 for the xi = 4/3 schedule.
 
     Requires at least 8 points, all with kt >= 10 (below that the power-law
-    regime has not set in), and the paper's xi = 4/3 schedule (onset 0).
+    regime has not set in), and the paper's xi = 4/3 exponent; the clock
+    may carry an onset.
     """
     kt_points = np.asarray(kt_points, dtype=float)
     if kt_points.size < 8:
@@ -352,7 +357,7 @@ def scaling_experiment(
 def heisenberg_ratio(schedule, kt_points: np.ndarray) -> np.ndarray:
     """F / (<N> (kt)^2) along the ramp; constant where the scaling law holds.
 
-    Evaluates the paper's schedule (onset 0) in closed form.
+    Evaluated in closed form on the schedule's own clock.
     """
     kt_points = np.asarray(kt_points, dtype=float)
     _, points = paper_ramp_points(schedule, kt_points)

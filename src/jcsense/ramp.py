@@ -10,7 +10,8 @@ whose start-up jolt leaks into the excited doublets at order k^xi.
 An opt-in onset tau > 0 (in kt units) removes that cusp: the same formula
 is driven through the clock phi(kt) = kt - tau tanh(kt / tau) in place of
 kt, so eta ~ t^{3 xi / 2} starts from rest and the clock joins kt - tau
-after a few tau.  tau = 0 (the default) is the paper's schedule.
+after a few tau.  tau = 0 (the default) is the paper's schedule.  One helper
+gives either clock and its rate to every consumer but the per-step eta_at.
 
 The transition-probability estimate is a first-order perturbative scaling
 relation, not an equality: use it for trends and bounds only.  Its
@@ -24,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import exp, isfinite, lgamma, log, sqrt, tanh
 
-import numpy as np
 from scipy.optimize import brentq
 
 DEFAULT_XI = 4.0 / 3.0
@@ -120,16 +120,21 @@ class RampSchedule:
         return self._kt_at(eta) / self.k
 
 
-def epsilon_at(s: RampSchedule, t: float) -> float:
-    """Distance from criticality epsilon(t) = [phi(k t)^xi + 1]^{-1} = 1 - eta^2.
+def _clock(s: RampSchedule, kt: float) -> tuple[float, float]:
+    """The clock phi at kt >= 0 and its rate d phi/dt: (kt, k) on the paper's
+    schedule, (phi(kt), k tanh^2(kt / tau)) with an onset tau > 0.  eta_at
+    inlines phi instead, because it runs once per RHS evaluation."""
+    if s.onset:
+        return _onset_clock(kt, s.onset), s.k * tanh(kt / s.onset) ** 2
+    return kt, s.k
 
-    phi(kt) = kt for the paper's schedule (onset 0).
-    """
+
+def epsilon_at(s: RampSchedule, t: float) -> float:
+    """Distance from criticality epsilon(t) = [phi(k t)^xi + 1]^{-1} = 1 - eta^2."""
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    if s.onset:
-        return float(1.0 / (_onset_clock(s.k * t, s.onset) ** s.xi + 1.0))
-    return float(1.0 / ((s.k * t) ** s.xi + 1.0))
+    phi, _ = _clock(s, s.k * t)
+    return float(1.0 / (phi**s.xi + 1.0))
 
 
 def eta_at(s: RampSchedule, t: float) -> float:
@@ -148,30 +153,23 @@ def eta_at(s: RampSchedule, t: float) -> float:
 def eta_dot_at(s: RampSchedule, t: float) -> float:
     """Exact time derivative of eta(t).
 
-    With w = (k t)^xi:  d eta/dt = xi w / (t * 2 eta (w+1)^2).  At t = 0 the
-    schedule starts from rest in w, and 0.0 is returned by contract; note the
-    one-sided limit of d eta/dt itself is divergent for xi < 2 (eta grows as
-    (k t)^{xi/2} at early times).
-
-    With an onset tau > 0 and phi = phi(k t), w = phi^xi:
-    d eta/dt = (xi/2) phi^{xi/2 - 1} (w+1)^{-3/2} * k tanh^2(k t / tau),
-    which vanishes as t -> 0 for xi > 2/3 (eta grows as t^{3 xi / 2}).
+    With the clock phi = phi(k t) and w = phi^xi:
+    d eta/dt = (xi/2) phi^{xi/2 - 1} (w+1)^{-3/2} d phi/dt, where
+    d phi/dt = k on the paper's schedule and k tanh^2(k t / tau) with an
+    onset.  At t = 0, and where the onset clock underflows to 0, 0.0 is
+    returned by contract: on the paper's schedule the one-sided limit is
+    divergent for xi < 2 (eta grows as (k t)^{xi/2} at early times), while
+    with an onset it vanishes for xi > 2/3 (eta grows as t^{3 xi / 2}).
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     if t == 0 or s.k == 0:
         return 0.0
-    if s.onset:
-        kt = s.k * t
-        phi = _onset_clock(kt, s.onset)
-        if phi == 0.0:  # clock underflow deep inside the onset
-            return 0.0
-        w = phi**s.xi
-        phi_dot = s.k * tanh(kt / s.onset) ** 2
-        return float(0.5 * s.xi * phi ** (0.5 * s.xi - 1.0) * (w + 1.0) ** -1.5 * phi_dot)
-    w = (s.k * t) ** s.xi
-    eta = np.sqrt(w / (w + 1.0))
-    return float(s.xi * w / (t * 2.0 * eta * (w + 1.0) ** 2))
+    phi, phi_dot = _clock(s, s.k * t)
+    if phi == 0.0:  # clock underflow deep inside the onset
+        return 0.0
+    w = phi**s.xi
+    return float(0.5 * s.xi * phi ** (0.5 * s.xi - 1.0) * (w + 1.0) ** -1.5 * phi_dot)
 
 
 def eta_dot_asymptotic(s: RampSchedule, eta: float) -> float:

@@ -176,6 +176,18 @@ class TestEigenvalue:
             analytic.eigenvalue(1.0, 0.8, 1, "+")
         )
 
+    @pytest.mark.parametrize("eta", [0.995, 1.0 - 1e-6, 1.0 - 1e-9])
+    def test_near_critical_against_decimal_reference(self, eta):
+        # 1 - eta*eta would carry the rounding of eta*eta (3.7e-10 relative
+        # in the gap at 1 - 1e-9)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            e = Decimal(eta)
+            gap = float((1 - e * e) ** Decimal("0.75"))
+        assert analytic.energy_gap(1.0, eta) == pytest.approx(gap, rel=1e-14, abs=0.0)
+        doublet = analytic.eigenvalue(1.0, eta, 4, "-")
+        assert doublet == pytest.approx(-2.0 * gap, rel=1e-14, abs=0.0)
+
     def test_rejects_invalid(self):
         with pytest.raises(ValueError):
             analytic.eigenvalue(1.0, 1.0, 1, "+")

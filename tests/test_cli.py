@@ -88,6 +88,37 @@ class TestValidateCommand:
         assert report["peak_dimension"] == 244
         assert report["estimated_runtime_s"] > 0
 
+    @pytest.mark.parametrize("numerics, n_max", [({}, 32), ({"n_max": 64}, 64)])
+    def test_moments_check_reports_its_largest_cutoff(self, tmp_path, capsys, numerics, n_max):
+        # field-only spaces, one per eta of the table; "auto" gives 32 for all
+        path = write_config(tmp_path, {"experiment": "moments_check", "numerics": numerics})
+        assert cli.main(["validate", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["n_max"] == n_max
+        assert report["peak_dimension"] == n_max + 1
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"experiment": "qfi_curve"},
+            {"experiment": "ramp_curve"},
+            {"experiment": "scaling"},
+            {"experiment": "cramer_rao", "physics": {"eta_target": 1.0 - 1e-9},
+             "numerics": {"shots": 100}},
+        ],
+    )
+    def test_no_cutoff_where_no_fock_space_is_built(self, tmp_path, capsys, config):
+        path = write_config(tmp_path, config)
+        assert cli.main(["validate", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert "n_max" not in report and "peak_dimension" not in report
+
+    @pytest.mark.parametrize("experiment", ["qfi_curve", "ramp_curve", "scaling", "moments_check"])
+    def test_no_runtime_guess_without_a_cost_model(self, tmp_path, capsys, experiment):
+        path = write_config(tmp_path, {"experiment": experiment})
+        assert cli.main(["validate", str(path)]) == 0
+        assert "estimated_runtime_s" not in json.loads(capsys.readouterr().out)
+
     def test_fidelity_sweep_estimate_calibration(self):
         resolved = cli.resolve_config({"experiment": "fidelity_sweep"})
         # the default config's pass takes 2.3 s at the reference core speed

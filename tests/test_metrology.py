@@ -11,7 +11,7 @@ from conftest import (
 )
 from scipy import stats
 
-from jcsense import analytic, fockspace, metrology, ramp
+from jcsense import analytic, cli, experiments, fockspace, metrology, ramp
 from jcsense.metrology import (
     ETA_CLIP,
     EstimateClippedWarning,
@@ -272,6 +272,18 @@ class TestReplicaFan:
         for outcomes, child in zip(sink, children):
             np.testing.assert_array_equal(outcomes, sample_outcomes(eta, scheme, child))
 
+    @pytest.mark.parametrize("eta", [0.995, ETA_CLIP])
+    def test_photon_fan_draws_what_choice_draws(self, eta):
+        # one cumulative table per fan gives rng.choice's draws for every replica
+        replicas, seed = 4, 13
+        scheme = MeasurementScheme("photon_number", 100)
+        sink = []
+        replica_estimates(eta, scheme, replicas, seed=seed, outcome_sink=sink)
+        values, p = photon_count_distribution(eta)
+        for outcomes, child in zip(sink, np.random.SeedSequence(seed).spawn(replicas)):
+            want = np.random.default_rng(child).choice(values, size=scheme.shots, p=p)
+            np.testing.assert_array_equal(outcomes, want)
+
     @pytest.mark.parametrize(
         "kind, builds", [("photon_number", 0), ("x_squared", 1), ("p_squared", 1)]
     )
@@ -391,8 +403,23 @@ class TestScalingExperiment:
             assert eps[i] == pytest.approx(ramp.epsilon_at(sched, t), rel=1e-14)
             assert points.eta[i] == pytest.approx(ramp.eta_at(sched, t), rel=1e-14)
         assert points.epsilon == pytest.approx(eps, rel=1e-12)
-        with pytest.raises(ValueError, match="onset"):
-            metrology.paper_ramp_points(ramp.RampSchedule(k=0.5, onset=1.0), kts)
+
+    def test_onset_schedule_follows_its_own_clock(self, monkeypatch):
+        sched = ramp.RampSchedule(k=0.5, onset=1.0)
+        kts = np.logspace(2, 4)
+        eps, points = metrology.paper_ramp_points(sched, kts)
+        for i, kt in enumerate(kts):
+            t = kt / sched.k
+            assert eps[i] == pytest.approx(ramp.epsilon_at(sched, t), rel=1e-14, abs=0.0)
+            assert points.eta[i] == pytest.approx(ramp.eta_at(sched, t), rel=1e-14, abs=0.0)
+        # kt >= 100 >> tau: the clock kt - tau keeps the paper's exponents
+        fits = {f.quantity: f for f in scaling_experiment(sched, kts)}
+        assert fits["epsilon"].fitted_exponent == pytest.approx(-4 / 3, abs=0.02)
+        ratio = heisenberg_ratio(sched, kts)
+        assert np.all(np.isfinite(ratio)) and np.all(ratio > 0)
+        monkeypatch.setattr(experiments, "_schedule", lambda resolved: sched)
+        _, rows, _ = experiments.scaling(cli.resolve_config({"experiment": "scaling"}))
+        assert len(rows) == experiments.SCALING_KT_POINTS
 
     def test_heisenberg_ratio_constant_in_power_law_regime(self):
         sched = ramp.RampSchedule(k=1.0, xi=4.0 / 3.0, eta_target=0.995)

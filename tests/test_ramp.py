@@ -5,7 +5,6 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from jcsense import cli, experiments, metrology
 from jcsense.ramp import (
     RampSchedule,
     _onset_clock,
@@ -120,7 +119,6 @@ class TestOnset:
             eta = float(np.sqrt(w / (w + 1.0)))
             assert epsilon_at(s, t) == 1.0 / (w + 1.0)
             assert eta_at(s, t) == eta
-            assert eta_dot_at(s, t) == float(xi * w / (t * 2.0 * eta * (w + 1.0) ** 2))
             if 0.0 < eta < eta_target:
                 expected = float((eta * eta / (1.0 - eta * eta)) ** (1.0 / xi) / k)
                 assert s.time_to_reach(eta) == expected
@@ -147,6 +145,26 @@ class TestOnset:
         eta = eta_at(schedule, t)
         assert eta == pytest.approx(reference, rel=1e-13)
         assert schedule.time_to_reach(eta) == pytest.approx(t, rel=1e-12)
+
+    @pytest.mark.parametrize("tau", [0.0, 2.0])
+    @pytest.mark.parametrize("xi", [0.5, 4.0 / 3.0, 2.0, 3.0])
+    def test_eta_dot_against_decimal_reference(self, tau, xi):
+        # d eta/dt = xi w phi' / (2 phi eta (w+1)^2) at 60 digits, on the
+        # paper's clock (tau = 0) and the onset clock
+        s = RampSchedule(k=0.005, xi=xi, onset=tau)
+        for t in (1e-3, 0.7, 200.0, 3456.7, 1e5):
+            with localcontext() as ctx:
+                ctx.prec = 60
+                k, kt = Decimal(s.k), Decimal(s.k * t)
+                phi, phi_dot = kt, k
+                if tau:
+                    e2u = (2 * kt / Decimal(tau)).exp()
+                    tanh = (e2u - 1) / (e2u + 1)
+                    phi, phi_dot = kt - Decimal(tau) * tanh, k * tanh * tanh
+                w = phi ** Decimal(xi)
+                eta = (w / (w + 1)).sqrt()
+                reference = float(Decimal(xi) * w * phi_dot / (2 * phi * eta * (w + 1) ** 2))
+            assert eta_dot_at(s, t) == pytest.approx(reference, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("tau", [0.5, 2.0, 4.0])
     @pytest.mark.parametrize("kt", [0.05, 0.3, 1.0, 2.0, 5.0, 30.0])
@@ -200,17 +218,6 @@ class TestOnset:
     def test_rejects_invalid_onset(self, tau):
         with pytest.raises(ValueError):
             RampSchedule(k=1.0, onset=tau)
-
-    def test_paper_clock_consumers_reject_onset(self, monkeypatch):
-        s = RampSchedule(k=1.0, onset=2.0)
-        kts = np.logspace(2, 4, 10)
-        with pytest.raises(ValueError, match="onset"):
-            metrology.scaling_experiment(s, kts)
-        with pytest.raises(ValueError, match="onset"):
-            metrology.heisenberg_ratio(s, kts)
-        monkeypatch.setattr(experiments, "_schedule", lambda resolved: s)
-        with pytest.raises(ValueError, match="onset"):
-            experiments.scaling(cli.resolve_config({"experiment": "scaling"}))
 
 
 class TestTransitionProbability:
