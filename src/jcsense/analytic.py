@@ -4,6 +4,10 @@ function of the drive amplitude eta, with no Hilbert space involved.
 All quantities are exact for 0 <= eta < 1 in double precision; the numeric
 Fock-space routes elsewhere in the package are cross-checks of these
 formulas, never the other way round.
+
+It is also the one home of the squeezed vacuum S(r)|0> (the probe, and the
+dark state's field factor): r, the qubit coefficients, the Fock amplitudes
+and the support, none of which cancels at either end of the eta range.
 """
 
 from __future__ import annotations
@@ -11,9 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import fockspace
-from .fockspace import HilbertSpec, adaptive_n_max
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,42 @@ def _check_eta(eta) -> None:
         raise ValueError(f"eta must be in [0, 1), got {eta[~inside].flat[0]}")
 
 
+def squeezing_parameter(eta):
+    """Squeezing r = ln(1 - eta^2)/4 <= 0: log1p(-eta^2) for eta^2 < 1/2,
+    log((1 - eta)(1 + eta)) above; r(0) = +0.0."""
+    eta = np.asarray(eta, dtype=float)
+    eta2 = eta * eta
+    # 0.0 - eta2, not -eta2: log1p(-0.0) would make r(0) = -0.0
+    r = 0.25 * np.where(eta2 < 0.5, np.log1p(0.0 - eta2), np.log((1.0 - eta) * (1.0 + eta)))
+    return float(r) if r.ndim == 0 else r
+
+
+def qubit_coefficients(eta):
+    """(C, s) of the dark state's |Phi_0> = C|g> - s|e>, u = sqrt((1 - eta)(1 + eta)):
+    C = sqrt((1 + u)/2) and s = sqrt(1 - C^2) = eta / sqrt(2(1 + u))."""
+    u = np.sqrt((1.0 - eta) * (1.0 + eta))
+    return np.sqrt((1.0 + u) / 2.0), eta / np.sqrt(2.0 * (1.0 + u))
+
+
+def squeezed_vacuum_amplitudes(levels: int, r: float) -> np.ndarray:
+    """Exact Fock amplitudes of S(r)|0> on levels 0..levels-1: c_0 =
+    1/sqrt(cosh r), c_{2m}/c_{2m-2} = -tanh(r) sqrt((2m-1)/(2m)), odd levels 0."""
+    m = np.arange(1, (levels + 1) // 2)
+    ratios = -np.tanh(r) * np.sqrt((2 * m - 1) / (2 * m))
+    amps = np.zeros(levels)
+    amps[0] = 1.0
+    amps[2::2] = np.cumprod(ratios)
+    return amps / np.sqrt(np.cosh(r))
+
+
+def squeezed_vacuum_n_max(eta: float) -> int:
+    """Fock cutoff that holds the squeezed vacuum at drive amplitude eta:
+    its photon-number scale e^{-2r} = 1/u grows without bound, and 12/u
+    levels, at least 32, keep the tail mass below 1e-10.  Not clamped."""
+    _check_eta(eta)
+    return max(int(np.ceil(12.0 / np.sqrt((1.0 - eta) * (1.0 + eta)))), 32)
+
+
 def evaluate(eta) -> AnalyticPoint:
     """All closed-form quantities at drive amplitude eta (a float or an array).
 
@@ -72,8 +109,8 @@ def evaluate(eta) -> AnalyticPoint:
     eps = (1.0 - eta) * (1.0 + eta)
     u = np.sqrt(eps)
 
-    r = fockspace.squeezing_parameter(eta)
-    c = np.sqrt((1.0 + u) / 2.0)
+    r = squeezing_parameter(eta)
+    c, _ = qubit_coefficients(eta)
 
     qfi = eta2 / (2.0 * eps * eps)
     # (2-eta^2)/(4u) - 1/2 and ((1-eta^2)^2 + 1)/(8(1-eta^2)) - 1/4, and
@@ -137,13 +174,15 @@ def qfi_from_state_derivative(eta: float, h: float = 1e-4) -> float:
     term.  Agrees with ``evaluate(eta).qfi`` to better than relative 1e-4 for
     eta <= 0.9.
     """
+    from . import fockspace
+
     if not (eta - h > 0.0 and eta + h < 1.0):
         raise ValueError(f"need 0 < eta-h and eta+h < 1; got eta={eta}, h={h}")
     # one shared cutoff, sized for the most demanding point of the stencil
-    spec = HilbertSpec(n_max=adaptive_n_max(eta + h), with_qubit=False)
+    spec = fockspace.HilbertSpec(n_max=fockspace.adaptive_n_max(eta + h), with_qubit=False)
 
     def state(e: float) -> np.ndarray:
-        return fockspace.squeezed_vacuum(spec, fockspace.squeezing_parameter(e)).amplitudes.real
+        return fockspace.squeezed_vacuum(spec, squeezing_parameter(e)).amplitudes.real
 
     d_full = (state(eta + h) - state(eta - h)) / (2.0 * h)
     d_half = (state(eta + h / 2) - state(eta - h / 2)) / h

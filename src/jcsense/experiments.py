@@ -107,9 +107,9 @@ def scaling(resolved: dict) -> tuple[list[str], list[list[float]], dict]:
     )
     fits = metrology.scaling_experiment(sched, kts)
     ratio = metrology.heisenberg_ratio(sched, kts)
-    _, p = metrology.paper_ramp_points(sched, kts)
+    eps, p = metrology.paper_ramp_points(sched, kts)
     columns = ["kt", "eta", "epsilon", "inverted_variance", "mean_n", "fisher_per_n_kt2"]
-    rows = np.column_stack([kts, p.eta, p.epsilon, p.qfi, p.mean_n, ratio]).tolist()
+    rows = np.column_stack([kts, p.eta, eps, p.qfi, p.mean_n, ratio]).tolist()
     extras = {
         "fits": [
             {
@@ -174,7 +174,7 @@ def moments_check(resolved: dict) -> tuple[list[str], list[list[float]], dict]:
     for eta in MOMENTS_ETAS:
         n_max = _resolve_n_max(resolved, eta)
         spec = fockspace.HilbertSpec(n_max=n_max, with_qubit=False)
-        state = fockspace.squeezed_vacuum(spec, fockspace.squeezing_parameter(eta))
+        state = fockspace.squeezed_vacuum(spec, analytic.squeezing_parameter(eta))
         p = analytic.evaluate(eta)
         observables = fockspace.field_observables(spec)
         pairs = []

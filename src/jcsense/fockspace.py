@@ -7,13 +7,13 @@ the flat index of |q>|n> is ``q*(n_max+1) + n`` with q = 0 for |g> and
 q = 1 for |e>.  All serialization headers state this convention.
 
 The squeezed vacuum -- the measurement probe and the field factor of the
-dark state -- is built from its closed-form Fock amplitudes, exact on every
-level up to ``n_max``.  The displaced doublets (n >= 1) are built by applying
-squeezing/displacement generators with a matrix-exponential action on a
-padded Fock space (a few extra levels beyond ``n_max``) and projecting back
-down; the padding removes the edge artifacts that the hard cutoff would
-otherwise imprint on the top levels.  Every state is normalised on the
-truncated space.
+dark state -- is built from its closed-form Fock amplitudes in
+:mod:`analytic`, exact on every level up to ``n_max``.  The displaced
+doublets (n >= 1) are built by applying squeezing/displacement generators
+with a matrix-exponential action on a padded Fock space (a few extra
+levels beyond ``n_max``) and projecting back down; the padding removes the
+edge artifacts that the hard cutoff would otherwise imprint on the top
+levels.  Every state is normalised on the truncated space.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh, expm_multiply
+
+from . import analytic
 
 # Extra Fock levels used internally when applying squeeze/displace
 # generators to the doublets; projected away before returning states.
@@ -63,22 +65,9 @@ class HilbertSpec:
         return 2 * self.field_dim if self.with_qubit else self.field_dim
 
 
-def squeezed_vacuum_n_max(eta: float) -> int:
-    """Fock cutoff that holds the squeezed vacuum at drive amplitude eta.
-
-    The photon-number mean and variance of the squeezed vacuum grow like
-    e^{-2r} = (1 - eta^2)^{-1/2}; 12 times that scale, and at least 32,
-    keeps the tail mass below ``TAIL_MASS_TOL``.  Not clamped.
-    """
-    if not 0.0 <= eta < 1.0:
-        raise ValueError(f"eta must be in [0, 1), got {eta}")
-    scale = (1.0 - eta * eta) ** -0.5
-    return max(int(np.ceil(12.0 * scale)), 32)
-
-
 def adaptive_n_max(eta: float) -> int:
-    """The Fock-space routes' cutoff: :func:`squeezed_vacuum_n_max` clamped at 512."""
-    return min(squeezed_vacuum_n_max(eta), 512)
+    """The Fock-space routes' cutoff: the squeezed vacuum's support, clamped at 512."""
+    return min(analytic.squeezed_vacuum_n_max(eta), 512)
 
 
 @dataclass
@@ -152,11 +141,6 @@ class SparseOperator:
         if d.nnz == 0:
             return True
         return bool(np.max(np.abs(d.data)) <= tol)
-
-    def apply(self, state: StateVector) -> StateVector:
-        if state.spec != self.spec:
-            raise ValueError("operator and state live on different Hilbert spaces")
-        return StateVector(self.spec, self.matrix @ state.amplitudes)
 
 
 def _field_ladder(field_dim: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -269,28 +253,19 @@ def _apply_generators(field_dim: int, r: float, alpha: complex, seed: np.ndarray
     return vec[:field_dim]
 
 
-def squeezing_parameter(eta):
-    """Squeezing r = ln(1 - eta^2)/4 <= 0 of the probe and the dark state."""
-    return 0.25 * np.log(1.0 - eta * eta)
-
-
-def _qubit_coefficient(eta: float) -> float:
-    return np.sqrt((1.0 + np.sqrt(1.0 - eta * eta)) / 2.0)
-
-
-def _squeezed_vacuum_field(field_dim: int, r: float) -> np.ndarray:
-    """Exact Fock amplitudes of S(r)|0> on levels 0..field_dim-1.
-
-    c_{2m} = (-tanh r)^m sqrt((2m)!) / (2^m m! sqrt(cosh r)), accumulated
-    from the ratio c_{2m}/c_{2m-2} = -tanh(r) sqrt((2m-1)/(2m)); odd levels
-    are exactly zero.
-    """
-    m = np.arange(1, (field_dim + 1) // 2)
-    ratios = -np.tanh(r) * np.sqrt((2 * m - 1) / (2 * m))
-    amps = np.zeros(field_dim)
-    amps[0] = 1.0
-    amps[2::2] = np.cumprod(ratios)
-    return amps / np.sqrt(np.cosh(r))
+def _truncated_state(spec: HilbertSpec, amps: np.ndarray, what: str) -> StateVector:
+    """Normalise on the truncated space; warn the caller if the tail mass
+    exceeds ``TAIL_MASS_TOL``."""
+    state = StateVector(spec, amps).normalized()
+    tail = state.tail_mass()
+    if tail > TAIL_MASS_TOL:
+        warnings.warn(
+            f"{what} has tail mass {tail:.2e} > {TAIL_MASS_TOL}"
+            f" at n_max={spec.n_max}; increase the cutoff",
+            TruncationWarning,
+            stacklevel=3,
+        )
+    return state
 
 
 def squeezed_vacuum(spec: HilbertSpec, r: float) -> StateVector:
@@ -303,17 +278,8 @@ def squeezed_vacuum(spec: HilbertSpec, r: float) -> StateVector:
     """
     if spec.with_qubit:
         raise ValueError("squeezed vacuum is a field-only state")
-    amps = _squeezed_vacuum_field(spec.field_dim, r)
-    state = StateVector(spec, amps).normalized()
-    tail = state.tail_mass()
-    if tail > TAIL_MASS_TOL:
-        warnings.warn(
-            f"squeezed vacuum at r={r:.4f} has tail mass {tail:.2e} > {TAIL_MASS_TOL}"
-            f" at n_max={spec.n_max}; increase the cutoff",
-            TruncationWarning,
-            stacklevel=2,
-        )
-    return state
+    amps = analytic.squeezed_vacuum_amplitudes(spec.field_dim, r)
+    return _truncated_state(spec, amps, f"squeezed vacuum at r={r:.4f}")
 
 
 def eigenstate(
@@ -323,8 +289,8 @@ def eigenstate(
 
     branch "+"/"-" (n >= 1): (1/sqrt2) S(r) D(alpha) (|n-1>|Phi_1> +/- |n>|Phi_0>)
     with r = ln(1-eta^2)/4, alpha = -(+/-) sqrt(n) eta, and qubit superpositions
-    |Phi_0> = C|g> - sqrt(1-C^2)|e>, |Phi_1> = C|e> - sqrt(1-C^2)|g>,
-    C = sqrt((1 + sqrt(1-eta^2))/2).
+    |Phi_0> = C|g> - s|e>, |Phi_1> = C|e> - s|g>, s = sqrt(1 - C^2), and
+    C = sqrt((1 + sqrt(1-eta^2))/2), all from :mod:`analytic`.
 
     branch "dark" (n = 0): the zero-energy state S(r)|0> (x) |Phi_0>.
 
@@ -343,13 +309,12 @@ def eigenstate(
         raise ValueError("branches '+'/'-' need n >= 1")
 
     fd = spec.field_dim
-    r = squeezing_parameter(eta)
-    c = _qubit_coefficient(eta)
-    s = np.sqrt(1.0 - c * c)
+    r = analytic.squeezing_parameter(eta)
+    c, s = analytic.qubit_coefficients(eta)
     phi0 = np.array([c, -s], dtype=complex)  # in (|g>, |e>) order
 
     if branch == "dark":
-        amps = np.kron(phi0, _squeezed_vacuum_field(fd, r))
+        amps = np.kron(phi0, analytic.squeezed_vacuum_amplitudes(fd, r))
     else:
         sign = 1.0 if branch == "+" else -1.0
         alpha = -sign * np.sqrt(n) * eta
@@ -362,16 +327,7 @@ def eigenstate(
         f_upper = _apply_generators(fd, r, alpha, upper)
         amps = (np.kron(phi1, f_lower) + sign * np.kron(phi0, f_upper)) / np.sqrt(2.0)
 
-    state = StateVector(spec, amps).normalized()
-    tail = state.tail_mass()
-    if tail > TAIL_MASS_TOL:
-        warnings.warn(
-            f"eigenstate (eta={eta}, n={n}, branch={branch}) has tail mass"
-            f" {tail:.2e} > {TAIL_MASS_TOL} at n_max={spec.n_max}",
-            TruncationWarning,
-            stacklevel=2,
-        )
-    return state
+    return _truncated_state(spec, amps, f"eigenstate (eta={eta}, n={n}, branch={branch})")
 
 
 def doublet_spectrum(

@@ -4,15 +4,15 @@ construction, Cramer-Rao comparison, and the near-critical scaling fits.
 The probe is the squeezed vacuum S(r)|0> at eta, a Gaussian state, so every
 outcome law is closed form in eta and sampling builds no Fock space: photon
 counts from p(2m) = binom(2m, m) 4^{-m} tanh^{2m}(r) / cosh(r) on levels
-0..max(32, ceil(12/u)) (the Fock cutoff's sizing without its 512 clamp),
-quadratures from normal laws with variances <X^2> = 1/(4u) and
-<P^2> = u/4 (u = sqrt(1 - eta^2)).  Estimates clip at ``ETA_CLIP`` =
-1 - 1e-9, so sampling accepts eta in [0, ETA_CLIP]; at the bound the
-photon-count support is about 2.7e5 levels.  Sampling is deterministic per
-(seed, scheme, eta); replica fans use spawned seed sequences so
-accumulation order never matters, and build the outcome law once, drawing
-every replica from it; photon counts are drawn by inverse-cdf lookup in
-one cumulative table per fan.  Detector imperfections are not modeled.
+0..max(32, ceil(12/u)) (the Fock cutoff's sizing without its 512 clamp;
+both from :mod:`analytic`), quadratures from normal laws with variances
+<X^2> = 1/(4u) and <P^2> = u/4 (u = sqrt(1 - eta^2)).  Estimates clip at
+``ETA_CLIP`` = 1 - 1e-9, so sampling accepts eta in [0, ETA_CLIP]; at the
+bound the photon-count support is about 2.7e5 levels.  Sampling is
+deterministic per (seed, scheme, eta); replica fans use spawned seed
+sequences so accumulation order never matters, and build the outcome law
+once, drawing every replica from it; photon counts are drawn by inverse-cdf
+lookup in one cumulative table per fan.  Detector imperfections are not modeled.
 
 :func:`inverted_variance_numeric` cross-checks the Fisher figures of merit
 in Fock space, with N, X^2 and P^2 from :func:`fockspace.field_observables`.
@@ -105,7 +105,7 @@ def inverted_variance_numeric(
         raise ValueError(f"Var[{scheme.kind}] vanishes at eta={eta}; ratio undefined")
 
     def mean_at(e: float) -> float:
-        probe = fockspace.squeezed_vacuum(spec, fockspace.squeezing_parameter(e))
+        probe = fockspace.squeezed_vacuum(spec, analytic.squeezing_parameter(e))
         return float(np.real(np.vdot(probe.amplitudes, op @ probe.amplitudes)))
 
     d_full = (mean_at(eta + d_eta) - mean_at(eta - d_eta)) / (2.0 * d_eta)
@@ -139,10 +139,11 @@ def quadrature_distribution(eta: float, kind: str) -> tuple[float, float]:
 def photon_count_distribution(eta: float) -> tuple[np.ndarray, np.ndarray]:
     """Photon-count values 0..L and their closed-form law at eta: the
     populations p(n) of S(r)|0> (zero for odd n) on the unclamped support
-    L = :func:`fockspace.squeezed_vacuum_n_max` (eta)."""
+    L = :func:`analytic.squeezed_vacuum_n_max` (eta)."""
     _require_estimable(eta)
-    levels = fockspace.squeezed_vacuum_n_max(eta) + 1
-    p = fockspace._squeezed_vacuum_field(levels, fockspace.squeezing_parameter(eta)) ** 2
+    levels = analytic.squeezed_vacuum_n_max(eta) + 1
+    r = analytic.squeezing_parameter(eta)
+    p = analytic.squeezed_vacuum_amplitudes(levels, r) ** 2
     return np.arange(levels, dtype=float), p / p.sum()
 
 

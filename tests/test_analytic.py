@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -23,7 +24,7 @@ class TestEvaluate:
 
     def test_qfi_at_one_over_sqrt2(self):
         # eta^2 = 1/2: qfi = (1/2) / (2 * (1/2)^2) = 1
-        assert analytic.evaluate(2**-0.5).qfi == pytest.approx(1.0, rel=1e-13)
+        assert analytic.evaluate(2**-0.5).qfi == pytest.approx(1.0, rel=1e-13, abs=0.0)
 
     def test_qfi_near_critical_endpoint(self):
         p = analytic.evaluate(0.995)
@@ -47,9 +48,9 @@ class TestEvaluate:
     @pytest.mark.parametrize("eta", np.round(np.arange(0.01, 1.0, 0.01), 2))
     def test_inverted_variances_equal_qfi(self, eta):
         p = analytic.evaluate(float(eta))
-        assert p.inv_var_n == pytest.approx(p.qfi, rel=1e-12)
-        assert p.inv_var_x2 == pytest.approx(p.qfi, rel=1e-12)
-        assert p.inv_var_p2 == pytest.approx(p.qfi, rel=1e-12)
+        assert p.inv_var_n == pytest.approx(p.qfi, rel=1e-12, abs=0.0)
+        assert p.inv_var_x2 == pytest.approx(p.qfi, rel=1e-12, abs=0.0)
+        assert p.inv_var_p2 == pytest.approx(p.qfi, rel=1e-12, abs=0.0)
 
     def test_monotonicity(self):
         etas = np.linspace(0.01, 0.99, 99)
@@ -64,13 +65,13 @@ class TestEvaluate:
     @pytest.mark.parametrize("eta", [0.0, 0.2, 0.5, 0.8, 0.99])
     def test_minimum_uncertainty_product(self, eta):
         p = analytic.evaluate(eta)
-        assert p.mean_x2 * p.mean_p2 == pytest.approx(1.0 / 16.0, rel=1e-13)
+        assert p.mean_x2 * p.mean_p2 == pytest.approx(1.0 / 16.0, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("eta", [0.1, 0.5, 0.9, 0.99])
     def test_gaussian_fourth_moment_identity(self, eta):
         p = analytic.evaluate(eta)
-        assert p.var_x2 == pytest.approx(2 * p.mean_x2**2, rel=1e-12)
-        assert p.var_p2 == pytest.approx(2 * p.mean_p2**2, rel=1e-12)
+        assert p.var_x2 == pytest.approx(2 * p.mean_x2**2, rel=1e-12, abs=0.0)
+        assert p.var_p2 == pytest.approx(2 * p.mean_p2**2, rel=1e-12, abs=0.0)
 
     def test_squeezing_parameter_negative(self):
         assert analytic.evaluate(0.5).r < 0
@@ -131,6 +132,43 @@ class TestNearCriticalPrecision:
         assert p.inv_var_n == pytest.approx(p.qfi, rel=2e-15, abs=0)
 
 
+def _squeezed_vacuum_forms_60_digits(eta: float) -> tuple[float, float, float]:
+    """r = ln(1 - eta^2)/4, C = sqrt((1 + u)/2) and s = sqrt(1 - C^2) in
+    60-digit arithmetic (s keeps over 40 digits down to eta = 1e-8)."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        e = Decimal(eta)
+        eps = 1 - e * e
+        c = ((1 + eps.sqrt()) / 2).sqrt()
+        return float(eps.ln() / 4), float(c), float((1 - c * c).sqrt())
+
+
+class TestSqueezedVacuumForms:
+    # ln(1 - eta*eta)/4 was 11% off at eta = 1e-8, 2.1e-12 at 0.005 and
+    # 2.5e-11 at the clip; sqrt(1 - C^2) was 100% off at 1e-8
+    @pytest.mark.parametrize(
+        "eta", [1e-8, 1e-3, 0.005, 0.3, 0.995, 0.9999, metrology.ETA_CLIP]
+    )
+    def test_matches_60_digit_reference(self, eta):
+        r, c, s = _squeezed_vacuum_forms_60_digits(eta)
+        p = analytic.evaluate(eta)
+        assert p.r == pytest.approx(r, rel=1e-14, abs=0.0)
+        assert p.C == pytest.approx(c, rel=1e-14, abs=0.0)
+        got_c, got_s = analytic.qubit_coefficients(eta)
+        assert got_c == p.C
+        assert got_s == pytest.approx(s, rel=1e-14, abs=0.0)
+        assert analytic.squeezing_parameter(eta) == p.r
+
+    def test_vacuum_is_unsqueezed_with_positive_zero(self):
+        for r in (
+            analytic.squeezing_parameter(0.0),
+            analytic.evaluate(0.0).r,
+            analytic.evaluate(np.array([0.0, 0.5])).r[0],
+        ):
+            assert r == 0.0 and math.copysign(1.0, r) == 1.0
+        assert analytic.qubit_coefficients(0.0) == (1.0, 0.0)
+
+
 class TestEvaluateOnArrays:
     def test_qfi_curve_grid_equals_scalar_calls(self):
         # the qfi_curve grid includes eta = 0, where Var[N] = 0 is masked
@@ -147,7 +185,7 @@ class TestEvaluateOnArrays:
         for name in FIELDS:
             assert np.shape(getattr(p, name)) == etas.shape, name
         assert p.inv_var_n[0, 0] == 0.0
-        assert p.inv_var_n[1, 1] == pytest.approx(p.qfi[1, 1], rel=1e-12)
+        assert p.inv_var_n[1, 1] == pytest.approx(p.qfi[1, 1], rel=1e-12, abs=0.0)
 
     def test_rejects_an_array_with_one_eta_at_or_above_one(self):
         for bad in (1.0, 1.5):
@@ -202,7 +240,7 @@ class TestQfiFromStateDerivative:
     def test_matches_closed_form(self, eta):
         got = analytic.qfi_from_state_derivative(eta)
         expected = analytic.evaluate(eta).qfi
-        assert got == pytest.approx(expected, rel=1e-4)
+        assert got == pytest.approx(expected, rel=1e-4, abs=0.0)
 
     def test_near_zero_edge(self):
         # qfi(0) = 0; just inside the domain the value stays tiny

@@ -126,7 +126,7 @@ class TestValidateCommand:
         assert 2.3 / 2 < estimate < 2.3 * 2
         # RHS evaluations grow like the spectral radius, ~sqrt(n_max + 1)
         doubled = cli._estimate_runtime(resolved, 2 * 122 - 1)
-        assert doubled / estimate == pytest.approx(np.sqrt(2.0), rel=1e-12)
+        assert doubled / estimate == pytest.approx(np.sqrt(2.0), rel=1e-12, abs=0.0)
 
     def test_cramer_rao_estimate_calibration(self):
         def estimate(numerics):
@@ -137,7 +137,7 @@ class TestValidateCommand:
         # 0.24-0.32 s; at 100 shots the per-replica set-up dominates (0.094 s)
         assert 0.28 / 2 < estimate({}) < 0.28 * 2
         assert 0.094 / 2 < estimate({"shots": 100}) < 0.094 * 2
-        assert estimate({"replicas": 1000}) == pytest.approx(2 * estimate({}), rel=1e-12)
+        assert estimate({"replicas": 1000}) == pytest.approx(2 * estimate({}), rel=1e-12, abs=0.0)
 
     def test_cramer_rao_estimate_per_scheme(self):
         def estimate(scheme):
@@ -257,7 +257,7 @@ class TestRunRampCurve:
         assert cli.main(["run", str(path)]) == 0
         rows = data_rows(out.read_text())
         row = next(r for r in rows if r[0] == 1.0)
-        assert row[2] == pytest.approx(2**-0.5, rel=1e-10)
+        assert row[2] == pytest.approx(2**-0.5, rel=1e-10, abs=0.0)
 
 
 class TestRunMomentsCheck:

@@ -145,7 +145,7 @@ class TestEvolve:
         tail, t, kt = (float(v) for v in re.search(pattern, message).groups())
         assert tail > dynamics.EVOLVE_TAIL_TOL
         assert min(abs(r.t - t) for r in records) <= 1e-5 * max(t, 1.0)  # printed to 6 digits
-        assert kt == pytest.approx(sched.k * t, rel=1e-5)
+        assert kt == pytest.approx(sched.k * t, rel=1e-5, abs=0.0)
 
     def _capture_rhs(self, monkeypatch):
         # a k = 0.05 ramp to eta 0.9 at n_max 48 raises no truncation warning

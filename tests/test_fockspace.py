@@ -118,7 +118,7 @@ class TestHamiltonian:
     def test_driven_lowest_positive_eigenvalue(self):
         # eta = 0.6: lowest positive level at Omega (1 - 0.36)^{3/4}
         vals = doublet_spectrum(HilbertSpec(n_max=48), 1.0, 0.6, n_doublets=1)
-        assert vals[-1] == pytest.approx(0.64**0.75, rel=1e-9)
+        assert vals[-1] == pytest.approx(0.64**0.75, rel=1e-9, abs=0.0)
 
     def test_annihilates_dark_state(self):
         spec = HilbertSpec(n_max=adaptive_n_max(0.5))
@@ -204,8 +204,8 @@ class TestSqueezedVacuum:
             p = quadrature_p(spec).matrix
             x2 = np.real(np.vdot(state.amplitudes, x @ (x @ state.amplitudes)))
             p2 = np.real(np.vdot(state.amplitudes, p @ (p @ state.amplitudes)))
-            assert x2 == pytest.approx(np.exp(-2 * r) / 4, rel=1e-8)
-            assert p2 == pytest.approx(np.exp(2 * r) / 4, rel=1e-8)
+            assert x2 == pytest.approx(np.exp(-2 * r) / 4, rel=1e-8, abs=0.0)
+            assert p2 == pytest.approx(np.exp(2 * r) / 4, rel=1e-8, abs=0.0)
 
     def test_rejects_composite_space(self):
         with pytest.raises(ValueError):
@@ -278,7 +278,7 @@ class TestEigenstate:
             state = eigenstate(spec, 1.0, 0.7, 1, "+")
             num = number_op(spec)
             values.append(np.real(state.expectation(num)))
-        assert values[0] == pytest.approx(values[1], rel=1e-10)
+        assert values[0] == pytest.approx(values[1], rel=1e-10, abs=0.0)
 
     def test_invalid_inputs(self):
         spec = HilbertSpec(n_max=16)

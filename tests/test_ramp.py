@@ -36,13 +36,13 @@ class TestSchedule:
     def test_value_at_unit_kt(self):
         # (kt)^xi = 1 at kt = 1, any xi: eta = sqrt(1 - 1/2) = 1/sqrt2
         s = make_schedule(k=2.0)
-        assert eta_at(s, 0.5) == pytest.approx(2**-0.5, rel=1e-14)
+        assert eta_at(s, 0.5) == pytest.approx(2**-0.5, rel=1e-14, abs=0.0)
 
     def test_duration_closed_form(self):
         # eta_target = 0.995 with xi = 4/3: kt_end = (1/0.009975 - 1)^{3/4}
         s = make_schedule()
-        assert s.kt_end == pytest.approx(31.44488008, rel=1e-9)
-        assert s.duration == pytest.approx(31.44488008 / 0.005, rel=1e-9)
+        assert s.kt_end == pytest.approx(31.44488008, rel=1e-9, abs=0.0)
+        assert s.duration == pytest.approx(31.44488008 / 0.005, rel=1e-9, abs=0.0)
 
     def test_inverse_round_trip(self):
         s = make_schedule(eta_target=0.9)
@@ -86,7 +86,7 @@ class TestEtaDot:
         s = make_schedule(k=1.0)
         t, dt = 5.0, 1e-6
         fd = (eta_at(s, t + dt) - eta_at(s, t - dt)) / (2 * dt)
-        assert eta_dot_at(s, t) == pytest.approx(fd, rel=1e-6)
+        assert eta_dot_at(s, t) == pytest.approx(fd, rel=1e-6, abs=0.0)
 
     def test_zero_at_start_by_contract(self):
         assert eta_dot_at(make_schedule(), 0.0) == 0.0
@@ -143,8 +143,8 @@ class TestOnset:
             reference = float((w / (w + 1)).sqrt())
         assert 1e-12 < reference < 1e-9
         eta = eta_at(schedule, t)
-        assert eta == pytest.approx(reference, rel=1e-13)
-        assert schedule.time_to_reach(eta) == pytest.approx(t, rel=1e-12)
+        assert eta == pytest.approx(reference, rel=1e-13, abs=0.0)
+        assert schedule.time_to_reach(eta) == pytest.approx(t, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("tau", [0.0, 2.0])
     @pytest.mark.parametrize("xi", [0.5, 4.0 / 3.0, 2.0, 3.0])
@@ -173,7 +173,7 @@ class TestOnset:
         t = kt / s.k
         dt = 1e-5 * t
         fd = (eta_at(s, t + dt) - eta_at(s, t - dt)) / (2 * dt)
-        assert eta_dot_at(s, t) == pytest.approx(fd, rel=1e-7)
+        assert eta_dot_at(s, t) == pytest.approx(fd, rel=1e-7, abs=0.0)
 
     def test_starts_from_rest(self):
         # phi ~ (kt)^3 / (3 tau^2), so eta ~ phi^{xi/2} grows as t^2 for
@@ -182,8 +182,8 @@ class TestOnset:
         assert eta_at(s, 0.0) == 0.0
         assert eta_dot_at(s, 0.0) == 0.0
         for t in (1e-6, 1e-3, 1e-1):
-            assert eta_at(s, 2 * t) / eta_at(s, t) == pytest.approx(4.0, rel=1e-6)
-            assert eta_dot_at(s, t) == pytest.approx(2.0 * eta_at(s, t) / t, rel=1e-6)
+            assert eta_at(s, 2 * t) / eta_at(s, t) == pytest.approx(4.0, rel=1e-6, abs=0.0)
+            assert eta_dot_at(s, t) == pytest.approx(2.0 * eta_at(s, t) / t, rel=1e-6, abs=0.0)
         velocities = [eta_dot_at(s, t) for t in (1e-1, 1e-3, 1e-6, 1e-9)]
         assert all(b < a for a, b in zip(velocities, velocities[1:]))
         assert velocities[-1] < 1e-7 * velocities[0]  # linear in t
@@ -192,7 +192,7 @@ class TestOnset:
         s = RampSchedule(k=0.005, eta_target=0.99, onset=2.0)
         assert eta_at(s, s.duration) == pytest.approx(0.99, abs=1e-14)
         for t in (1e-3, 1.0, 50.0, 400.0, 2000.0, s.duration):
-            assert s.time_to_reach(eta_at(s, t)) == pytest.approx(t, rel=1e-12)
+            assert s.time_to_reach(eta_at(s, t)) == pytest.approx(t, rel=1e-12, abs=0.0)
         assert s.time_to_reach(0.0) == 0.0
 
     def test_joins_the_paper_clock_after_the_onset(self):
@@ -201,18 +201,22 @@ class TestOnset:
         onset, paper = RampSchedule(k=k, onset=tau), RampSchedule(k=k)
         for kt in (40.0, 200.0):
             assert epsilon_at(onset, kt / k) == pytest.approx(
-                epsilon_at(paper, (kt - tau) / k), rel=1e-12
+                epsilon_at(paper, (kt - tau) / k), rel=1e-12, abs=0.0
             )
         # the onset lengthens the ramp to a target by less than tau in kt
         assert paper.kt_end < onset.kt_end < paper.kt_end + tau
 
     @pytest.mark.parametrize("u", [1e-3, 0.05, 0.0999999, 0.1, 0.1000001, 0.2])
     def test_clock_series_matches_closed_form(self, u):
-        # small-u series and kt - tau tanh(kt/tau) agree across the switch
+        # both sides of the series/closed-form switch against 60-digit
+        # arithmetic: tau (u - tanh u) in floats cancels, 1.3e-13 off at 0.05
         tau = 3.0
-        direct = tau * (u - np.tanh(u))
-        tol = 1e-13 if u >= 0.05 else 1e-9  # the closed form cancels at small u
-        assert _onset_clock(u * tau, tau) == pytest.approx(direct, rel=tol)
+        kt = u * tau
+        with localcontext() as ctx:
+            ctx.prec = 60
+            e2u = (2 * Decimal(kt) / Decimal(tau)).exp()
+            exact = float(Decimal(kt) - Decimal(tau) * (e2u - 1) / (e2u + 1))
+        assert _onset_clock(kt, tau) == pytest.approx(exact, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("tau", [-1.0, float("nan"), float("inf")])
     def test_rejects_invalid_onset(self, tau):
@@ -226,7 +230,7 @@ class TestTransitionProbability:
         s = make_schedule()
         limit = (s.k * np.exp(-0.5) / (3 * np.sqrt(2))) ** 2
         got = transition_probability(s, 1.0, 1.0 - 1e-8, 1)
-        assert got == pytest.approx(limit, rel=1e-6)
+        assert got == pytest.approx(limit, rel=1e-6, abs=0.0)
 
     def test_flat_along_ramp_near_criticality(self):
         # the xi = 4/3 choice cancels the (1-eta^2) power: P_1 varies by
@@ -256,7 +260,7 @@ class TestTransitionProbability:
         fast = make_schedule(k=0.002)
         p_slow = transition_probability(slow, 1.0, 0.95, 1)
         p_fast = transition_probability(fast, 1.0, 0.95, 1)
-        assert p_fast / p_slow == pytest.approx(4.0, rel=1e-12)
+        assert p_fast / p_slow == pytest.approx(4.0, rel=1e-12, abs=0.0)
 
     def test_rejects_invalid(self):
         s = make_schedule()
