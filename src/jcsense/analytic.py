@@ -16,6 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# finite-difference step of qfi_from_state_derivative
+QFI_FD_STEP = 1e-4
+
 
 @dataclass(frozen=True)
 class AnalyticPoint:
@@ -52,21 +55,27 @@ def _check_eta(eta) -> None:
         raise ValueError(f"eta must be in [0, 1), got {eta[~inside].flat[0]}")
 
 
+def _squeezing(eta2, eps):
+    # 0.0 - eta2, not -eta2: log1p(-0.0) would make r(0) = -0.0
+    return 0.25 * np.where(eta2 < 0.5, np.log1p(0.0 - eta2), np.log(eps))
+
+
 def squeezing_parameter(eta):
     """Squeezing r = ln(1 - eta^2)/4 <= 0: log1p(-eta^2) for eta^2 < 1/2,
     log((1 - eta)(1 + eta)) above; r(0) = +0.0."""
     eta = np.asarray(eta, dtype=float)
-    eta2 = eta * eta
-    # 0.0 - eta2, not -eta2: log1p(-0.0) would make r(0) = -0.0
-    r = 0.25 * np.where(eta2 < 0.5, np.log1p(0.0 - eta2), np.log((1.0 - eta) * (1.0 + eta)))
+    r = _squeezing(eta * eta, (1.0 - eta) * (1.0 + eta))
     return float(r) if r.ndim == 0 else r
+
+
+def _qubit_coefficients(eta, u):
+    return np.sqrt((1.0 + u) / 2.0), eta / np.sqrt(2.0 * (1.0 + u))
 
 
 def qubit_coefficients(eta):
     """(C, s) of the dark state's |Phi_0> = C|g> - s|e>, u = sqrt((1 - eta)(1 + eta)):
     C = sqrt((1 + u)/2) and s = sqrt(1 - C^2) = eta / sqrt(2(1 + u))."""
-    u = np.sqrt((1.0 - eta) * (1.0 + eta))
-    return np.sqrt((1.0 + u) / 2.0), eta / np.sqrt(2.0 * (1.0 + u))
+    return _qubit_coefficients(eta, np.sqrt((1.0 - eta) * (1.0 + eta)))
 
 
 def squeezed_vacuum_amplitudes(levels: int, r: float) -> np.ndarray:
@@ -102,15 +111,20 @@ def evaluate(eta) -> AnalyticPoint:
     which are 0 at eta = 0, where every susceptibility vanishes.
     """
     _check_eta(eta)
-    scalar = np.ndim(eta) == 0
     eta = np.asarray(eta, dtype=float)
-    eta2 = eta * eta
     # exact to rounding; 1 - eta*eta amplifies the rounding of eta*eta near 1
-    eps = (1.0 - eta) * (1.0 + eta)
+    return _evaluate(eta, eta * eta, (1.0 - eta) * (1.0 + eta))
+
+
+def _evaluate(eta: np.ndarray, eta2: np.ndarray, eps: np.ndarray) -> AnalyticPoint:
+    """:func:`evaluate`'s closed forms from eta, eta^2 and eps = 1 - eta^2,
+    for a caller that knows eta^2 and eps more exactly than eta's rounding
+    gives them; floats for a 0-d eta."""
+    scalar = eta.ndim == 0
     u = np.sqrt(eps)
 
-    r = squeezing_parameter(eta)
-    c, _ = qubit_coefficients(eta)
+    r = _squeezing(eta2, eps)
+    c, _ = _qubit_coefficients(eta, u)
 
     qfi = eta2 / (2.0 * eps * eps)
     # (2-eta^2)/(4u) - 1/2 and ((1-eta^2)^2 + 1)/(8(1-eta^2)) - 1/4, and
@@ -164,20 +178,21 @@ def energy_gap(omega: float, eta: float) -> float:
     return float(omega * ((1.0 - eta) * (1.0 + eta)) ** 0.75)
 
 
-def qfi_from_state_derivative(eta: float, h: float = 1e-4) -> float:
+def qfi_from_state_derivative(eta: float) -> float:
     """Quantum Fisher information from the parametric state derivative.
 
     Evaluates 4 * [<d_eta phi | d_eta phi> + (<d_eta phi | phi>)^2] with the
-    derivative of the squeezed vacuum formed by central finite differences,
-    Richardson-extrapolated once.  For this real-amplitude family the overlap
-    term vanishes by normalization; it is computed anyway as a consistency
-    term.  Agrees with ``evaluate(eta).qfi`` to better than relative 1e-4 for
-    eta <= 0.9.
+    derivative of the squeezed vacuum formed by central finite differences
+    of step ``QFI_FD_STEP``, Richardson-extrapolated once.  For this
+    real-amplitude family the overlap term vanishes by normalization; it is
+    computed anyway as a consistency term.  Agrees with ``evaluate(eta).qfi``
+    to better than relative 1e-4 for eta <= 0.9.
     """
     from . import fockspace
 
+    h = QFI_FD_STEP
     if not (eta - h > 0.0 and eta + h < 1.0):
-        raise ValueError(f"need 0 < eta-h and eta+h < 1; got eta={eta}, h={h}")
+        raise ValueError(f"need 0 < eta-h and eta+h < 1 (h = {h}); got eta={eta}")
     # one shared cutoff, sized for the most demanding point of the stencil
     spec = fockspace.HilbertSpec(n_max=fockspace.adaptive_n_max(eta + h), with_qubit=False)
 

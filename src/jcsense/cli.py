@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -105,8 +106,8 @@ def _validate_physics(phys: dict) -> None:
         value = phys[key]
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError(f"physics.{key} must be a number, got {value!r}")
-        if value <= 0:
-            raise ConfigError(f"physics.{key} must be positive, got {value}")
+        if not (value > 0 and math.isfinite(value)):
+            raise ConfigError(f"physics.{key} must be finite and positive, got {value}")
     if phys["eta_target"] >= 1.0:
         raise ConfigError(
             f"physics.eta_target must be < 1 (closed forms diverge at the "
@@ -279,14 +280,14 @@ def _estimate_runtime(resolved: dict, n_max: int | None) -> float | None:
     fidelity_sweep: DOP853 runs at its stability limit, so its RHS
     evaluation count grows like Omega * t_end times the largest eigenvalue
     of H / Omega, which grows like sqrt(n_max + 1) with the matrix elements
-    of a and a^dag (11.0 at eta = 0, n_max 121).  The cost of one evaluation
-    is mostly fixed Python overhead at these dimensions, so the estimate is
-    c * Omega * t_end * sqrt(n_max + 1).  The default config (Omega = 1,
-    t_end = 6289, n_max 121) takes 267,785 evaluations, 3.86 per unit of
-    Omega t_end sqrt(n_max + 1), and one pass takes 2.28 s at perfbench's
-    reference core speed (median of 10 runs), 8.5 us per evaluation with
-    the integrator's step overhead and the per-record diagnostics included:
-    c = 3.86 * 8.5e-6.
+    of a and a^dag (11.05 at eta = 0, n_max 122).  The cost of one
+    evaluation is mostly fixed Python overhead at these dimensions, so the
+    estimate is c * Omega * t_end * sqrt(n_max + 1).  The default config
+    (Omega = 1, t_end = 6289, n_max 122) takes 269,081 evaluations, 3.86 per
+    unit of Omega t_end sqrt(n_max + 1) (267,785 and 3.86 at n_max 121).  At
+    n_max 121 one pass took 2.28 s at perfbench's reference core speed
+    (median of 10 runs), 8.5 us per evaluation with the integrator's step
+    overhead and the per-record diagnostics included: c = 3.86 * 8.5e-6.
 
     cramer_rao: three replica fans of ``shots``, ``shots // 10`` and
     ``shots // 100`` draws, so 3 * replicas experiments and about

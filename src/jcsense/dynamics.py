@@ -1,5 +1,10 @@
 """Schrodinger integration of the driven qubit-photon system along a ramp.
 
+A trajectory is the schedule's ramp from the dark state |0>|g> at t = 0 to
+the schedule's duration, on one Fock cutoff, with 201 uniform records of
+the field moments and the fidelity |<dark(eta)|psi>|^2, which reads the
+dark state's exact amplitudes on the trajectory's own levels.
+
 The time dependence enters only through the drive amplitude, so the
 Hamiltonian is assembled once as H(t) = H_jc + eta(t) * H_drive.  Both
 parts, times -i, are stacked into one (2 dim, dim) CSR operator, and each
@@ -13,7 +18,7 @@ would be overwritten under it.  The right-hand side must not keep its ``y``
 argument either: the stepper passes one stage buffer that the next stage
 overwrites.
 
-The integrator is the adaptive embedded Runge-Kutta pair of order 8
+The integrator is the adaptive Runge-Kutta pair of orders 8, 5 and 3
 (DOP853, Hairer, Norsett & Wanner, *Solving ODEs I*, Sec. II), stepped by
 :class:`_InPlaceDOP853`, which owns each step: the stage sums and the error
 estimate are formed in preallocated buffers and the step-size control runs
@@ -48,21 +53,14 @@ EVOLVE_TAIL_TOL = 1e-8
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Inputs for one ramp trajectory.
-
-    ``record_every`` is the sampling stride in kt units; None means 200
-    uniform samples over the whole ramp.  ``t_final`` overrides the schedule
-    duration and is required for a frozen schedule (k = 0).  Both must be
-    finite and > 0 when given.
-    """
+    """Inputs for one ramp trajectory: the schedule's ramp from t = 0 to its
+    duration, on one Fock cutoff, recorded at 201 uniform times."""
 
     omega: float
     schedule: ramp.RampSchedule
     spec: HilbertSpec
     rtol: float = DEFAULT_RTOL
     atol: float = DEFAULT_ATOL
-    record_every: float | None = None
-    t_final: float | None = None
 
     def __post_init__(self):
         if self.rtol <= 0 or self.atol <= 0:
@@ -71,12 +69,6 @@ class EvolutionConfig:
             raise ValueError("trajectories live on the composite space")
         if self.omega <= 0:
             raise ValueError(f"omega must be > 0, got {self.omega}")
-        if self.schedule.k == 0 and self.t_final is None:
-            raise ValueError("a frozen schedule (k = 0) needs an explicit t_final")
-        for name in ("record_every", "t_final"):
-            value = getattr(self, name)
-            if value is not None and not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -223,60 +215,22 @@ class _InPlaceDOP853(DOP853):
         return True, None
 
 
-def _record_times(cfg: EvolutionConfig) -> np.ndarray:
-    t_end = cfg.t_final if cfg.t_final is not None else cfg.schedule.duration
-    if cfg.record_every is None:
-        return np.linspace(0.0, t_end, DEFAULT_RECORDS + 1)
-    if cfg.schedule.k == 0:
-        stride_t = cfg.record_every  # kt is degenerate; treat stride as time
-    else:
-        stride_t = cfg.record_every / cfg.schedule.k
-    times = np.arange(0.0, t_end, stride_t)
-    if times[-1] < t_end:
-        times = np.append(times, t_end)
-    return times
-
-
-def embed(state: StateVector, spec: HilbertSpec) -> StateVector:
-    """Zero-pad a state into a larger Fock cutoff (same qubit structure)."""
-    if spec.with_qubit != state.spec.with_qubit:
-        raise ValueError("cannot change the qubit structure while embedding")
-    if spec.n_max < state.spec.n_max:
-        raise ValueError("embedding target must have the larger n_max")
-    if spec.n_max == state.spec.n_max:
-        return state
-    old_fd, new_fd = state.spec.field_dim, spec.field_dim
-    amps = np.zeros(spec.dim, dtype=complex)
-    if state.spec.with_qubit:
-        amps[:old_fd] = state.amplitudes[:old_fd]
-        amps[new_fd : new_fd + old_fd] = state.amplitudes[old_fd:]
-    else:
-        amps[:old_fd] = state.amplitudes
-    return StateVector(spec, amps)
-
-
 def fidelity_against_dark(state: StateVector, omega: float, eta: float) -> float:
-    """Overlap |<psi_dark(eta)|Psi>|^2 with the instantaneous dark state.
-
-    The dark state is rebuilt at the larger of the state's cutoff and the
-    adaptive cutoff for eta, and the state embedded if needed.
-    """
-    if not state.spec.with_qubit:
-        raise ValueError("the dark state lives on the composite space")
-    n_max = max(state.spec.n_max, fockspace.adaptive_n_max(eta))
-    spec = HilbertSpec(n_max=n_max, with_qubit=True)
-    dark = fockspace.eigenstate(spec, omega, eta, 0, "dark")
-    psi = embed(state, spec)
-    return float(abs(np.vdot(dark.amplitudes, psi.amplitudes)) ** 2)
+    """Overlap |<psi_dark(eta)|Psi>|^2 with the instantaneous dark state,
+    exact at any cutoff: :func:`fockspace.dark_amplitudes` on the state's
+    own levels.  The dark state does not depend on omega."""
+    dark = fockspace.dark_amplitudes(state.spec, eta)
+    return float(abs(np.vdot(dark, state.amplitudes)) ** 2)
 
 
 def evolve(cfg: EvolutionConfig) -> list[TrajectoryRecord]:
     """Integrate i d|Psi>/dt = H(t)|Psi> from the t = 0 dark state.
 
     The schedule starts at eta(0) = 0, where the dark state is exactly
-    |0>|g>.  Emits one record per sampling time with the instantaneous
-    dark-state fidelity and field moments; the final record sits at
-    eta = eta_target (or at t_final for a frozen schedule).
+    |0>|g>, and the trajectory runs to the schedule's duration on the
+    cutoff of ``cfg.spec``.  Emits one record at each of 201 uniform times
+    with the instantaneous dark-state fidelity and field moments; the final
+    record sits at eta = eta_target.
 
     Raises RuntimeError when the integrator fails (step-size underflow);
     warns with :class:`TruncationWarning` when the field population in the
@@ -307,7 +261,7 @@ def evolve(cfg: EvolutionConfig) -> list[TrajectoryRecord]:
     y0 = np.zeros(dim, dtype=complex)
     y0[0] = 1.0  # |0>|g> in field-fast order
 
-    times = _record_times(cfg)
+    times = np.linspace(0.0, sched.duration, DEFAULT_RECORDS + 1)
     sol = solve_ivp(
         rhs,
         (times[0], times[-1]),

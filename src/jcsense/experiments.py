@@ -107,9 +107,9 @@ def scaling(resolved: dict) -> tuple[list[str], list[list[float]], dict]:
     )
     fits = metrology.scaling_experiment(sched, kts)
     ratio = metrology.heisenberg_ratio(sched, kts)
-    eps, p = metrology.paper_ramp_points(sched, kts)
+    p = metrology.paper_ramp_points(sched, kts)
     columns = ["kt", "eta", "epsilon", "inverted_variance", "mean_n", "fisher_per_n_kt2"]
-    rows = np.column_stack([kts, p.eta, eps, p.qfi, p.mean_n, ratio]).tolist()
+    rows = np.column_stack([kts, p.eta, p.epsilon, p.qfi, p.mean_n, ratio]).tolist()
     extras = {
         "fits": [
             {

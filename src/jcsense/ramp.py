@@ -1,7 +1,9 @@
 """Adiabatic drive schedule eta(t) and its non-adiabaticity diagnostics.
 
 The schedule eta_t = sqrt(1 - [(k t)^xi + 1]^{-1}) runs from the undriven
-regime eta = 0 at t = 0 to the critical point eta -> 1.  The exponent xi
+regime eta = 0 at t = 0 to the critical point eta -> 1.  Every schedule
+ramps: the rate k is finite and > 0, so the target is reached at a finite
+duration; there is no frozen (k = 0) schedule.  The exponent xi
 defaults to 4/3, the value for which the perturbative leakage into the
 first excited doublet becomes flat in eta near criticality.  For xi < 2 the
 schedule is not smooth at t = 0: it starts with a cusp eta ~ (k t)^{xi/2},
@@ -57,8 +59,8 @@ class RampSchedule:
 
     k sets the ramp rate (same units as the coupling Omega), xi > 0 the
     approach exponent, and eta_target < 1 fixes the total duration through
-    the inverse of the schedule.  k = 0 is allowed as a frozen schedule
-    (eta identically 0); its duration is undefined.
+    the inverse of the schedule.  k must be finite and > 0: every schedule
+    ramps, so its duration is always defined.
 
     onset = tau >= 0 (kt units) replaces kt by the clock
     phi(kt) = kt - tau tanh(kt / tau) in the formula above, which removes
@@ -72,8 +74,8 @@ class RampSchedule:
     onset: float = 0.0
 
     def __post_init__(self):
-        if self.k < 0:
-            raise ValueError(f"ramp rate k must be >= 0, got {self.k}")
+        if not (self.k > 0.0 and isfinite(self.k)):
+            raise ValueError(f"ramp rate k must be finite and > 0, got {self.k}")
         if self.xi <= 0:
             raise ValueError(f"exponent xi must be > 0, got {self.xi}")
         if not 0.0 < self.eta_target < 1.0:
@@ -107,16 +109,12 @@ class RampSchedule:
     @property
     def duration(self) -> float:
         """Time at which eta(t) = eta_target."""
-        if self.k == 0:
-            raise ValueError("a frozen schedule (k = 0) never reaches its target")
         return self.kt_end / self.k
 
     def time_to_reach(self, eta: float) -> float:
         """Inverse t(eta) of the schedule (closed form for onset 0)."""
         if not 0.0 <= eta < 1.0:
             raise ValueError(f"eta must be in [0, 1), got {eta}")
-        if self.k == 0:
-            raise ValueError("a frozen schedule (k = 0) stays at eta = 0")
         return self._kt_at(eta) / self.k
 
 
@@ -141,7 +139,7 @@ def eta_at(s: RampSchedule, t: float) -> float:
     """Drive amplitude at time t; exactly 0 at t = 0."""
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    if t == 0 or s.k == 0:
+    if t == 0:
         return 0.0
     kt = s.k * t
     w = (_onset_clock(kt, s.onset) if s.onset else kt) ** s.xi
@@ -163,7 +161,7 @@ def eta_dot_at(s: RampSchedule, t: float) -> float:
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    if t == 0 or s.k == 0:
+    if t == 0:
         return 0.0
     phi, phi_dot = _clock(s, s.k * t)
     if phi == 0.0:  # clock underflow deep inside the onset
@@ -203,8 +201,6 @@ def transition_probability(s: RampSchedule, omega: float, eta: float, n: int) ->
         raise ValueError(f"doublet index n must be >= 1, got {n}")
     if omega <= 0:
         raise ValueError(f"omega must be > 0, got {omega}")
-    if s.k == 0:
-        return 0.0
     eta_dot = eta_dot_asymptotic(s, eta)
     log_amp = (
         log(eta_dot)

@@ -142,7 +142,6 @@ def test_criterion_6_rate_scaling():
                 spec=HilbertSpec(n_max=n_max),
                 rtol=1e-10,
                 atol=1e-12,
-                record_every=sched.kt_end,  # endpoint only
             )
             leakages.append(1.0 - dynamics.evolve(cfg)[-1].fidelity)
         return leakages, float(np.polyfit(np.log(rates), np.log(leakages), 1)[0])

@@ -248,6 +248,6 @@ class TestQfiFromStateDerivative:
 
     def test_rejects_stencil_outside_domain(self):
         with pytest.raises(ValueError):
-            analytic.qfi_from_state_derivative(1e-5, h=1e-4)
+            analytic.qfi_from_state_derivative(1e-5)
         with pytest.raises(ValueError):
-            analytic.qfi_from_state_derivative(0.99999, h=1e-4)
+            analytic.qfi_from_state_derivative(0.99999)

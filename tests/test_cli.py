@@ -77,6 +77,16 @@ class TestConfigResolution:
         with pytest.raises(cli.ConfigError, match="physics.Omega"):
             cli.resolve_config({"experiment": "qfi_curve", "physics": {"Omega": 0}})
 
+    @pytest.mark.parametrize("key", ["Omega", "k", "xi", "eta_target"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_physics_exits_2(self, tmp_path, capsys, key, value):
+        # Python's json reads NaN and Infinity; each used to pass validation
+        # and fail later, in validate itself for a NaN eta_target
+        path = tmp_path / "config.json"
+        path.write_text(f'{{"experiment": "qfi_curve", "physics": {{"{key}": {value}}}}}')
+        assert cli.main(["validate", str(path)]) == 2
+        assert f"physics.{key}" in json.loads(capsys.readouterr().err)["message"]
+
 
 class TestValidateCommand:
     def test_reports_ramp_duration(self, tmp_path, capsys):
@@ -84,8 +94,8 @@ class TestValidateCommand:
         assert cli.main(["validate", str(path)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["kt_end"] == pytest.approx(31.44, abs=0.01)
-        assert report["n_max"] == 121
-        assert report["peak_dimension"] == 244
+        assert report["n_max"] == 122  # 121 rounded up to even
+        assert report["peak_dimension"] == 246
         assert report["estimated_runtime_s"] > 0
 
     @pytest.mark.parametrize("numerics, n_max", [({}, 32), ({"n_max": 64}, 64)])
@@ -122,16 +132,16 @@ class TestValidateCommand:
     def test_fidelity_sweep_estimate_calibration(self):
         resolved = cli.resolve_config({"experiment": "fidelity_sweep"})
         # the default config's pass takes 2.3 s at the reference core speed
-        estimate = cli._estimate_runtime(resolved, 121)
+        estimate = cli._estimate_runtime(resolved, 122)
         assert 2.3 / 2 < estimate < 2.3 * 2
         # RHS evaluations grow like the spectral radius, ~sqrt(n_max + 1)
-        doubled = cli._estimate_runtime(resolved, 2 * 122 - 1)
+        doubled = cli._estimate_runtime(resolved, 2 * 123 - 1)
         assert doubled / estimate == pytest.approx(np.sqrt(2.0), rel=1e-12, abs=0.0)
 
     def test_cramer_rao_estimate_calibration(self):
         def estimate(numerics):
             resolved = cli.resolve_config({"experiment": "cramer_rao", "numerics": numerics})
-            return cli._estimate_runtime(resolved, 121)
+            return cli._estimate_runtime(resolved, None)
 
         # measured wall times: the default 500 replicas x 10,000 shots takes
         # 0.24-0.32 s; at 100 shots the per-replica set-up dominates (0.094 s)
@@ -144,7 +154,7 @@ class TestValidateCommand:
             resolved = cli.resolve_config(
                 {"experiment": "cramer_rao", "numerics": {"scheme": scheme}}
             )
-            return cli._estimate_runtime(resolved, 121)
+            return cli._estimate_runtime(resolved, None)
 
         # measured: the default 500 x 10,000 takes 0.13-0.15 s for a quadrature
         for scheme in ("x_squared", "p_squared"):

@@ -45,7 +45,7 @@ class TestHilbertSpec:
 
     def test_adaptive_n_max_clamps(self):
         assert adaptive_n_max(0.0) == 32
-        assert adaptive_n_max(0.995) == 121
+        assert adaptive_n_max(0.995) == 122  # the support, 121, rounded up to even
         # deep critical values hit the upper clamp
         assert adaptive_n_max(1 - 1e-7) == 512
 
@@ -237,6 +237,17 @@ class TestEigenstate:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
             dark = eigenstate(spec, 1.0, eta, 0, "dark")
+        h = build_hamiltonian(spec, 1.0, eta)
+        assert np.linalg.norm(h.matrix @ dark.amplitudes) <= 1e-14
+
+    @pytest.mark.parametrize("eta", [0.995, 0.999])
+    def test_dark_state_annihilated_at_the_adaptive_cutoff(self, eta):
+        # the support 121 (269) is odd; the adaptive cutoff rounds it up to
+        # 122 (270), where nothing cut away couples back below the cutoff
+        n_max = adaptive_n_max(eta)
+        assert n_max % 2 == 0
+        spec = HilbertSpec(n_max=n_max)
+        dark = eigenstate(spec, 1.0, eta, 0, "dark")
         h = build_hamiltonian(spec, 1.0, eta)
         assert np.linalg.norm(h.matrix @ dark.amplitudes) <= 1e-14
 

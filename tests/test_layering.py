@@ -1,6 +1,7 @@
 """Layer boundaries read from the source: the closed-form layer loads
-without the rest of the package, and estimation reaches the Fock-space
-layer only through its public names."""
+without the rest of the package, estimation reaches the Fock-space layer
+only through its public names, and scipy's private modules are reached only
+by the ramp integrator, through two known modules."""
 
 from __future__ import annotations
 
@@ -44,3 +45,52 @@ def test_metrology_uses_no_private_fockspace_name():
                 assert not node.attr.startswith("_"), ast.unparse(node)
         elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("fockspace"):
             assert not any(a.name.startswith("_") for a in node.names), ast.unparse(node)
+
+
+def _is_private(dotted: str) -> bool:
+    return any(part.startswith("_") for part in dotted.split("."))
+
+
+def _private_scipy_modules(tree: ast.Module) -> set[str]:
+    """Every private scipy module a source file imports, or reaches as an
+    attribute of an imported scipy name (``sp._sparsetools``)."""
+    found, aliases = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                found.add(a.name)
+                # "import scipy.sparse" binds scipy; "import scipy.sparse as sp" binds sp
+                bound = a.name if a.asname else a.name.split(".")[0]
+                aliases[a.asname or bound] = bound
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            for a in node.names:
+                # the imported name may itself be a module
+                dotted = f"{node.module}.{a.name}" if a.name.startswith("_") else node.module
+                aliases[a.asname or a.name] = f"{node.module}.{a.name}"
+                found.add(dotted)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            chain, value = [], node
+            while isinstance(value, ast.Attribute):
+                chain.append(value.attr)
+                value = value.value
+            if isinstance(value, ast.Name) and value.id in aliases:
+                parts = aliases[value.id].split(".")
+                for attr in reversed(chain):  # stop at the first private part
+                    parts.append(attr)
+                    if attr.startswith("_"):
+                        found.add(".".join(parts))
+                        break
+    return {name for name in found if name.split(".")[0] == "scipy" and _is_private(name)}
+
+
+def test_private_scipy_modules_only_in_dynamics():
+    # the in-place DOP853 stepper and its direct CSR product are the only
+    # users of scipy internals, which any scipy release may move
+    allowed = {"scipy.integrate._ivp.rk", "scipy.sparse._sparsetools"}
+    for path in sorted(SRC.glob("*.py")):
+        private = _private_scipy_modules(ast.parse(path.read_text()))
+        if path.stem == "dynamics":
+            assert private <= allowed, sorted(private - allowed)
+        else:
+            assert not private, (path.name, sorted(private))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from conftest import (
@@ -67,7 +69,7 @@ class TestInvertedVariance:
         state = fock_probe(0.0)
         scheme = MeasurementScheme(kind="photon_number", shots=1)
         with pytest.raises(ValueError):
-            inverted_variance_numeric(state, scheme, 1e-3, d_eta=1e-4)
+            inverted_variance_numeric(state, scheme, 1e-3)
 
     @pytest.mark.parametrize("eta", [0.3, 0.5, 0.8, 0.9])
     @pytest.mark.parametrize("kind", ["photon_number", "x_squared", "p_squared"])
@@ -397,21 +399,49 @@ class TestScalingExperiment:
     def test_paper_ramp_points_follow_the_schedule(self):
         sched = ramp.RampSchedule(k=0.5, xi=4.0 / 3.0, eta_target=0.995)
         kts = np.logspace(2, 4, 8)
-        eps, points = metrology.paper_ramp_points(sched, kts)
+        points = metrology.paper_ramp_points(sched, kts)
         for i, kt in enumerate(kts):
             t = kt / sched.k
-            assert eps[i] == pytest.approx(ramp.epsilon_at(sched, t), rel=1e-14, abs=0.0)
+            assert points.epsilon[i] == pytest.approx(ramp.epsilon_at(sched, t), rel=1e-14, abs=0.0)
             assert points.eta[i] == pytest.approx(ramp.eta_at(sched, t), rel=1e-14, abs=0.0)
-        # epsilon re-derived from the rounded eta is 2.8e-11 off at kt = 1e4
-        assert points.epsilon == pytest.approx(eps, rel=1e-10, abs=0.0)
+
+    def test_default_scaling_points_against_decimal_reference(self):
+        # each closed form from epsilon = 1/(w + 1) and eta^2 = w/(w + 1)
+        # with w = kt^xi, against 60 digits from the same float kt and xi;
+        # through the rounded eta, qfi was 5.6e-11 off at kt = 1e4
+        resolved = cli.resolve_config({"experiment": "scaling"})
+        sched = experiments._schedule(resolved)
+        kts = np.logspace(
+            np.log10(experiments.SCALING_KT_RANGE[0]),
+            np.log10(experiments.SCALING_KT_RANGE[1]),
+            experiments.SCALING_KT_POINTS,
+        )
+        points = metrology.paper_ramp_points(sched, kts)
+        _, rows, _ = experiments.scaling(resolved)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for i, kt in enumerate(kts):
+                w = Decimal(kt) ** Decimal(sched.xi)
+                eps = 1 / (w + 1)
+                eta2 = w / (w + 1)
+                u = eps.sqrt()
+                expected = {
+                    "epsilon": eps,
+                    "qfi": eta2 / (2 * eps * eps),
+                    "mean_n": eta2 * eta2 / (4 * u * (1 + u) ** 2),
+                }
+                for name, value in expected.items():
+                    got = getattr(points, name)[i]
+                    assert got == pytest.approx(float(value), rel=1e-13, abs=0.0), (name, kt)
+                assert rows[i][2:5] == [points.epsilon[i], points.qfi[i], points.mean_n[i]]
 
     def test_onset_schedule_follows_its_own_clock(self, monkeypatch):
         sched = ramp.RampSchedule(k=0.5, onset=1.0)
         kts = np.logspace(2, 4)
-        eps, points = metrology.paper_ramp_points(sched, kts)
+        points = metrology.paper_ramp_points(sched, kts)
         for i, kt in enumerate(kts):
             t = kt / sched.k
-            assert eps[i] == pytest.approx(ramp.epsilon_at(sched, t), rel=1e-14, abs=0.0)
+            assert points.epsilon[i] == pytest.approx(ramp.epsilon_at(sched, t), rel=1e-14, abs=0.0)
             assert points.eta[i] == pytest.approx(ramp.eta_at(sched, t), rel=1e-14, abs=0.0)
         # kt >= 100 >> tau: the clock kt - tau keeps the paper's exponents
         fits = {f.quantity: f for f in scaling_experiment(sched, kts)}

@@ -58,11 +58,11 @@ class TestSchedule:
         assert values[-1] < 1.0
 
     def test_frozen_schedule(self):
-        s = RampSchedule(k=0.0)
-        assert eta_at(s, 123.0) == 0.0
-        assert eta_dot_at(s, 123.0) == 0.0
-        with pytest.raises(ValueError):
-            _ = s.duration
+        # k = 0 would hold eta at 0 forever and never reach the target:
+        # every schedule ramps, and a zero, infinite or NaN rate is rejected
+        for k in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="ramp rate k"):
+                RampSchedule(k=k)
 
 
 class TestEpsilon:
