@@ -17,6 +17,9 @@ rejected at every level):
 
 Internally Omega = 1 sets the units: rates are in units of Omega and times
 in 1/Omega.  A different Omega only rescales the time columns.
+``numerics.n_max`` is the Fock cutoff of the experiments that build a Fock
+space (moments_check); fidelity_sweep integrates in the adiabatic frame
+and accepts but does not read it.
 
 Emitted files are self-describing: the header block carries the artifact
 version, the basis convention and the full resolved config, so a run can be
@@ -259,35 +262,31 @@ _CRAMER_RAO_COST = {
 def _largest_space(resolved: dict) -> HilbertSpec | None:
     """The largest truncated space the experiment builds; None if it builds none.
 
-    fidelity_sweep builds qubit x field at the eta_target cutoff and
-    moments_check field-only spaces at each of its etas; the other
-    experiments are closed forms or sample closed-form laws.
+    moments_check builds field-only spaces at each of its etas; the other
+    experiments are closed forms, sample closed-form laws, or integrate
+    fidelity_sweep's ramp in the adiabatic frame, which needs no Fock space.
     """
-    experiment = resolved["experiment"]
-    if experiment == "fidelity_sweep":
-        n_max = experiments._resolve_n_max(resolved, resolved["physics"]["eta_target"])
-        return HilbertSpec(n_max=n_max, with_qubit=True)
-    if experiment == "moments_check":
+    if resolved["experiment"] == "moments_check":
         n_max = max(experiments._resolve_n_max(resolved, eta) for eta in experiments.MOMENTS_ETAS)
         return HilbertSpec(n_max=n_max, with_qubit=False)
     return None
 
 
-def _estimate_runtime(resolved: dict, n_max: int | None) -> float | None:
+def _estimate_runtime(resolved: dict) -> float | None:
     """Crude wall-time estimate in seconds (order of magnitude), or None for
     the experiments without a cost model.
 
-    fidelity_sweep: DOP853 runs at its stability limit, so its RHS
-    evaluation count grows like Omega * t_end times the largest eigenvalue
-    of H / Omega, which grows like sqrt(n_max + 1) with the matrix elements
-    of a and a^dag (11.05 at eta = 0, n_max 122).  The cost of one
-    evaluation is mostly fixed Python overhead at these dimensions, so the
-    estimate is c * Omega * t_end * sqrt(n_max + 1).  The default config
-    (Omega = 1, t_end = 6289, n_max 122) takes 269,081 evaluations, 3.86 per
-    unit of Omega t_end sqrt(n_max + 1) (267,785 and 3.86 at n_max 121).  At
-    n_max 121 one pass took 2.28 s at perfbench's reference core speed
-    (median of 10 runs), 8.5 us per evaluation with the integrator's step
-    overhead and the per-record diagnostics included: c = 3.86 * 8.5e-6.
+    fidelity_sweep: DOP853 in the adiabatic frame takes steps in proportion
+    to the phase the doublets wind, Omega * int (1 - eta^2)^{3/4} dt, which
+    on the xi = 4/3 schedule grows like (Omega / k) ln(1 + kt_end), plus a
+    fixed start-up cost.  Fitted RHS evaluation counts: 2,600 + 24 (Omega / k)
+    ln(1 + kt_end), within 10% of the measured 19,757 (default config),
+    11,693 (k = Omega/100), 35,477 (k = Omega/400) and 25,517
+    (eta_target 0.999), and 30% above the 2,567 of the k = 0.05 ramp to
+    eta 0.9; the cusp-free onset clock (tau = 2) takes 10,817, half the
+    estimate.  The default config's pass took 0.36 s at perfbench's
+    reference core speed (median of 25 passes), 18 us per evaluation with
+    the records included.
 
     cramer_rao: three replica fans of ``shots``, ``shots // 10`` and
     ``shots // 100`` draws, so 3 * replicas experiments and about
@@ -309,7 +308,7 @@ def _estimate_runtime(resolved: dict, n_max: int | None) -> float | None:
     if experiment == "fidelity_sweep":
         sched = experiments._schedule(resolved)
         omega = resolved["physics"]["Omega"]
-        return 3.3e-5 * omega * sched.duration * (n_max + 1) ** 0.5
+        return 18e-6 * (2600.0 + 24.0 * omega / sched.k * math.log1p(sched.kt_end))
     if experiment == "cramer_rao":
         num = resolved["numerics"]
         per_experiment, per_draw = _CRAMER_RAO_COST[num["scheme"]]
@@ -335,7 +334,7 @@ def validate(resolved: dict) -> int:
     if space is not None:
         report["n_max"] = space.n_max
         report["peak_dimension"] = space.dim
-    estimate = _estimate_runtime(resolved, space.n_max if space else None)
+    estimate = _estimate_runtime(resolved)
     if estimate is not None:
         report["estimated_runtime_s"] = estimate
     print(json.dumps(report, sort_keys=True, indent=1))

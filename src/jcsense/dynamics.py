@@ -1,72 +1,82 @@
-"""Schrodinger integration of the driven qubit-photon system along a ramp.
+"""Schrodinger integration of the driven qubit-photon system along a ramp, in
+its adiabatic frame.
 
 A trajectory is the schedule's ramp from the dark state |0>|g> at t = 0 to
-the schedule's duration, on one Fock cutoff, with 201 uniform records of
-the field moments and the fidelity |<dark(eta)|psi>|^2, which reads the
-dark state's exact amplitudes on the trajectory's own levels.
+the schedule's duration, with 201 uniform records of the dark-state
+fidelity, the norm defect and the field moments.
 
-The time dependence enters only through the drive amplitude, so the
-Hamiltonian is assembled once as H(t) = H_jc + eta(t) * H_drive.  Both
-parts, times -i, are stacked into one (2 dim, dim) CSR operator, and each
-right-hand-side evaluation is one direct call of scipy's ``csr_matvec``
-kernel on its arrays: the same kernel ``stacked @ y`` reaches, without the
-Python dispatch in front of it, so the trajectory is bit-identical.  The
-product goes into one preallocated buffer, zeroed before each call, but
-every evaluation returns a new array, because the integrator keeps the
-returned derivative as the next step's first stage; a reused output buffer
-would be overwritten under it.  The right-hand side must not keep its ``y``
-argument either: the stepper passes one stage buffer that the next stage
-overwrites.
+The state is written over the closed-form instantaneous eigenstates of
+:func:`fockspace.eigenstate`, Psi = sum_j c_j |j(eta)>, with j the dark
+state and the doublets n+/- for n <= ``N_DOUBLETS``:
 
-The integrator is the adaptive Runge-Kutta pair of orders 8, 5 and 3
-(DOP853, Hairer, Norsett & Wanner, *Solving ODEs I*, Sec. II), stepped by
-:class:`_InPlaceDOP853`, which owns each step: the stage sums and the error
-estimate are formed in preallocated buffers and the step-size control runs
-on Python floats, from the same IEEE operations on the same operands as
-scipy's, so steps, evaluation count and trajectory are bit-identical to
-``method="DOP853"``.  Norm conservation is tracked as a per-record
-diagnostic rather than enforced.
+    |n+/-> = S(r) D(alpha) (|n-1>|Phi_1> +/- |n>|Phi_0>) / sqrt2,
+    alpha = -/+ sqrt(n) eta,   E_n+/- = +/- sqrt(n) Omega (1 - eta^2)^{3/4}.
+
+The amplitudes obey i dc_k/dt = E_k c_k - i eta' sum_j D_kj c_j, with
+D_kj = <k|d_eta j> = <k|H_d|j> / (E_j - E_k) and H_d = dH/d eta =
+(Omega/2)(a + a^dag).  D is real and antisymmetric, so the generator is
+Hermitian.  Every matrix element is a closed form, from
+S^dag (a + a^dag) S = e^{-r}(a + a^dag) (likewise S^dag X S = e^{-r} X and
+S^dag P S = e^{r} P), D(-alpha_k) O(a, a^dag) D(alpha_j) =
+D(alpha_j - alpha_k) O(a + alpha_j, a^dag + alpha_j) for real alphas,
+<Phi_0|Phi_1> = -eta, and the displaced-number overlaps
+
+    <m|D(beta)|p> = e^{-beta^2/2} sqrt(m! p!)
+                    sum_i (-1)^{p-i} beta^{m+p-2i} / (i! (m-i)! (p-i)!)
+
+(a Laguerre polynomial; Cahill & Glauber, Phys. Rev. 177, 1857 (1969)).
+With beta = (a_j - a_k) eta, each element is e^{-beta^2/2} times a power of
+u = sqrt(1 - eta^2) times a polynomial in eta.  The polynomials'
+coefficients do not depend on eta: they are tabulated once per process, on
+the first trajectory, and nothing else is kept between trajectories.
+
+One right-hand-side evaluation is a few array operations and one
+(2 N_DOUBLETS + 1)-square product, stepped by scipy's DOP853.  The records
+are read after the solve, all at once: F = |c_dark|^2, the norm defect
+|1 - ||c||^2|, and <X^2>, <P^2>, <N> = <X^2> + <P^2> - 1/2 and Var N from
+the tabulated elements.  No Fock space is built.
+
+The frame's own cutoff is the doublet count: after the solve the peak
+population of the top pair (n = N_DOUBLETS) is compared with
+``TOP_PAIR_TOL`` and a :class:`TruncationWarning` names it when above.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
+from math import factorial, sqrt
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.integrate import DOP853, solve_ivp
-from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
-from scipy.sparse._sparsetools import csr_matvec
+from scipy.integrate import solve_ivp
 
 from . import fockspace, ramp
-from .fockspace import HilbertSpec, StateVector, TruncationWarning
+from .fockspace import StateVector, TruncationWarning
 
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-11
 DEFAULT_RECORDS = 200
 
-# field tail mass above which a trajectory is flagged as truncation-limited
-EVOLVE_TAIL_TOL = 1e-8
+# doublet pairs n = 1..N_DOUBLETS kept in the frame, and the population of
+# the top pair above which a trajectory is flagged as truncation-limited
+N_DOUBLETS = 10
+TOP_PAIR_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class EvolutionConfig:
     """Inputs for one ramp trajectory: the schedule's ramp from t = 0 to its
-    duration, on one Fock cutoff, recorded at 201 uniform times."""
+    duration, recorded at 201 uniform times."""
 
     omega: float
     schedule: ramp.RampSchedule
-    spec: HilbertSpec
     rtol: float = DEFAULT_RTOL
     atol: float = DEFAULT_ATOL
 
     def __post_init__(self):
         if self.rtol <= 0 or self.atol <= 0:
             raise ValueError("rtol and atol must be > 0")
-        if not self.spec.with_qubit:
-            raise ValueError("trajectories live on the composite space")
         if self.omega <= 0:
             raise ValueError(f"omega must be > 0, got {self.omega}")
 
@@ -83,193 +93,219 @@ class TrajectoryRecord:
     mean_x2: float
     mean_p2: float
     norm_defect: float
-
-
-class _InPlaceDOP853(DOP853):
-    """scipy's DOP853 whose steps, error estimate and step control are its own.
-
-    Initial step and dense output are inherited; everything a step does is
-    scipy's, operation for operation, so steps, evaluation count and
-    trajectory are bit-identical to ``method="DOP853"``.
-
-    - Stages: each is scipy's ``np.dot(K[:s].T, a[:s]) * h`` then ``y + dy``,
-      written into one buffer, with the tableau rows cast to complex once
-      (``np.dot`` would cast them on every call).  Taking the stage sums
-      through a real view of K instead would change the rounding, and with
-      it the steps.  The right-hand side is the ``fun`` solve_ivp passed in,
-      called without the solver's wrapper frames; ``nfev`` grows by
-      ``n_stages`` per attempt.
-    - Error estimate: scipy's ``scale`` line and ``_estimate_error_norm``
-      in preallocated buffers, with E5 and E3 cast to complex once.  Each
-      squared norm is ``np.linalg.norm``'s complex branch,
-      sqrt(re.re + im.im), squared afterwards as scipy does: dropping the
-      sqrt-then-square changes the last bit, and with it the steps.
-    - Step control: scipy's, on Python floats.
-    """
-
-    def __init__(self, fun, *args, **kwargs):
-        super().__init__(fun, *args, **kwargs)
-        dtype = self.y.dtype
-        self._rhs = fun
-        self._columns = self.K.T  # the stages as columns
-        # per stage s: the earlier stages as columns, the row a[:s], the node
-        self._stages = [
-            (self.K[:s].T, a[:s].astype(dtype), float(c))
-            for s, (a, c) in enumerate(zip(self.A[1:], self.C[1:]), start=1)
-        ]
-        self._b = self.B.astype(dtype)
-        self._e5, self._e3 = self.E5.astype(dtype), self.E3.astype(dtype)
-        self._dy = np.empty(self.n, dtype=dtype)
-        self._err = np.empty(self.n, dtype=dtype)
-        self._scale = np.empty(self.n)
-        self._abs_new = np.empty(self.n)
-
-    def _rk_step(self, t, y, h):
-        # scipy's rk_step
-        K, dy, fun = self.K, self._dy, self._rhs
-        K[0] = self.f
-        for s, (k_prev, a, c) in enumerate(self._stages, start=1):
-            np.dot(k_prev, a, out=dy)
-            np.multiply(dy, h, out=dy)
-            np.add(dy, y, out=dy)
-            K[s] = fun(t + c * h, dy)
-        y_new = np.dot(K[:-1].T, self._b)
-        np.multiply(y_new, h, out=y_new)
-        np.add(y_new, y, out=y_new)
-        f_new = fun(t + h, y_new)
-        K[-1] = f_new
-        self.nfev += self.n_stages
-        return y_new, f_new
-
-    def _error_norm(self, y, y_new, h):
-        # scipy's atol + maximum(|y|, |y_new|) * rtol, then
-        # DOP853._estimate_error_norm(K, h, scale)
-        scale, err = self._scale, self._err
-        np.abs(y, out=scale)
-        np.abs(y_new, out=self._abs_new)
-        np.maximum(scale, self._abs_new, out=scale)
-        np.multiply(scale, self.rtol, out=scale)
-        np.add(scale, self.atol, out=scale)
-        norms_2 = []
-        for e in (self._e5, self._e3):
-            np.dot(self._columns, e, out=err)
-            np.divide(err, scale, out=err)
-            re, im = err.real, err.imag
-            norms_2.append(math.sqrt(re.dot(re) + im.dot(im)) ** 2)
-        err5_norm_2, err3_norm_2 = norms_2
-        if err5_norm_2 == 0 and err3_norm_2 == 0:
-            return 0.0
-        denom = err5_norm_2 + 0.01 * err3_norm_2
-        return abs(h) * err5_norm_2 / math.sqrt(denom * self.n)
-
-    def _step_impl(self):
-        # scipy's RungeKutta._step_impl
-        t = float(self.t)
-        y = self.y
-        direction = float(self.direction)
-        t_bound = float(self.t_bound)
-
-        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        if self.h_abs > self.max_step:
-            h_abs = float(self.max_step)
-        elif self.h_abs < min_step:
-            h_abs = min_step
-        else:
-            h_abs = float(self.h_abs)
-
-        step_accepted = False
-        step_rejected = False
-        while not step_accepted:
-            if h_abs < min_step:
-                return False, self.TOO_SMALL_STEP
-
-            h = h_abs * direction
-            t_new = t + h
-            if direction * (t_new - t_bound) > 0:
-                t_new = t_bound
-            h = t_new - t
-            h_abs = abs(h)
-
-            y_new, f_new = self._rk_step(t, y, h)
-            error_norm = self._error_norm(y, y_new, h)
-
-            if error_norm < 1:
-                if error_norm == 0:
-                    factor = MAX_FACTOR
-                else:
-                    factor = min(MAX_FACTOR, SAFETY * error_norm**self.error_exponent)
-                if step_rejected:
-                    factor = min(1, factor)
-                h_abs *= factor
-                step_accepted = True
-            else:
-                h_abs *= max(MIN_FACTOR, SAFETY * error_norm**self.error_exponent)
-                step_rejected = True
-
-        self.h_previous = h
-        self.y_old = y
-        self.t = t_new
-        self.y = y_new
-        self.h_abs = h_abs
-        self.f = f_new
-        return True, None
+    top_pair_population: float
 
 
 def fidelity_against_dark(state: StateVector, omega: float, eta: float) -> float:
-    """Overlap |<psi_dark(eta)|Psi>|^2 with the instantaneous dark state,
-    exact at any cutoff: :func:`fockspace.dark_amplitudes` on the state's
-    own levels.  The dark state does not depend on omega."""
+    """Overlap |<psi_dark(eta)|Psi>|^2 of a Fock-space state with the
+    instantaneous dark state, exact at any cutoff:
+    :func:`fockspace.dark_amplitudes` on the state's own levels.  The dark
+    state does not depend on omega.  (In the adiabatic frame the fidelity is
+    |c_dark|^2.)"""
     dark = fockspace.dark_amplitudes(state.spec, eta)
     return float(abs(np.vdot(dark, state.amplitudes)) ** 2)
 
 
+# ---------------------------------------------------------------------------
+# closed-form tables of the frame
+# ---------------------------------------------------------------------------
+
+
+def _basis(n_doublets: int):
+    """The frame's states, dark first, then n+ and n- for n = 1..n_doublets.
+
+    Returns the energies e_k in units of Omega u^{3/2}, the displacements
+    a_k (alpha_k = a_k eta), and each state's two terms c |m>|Phi_q> as
+    arrays (coefficient, level m, qubit q) of shape (states, 2); the dark
+    state's second term has coefficient 0.
+    """
+    energy, shift, terms = [0.0], [0.0], [((1.0, 0, 0), (0.0, 0, 0))]
+    for n in range(1, n_doublets + 1):
+        for sign in (1.0, -1.0):
+            energy.append(sign * sqrt(n))
+            shift.append(-sign * sqrt(n))
+            terms.append(((sqrt(0.5), n - 1, 1), (sign * sqrt(0.5), n, 0)))
+    coef, level, qubit = np.moveaxis(np.array(terms), 2, 0)
+    return np.array(energy), np.array(shift), coef, level.astype(int), qubit.astype(int)
+
+
+def _displacement_coefficients(rows: int, cols: int) -> np.ndarray:
+    """C[m, p, d] with <m|D(beta)|p> = e^{-beta^2/2} sum_d C[m, p, d] beta^d."""
+    c = np.zeros((rows, cols, rows + cols - 1))
+    for m in range(rows):
+        for p in range(cols):
+            for i in range(min(m, p) + 1):
+                c[m, p, m + p - 2 * i] = (-1) ** (p - i) * sqrt(factorial(m) * factorial(p)) / (
+                    factorial(i) * factorial(m - i) * factorial(p - i)
+                )
+    return c
+
+
+def _poly_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of two matrices whose entries are polynomials in eta, stored
+    as coefficient stacks (degree, rows, cols)."""
+    out = np.zeros((len(a) + len(b) - 1,) + a.shape[1:])
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai @ bj
+    return out
+
+
+def _displaced_operators(shift: float, x: np.ndarray, p2: np.ndarray) -> dict:
+    """D(alpha)^dag S^dag O S D(alpha) for O in (a + a^dag, X^2, P^2, N^2) at
+    alpha = shift * eta, as {power of u: polynomial matrix in eta}.  The
+    factor e^{-r} = u^{-1/2} of a + a^dag is left to the caller."""
+    one = np.eye(len(x))
+    xs = np.stack([x, shift * one])  # X + alpha
+    xs2, ps2 = _poly_matmul(xs, xs), p2[None]
+    # N = u^{-1} (X + alpha)^2 + u P^2 - 1/2, squared
+    cross = _poly_matmul(xs2, ps2) + _poly_matmul(ps2, xs2)
+    cross[0] += 0.25 * one
+    return {
+        "h_d": {0: 2.0 * xs},
+        "x2": {-1: xs2},
+        "p2": {1: ps2},
+        "n2": {-2: _poly_matmul(xs2, xs2), -1: -xs2, 0: cross, 1: -ps2, 2: _poly_matmul(ps2, ps2)},
+    }
+
+
+@dataclass(frozen=True)
+class _Frame:
+    """The eta-independent tables of a frame.
+
+    Element (k, j) of a tabulated operator is e^{gauss[kj] eta^2} times
+    sum over its terms (s, table) of u^s sum_d table[kj, d] eta^d, with kj
+    the flat index k * states + j.
+    """
+
+    energies: np.ndarray  # e_k, in units of Omega u^{3/2}
+    gauss: np.ndarray  # -(a_j - a_k)^2 / 2, by kj
+    coupling: np.ndarray  # D_kj (1 - eta^2) e^{-gauss eta^2}, by (kj, degree)
+    moments: dict  # "x2", "p2", "n2": tuple of (power s, table)
+
+
+def _elements(rows: list, op: np.ndarray, coef, level, qubit, j: int) -> np.ndarray:
+    """<k|O|j> for every k, as polynomials in eta (k, degree), without the
+    Gaussian and u factors.  ``rows[tau][k]`` holds <m|D(beta)|p> e^{beta^2/2}
+    at m = level[k, tau] over p, and ``op`` the polynomial matrix of O."""
+    size, _, width = rows[0].shape
+    out = np.zeros((size, width + len(op)))
+    for tau in range(2):
+        for c_j, m_j, q_j in zip(coef[j], level[j], qubit[j]):
+            if c_j == 0.0:
+                continue
+            # <m_k| D(beta) O |m_j>
+            prod = np.einsum("kpd,ep->kde", rows[tau], op[:, :, m_j])
+            poly = np.zeros((size, width + len(op) - 1))
+            for e in range(len(op)):
+                poly[:, e : e + width] += prod[:, :, e]
+            # <Phi_q|Phi_q'> is 1, or -eta between Phi_0 and Phi_1
+            weight = coef[:, tau] * c_j
+            same = qubit[:, tau] == q_j
+            out[:, :-1] += np.where(same, weight, 0.0)[:, None] * poly
+            out[:, 1:] -= np.where(same, 0.0, weight)[:, None] * poly
+    return out
+
+
+@lru_cache(maxsize=None)
+def _frame(n_doublets: int) -> _Frame:
+    """The tables of the frame with ``n_doublets`` pairs, built on first use."""
+    energy, shift, coef, level, qubit = _basis(n_doublets)
+    size = len(energy)
+    fock = n_doublets + 6  # X^4 raises |n_doublets> by 4, exactly inside
+    lad = np.diag(np.sqrt(np.arange(1.0, fock)), 1)
+    x = (lad + lad.T) / 2.0
+    p2 = -((lad.T - lad) @ (lad.T - lad)) / 4.0
+    overlap = _displacement_coefficients(n_doublets + 1, fock)
+    degrees = np.arange(overlap.shape[2])
+    tables = {}
+    for j in range(size):
+        # beta = (a_j - a_k) eta for every k
+        scale = (shift[j] - shift)[:, None, None] ** degrees
+        rows = [overlap[level[:, tau]] * scale for tau in range(2)]
+        for name, by_power in _displaced_operators(shift[j], x, p2).items():
+            for power, op in by_power.items():
+                table = tables.setdefault((name, power), np.zeros((size, size, overlap.shape[2] + len(op))))
+                table[:, j] = _elements(rows, op, coef, level, qubit, j)
+    gap = energy[None, :] - energy[:, None]
+    np.fill_diagonal(gap, np.inf)
+    # D = <k|H_d|j> / (Omega (e_j - e_k) u^{3/2}), <k|H_d|j> = (Omega/2) u^{-1/2} table
+    coupling = tables.pop(("h_d", 0)) / (2.0 * gap[:, :, None])
+    flat = size * size
+    return _Frame(
+        energies=_read_only(energy),
+        gauss=_read_only((-0.5 * (shift[None, :] - shift[:, None]) ** 2).reshape(flat)),
+        coupling=_trim(coupling.reshape(flat, -1)),
+        moments={
+            name: tuple((power, _trim(t.reshape(flat, -1))) for (n, power), t in tables.items() if n == name)
+            for name in ("x2", "p2", "n2")
+        },
+    )
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    # the tables are cached and shared by every trajectory
+    array.setflags(write=False)
+    return array
+
+
+def _trim(table: np.ndarray) -> np.ndarray:
+    """A copy of a coefficient table without its all-zero top degrees."""
+    return _read_only(np.array(table[:, : np.flatnonzero(table.any(axis=0))[-1] + 1]))
+
+
+# ---------------------------------------------------------------------------
+# the trajectory
+# ---------------------------------------------------------------------------
+
+
+def _moment(terms: tuple, pairs: np.ndarray, u: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """sum_kj Re(c_k^* c_j) O_kj at every record, from O's tabulated terms;
+    ``pairs`` holds Re(c_k^* c_j) e^{gauss eta^2} by (record, kj)."""
+    total = np.zeros(len(eta))
+    for power, table in terms:
+        poly = (pairs @ table) * eta[:, None] ** np.arange(table.shape[1])
+        total += u**power * poly.sum(axis=1)
+    return total
+
+
 def evolve(cfg: EvolutionConfig) -> list[TrajectoryRecord]:
-    """Integrate i d|Psi>/dt = H(t)|Psi> from the t = 0 dark state.
+    """Integrate the ramp from the t = 0 dark state in the adiabatic frame.
 
     The schedule starts at eta(0) = 0, where the dark state is exactly
-    |0>|g>, and the trajectory runs to the schedule's duration on the
-    cutoff of ``cfg.spec``.  Emits one record at each of 201 uniform times
-    with the instantaneous dark-state fidelity and field moments; the final
-    record sits at eta = eta_target.
+    |0>|g>, and the trajectory runs to the schedule's duration.  Emits one
+    record at each of 201 uniform times with the instantaneous dark-state
+    fidelity and field moments; the final record sits at eta = eta_target.
 
     Raises RuntimeError when the integrator fails (step-size underflow);
-    warns with :class:`TruncationWarning` when the field population in the
-    top 10% of Fock levels exceeds 1e-8 at any record; the message names the
-    worst tail mass and the record's t and kt.
+    warns with :class:`TruncationWarning` when the population of the top
+    doublet pair (n = ``N_DOUBLETS``) exceeds ``TOP_PAIR_TOL`` at any
+    record; the message names the worst population and the record's t and kt.
     """
-    spec = cfg.spec
-    dim = spec.dim
-    h_jc, h_drive = fockspace.jc_hamiltonian_parts(spec, cfg.omega)
-    # scaling by -1j only swaps and negates real and imaginary parts, so the
-    # stacked product gives -1j * (H_jc y + eta H_drive y) bit for bit
-    stacked = sp.vstack([-1j * h_jc.matrix, -1j * h_drive.matrix], format="csr")
-    indptr, indices, data = stacked.indptr, stacked.indices, stacked.data
-    sched = cfg.schedule
+    n_doublets = N_DOUBLETS
+    frame = _frame(n_doublets)
+    size = len(frame.energies)
+    sched, omega = cfg.schedule, cfg.omega
+    coupling, gauss, energies = frame.coupling, frame.gauss, frame.energies
+    degrees = np.arange(coupling.shape[1])
+    phase = -1j * energies
 
-    z = np.empty(2 * dim, dtype=complex)
-    z_jc, z_drive = z[:dim], z[dim:]
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        # csr_matvec accumulates into z, so z starts zeroed as in stacked @ y
-        z.fill(0)
-        csr_matvec(2 * dim, dim, indptr, indices, data, y, z)
-        # a fresh array each call; operand order does not change IEEE sums
-        out = np.multiply(z_drive, ramp.eta_at(sched, t))
-        np.add(out, z_jc, out=out)
+    def rhs(t: float, c: np.ndarray) -> np.ndarray:
+        eta = ramp.eta_at(sched, t)
+        eps = (1.0 - eta) * (1.0 + eta)
+        d = (coupling @ eta**degrees) * np.exp(gauss * (eta * eta))
+        # D is real: one real product on the (re, im) columns of c
+        out = (d.reshape(size, size) @ c.view(float).reshape(size, 2)).view(complex).reshape(size)
+        out *= -ramp.eta_dot_at(sched, t) / eps
+        out += (omega * eps**0.75) * (phase * c)
         return out
 
-    y0 = np.zeros(dim, dtype=complex)
-    y0[0] = 1.0  # |0>|g> in field-fast order
-
+    c0 = np.zeros(size, dtype=complex)
+    c0[0] = 1.0  # the dark state, |0>|g> at eta = 0
     times = np.linspace(0.0, sched.duration, DEFAULT_RECORDS + 1)
     sol = solve_ivp(
-        rhs,
-        (times[0], times[-1]),
-        y0,
-        method=_InPlaceDOP853,
-        rtol=cfg.rtol,
-        atol=cfg.atol,
-        t_eval=times,
+        rhs, (times[0], times[-1]), c0, method="DOP853",
+        rtol=cfg.rtol, atol=cfg.atol, t_eval=times,
     )
     if sol.status != 0:
         raise RuntimeError(
@@ -278,38 +314,41 @@ def evolve(cfg: EvolutionConfig) -> list[TrajectoryRecord]:
             f"{sol.message}"
         )
 
-    obs = fockspace.field_observables(spec)
-    num, x2, p2 = obs["photon_number"], obs["x_squared"], obs["p_squared"]
-    num2 = num @ num
-
-    records = []
-    worst_tail, worst_t = 0.0, 0.0
-    for i, t in enumerate(times):
-        psi = sol.y[:, i]
-        eta = ramp.eta_at(sched, t)
-        state = StateVector(spec, psi)
-        tail = state.tail_mass()
-        if tail > worst_tail:
-            worst_tail, worst_t = tail, float(t)
-        nn = float(np.real(np.vdot(psi, num @ psi)))
-        nn2 = float(np.real(np.vdot(psi, num2 @ psi)))
-        records.append(
-            TrajectoryRecord(
-                t=float(t),
-                eta=float(eta),
-                fidelity=fidelity_against_dark(state, cfg.omega, eta),
-                mean_n=nn,
-                var_n=nn2 - nn * nn,
-                mean_x2=float(np.real(np.vdot(psi, x2 @ psi))),
-                mean_p2=float(np.real(np.vdot(psi, p2 @ psi))),
-                norm_defect=float(abs(1.0 - np.vdot(psi, psi).real)),
-            )
+    c = sol.y.T  # (records, states)
+    eta = np.array([ramp.eta_at(sched, t) for t in times])
+    u = np.sqrt((1.0 - eta) * (1.0 + eta))
+    # Re(c_k^* c_j) e^{gauss eta^2}, by (record, kj)
+    re, im = c.real, c.imag
+    pairs = (re[:, :, None] * re[:, None, :]).reshape(len(times), -1)
+    pairs += (im[:, :, None] * im[:, None, :]).reshape(len(times), -1)
+    gaussian = np.multiply.outer(eta * eta, gauss)
+    pairs *= np.exp(gaussian, out=gaussian)
+    x2, p2, n2 = (_moment(frame.moments[name], pairs, u, eta) for name in ("x2", "p2", "n2"))
+    pop = np.abs(c) ** 2
+    norm = pop.sum(axis=1)
+    mean_n = x2 + p2 - 0.5 * norm
+    top = pop[:, -2:].sum(axis=1)
+    records = [
+        TrajectoryRecord(
+            t=float(times[i]),
+            eta=float(eta[i]),
+            fidelity=float(pop[i, 0]),
+            mean_n=float(mean_n[i]),
+            var_n=float(n2[i] - mean_n[i] * mean_n[i]),
+            mean_x2=float(x2[i]),
+            mean_p2=float(p2[i]),
+            norm_defect=float(abs(1.0 - norm[i])),
+            top_pair_population=float(top[i]),
         )
-    if worst_tail > EVOLVE_TAIL_TOL:
+        for i in range(len(times))
+    ]
+    worst = int(np.argmax(top))
+    if top[worst] > TOP_PAIR_TOL:
         warnings.warn(
-            f"field population reached the top Fock levels (tail mass "
-            f"{worst_tail:.2e} > {EVOLVE_TAIL_TOL} at t = {worst_t:.6g}, "
-            f"kt = {sched.k * worst_t:.6g}); results are truncation-limited",
+            f"population reached the top doublet pair n = {n_doublets} (the "
+            f"frame's tail mass {top[worst]:.2e} > {TOP_PAIR_TOL} at "
+            f"t = {times[worst]:.6g}, kt = {sched.k * times[worst]:.6g}); "
+            f"results are truncation-limited",
             TruncationWarning,
             stacklevel=2,
         )

@@ -70,14 +70,17 @@ def _resolve_n_max(resolved: dict, eta: float) -> int:
 
 
 def fidelity_sweep(resolved: dict) -> tuple[list[str], list[list[float]], dict]:
-    """Integrated trajectory with instantaneous dark-state fidelity."""
+    """Integrated trajectory with instantaneous dark-state fidelity.
+
+    The ramp runs in the adiabatic frame of :func:`dynamics.evolve`, which
+    builds no Fock space: ``numerics.n_max`` does not apply.  The extras
+    give the frame's doublet count and the peak population of its top pair.
+    """
     sched = _schedule(resolved)
     num = resolved["numerics"]
-    n_max = _resolve_n_max(resolved, sched.eta_target)
     cfg = dynamics.EvolutionConfig(
         omega=resolved["physics"]["Omega"],
         schedule=sched,
-        spec=fockspace.HilbertSpec(n_max=n_max, with_qubit=True),
         rtol=num["rtol"],
         atol=num["atol"],
     )
@@ -92,7 +95,8 @@ def fidelity_sweep(resolved: dict) -> tuple[list[str], list[list[float]], dict]:
         for r in records
     ]
     extras = {
-        "n_max": n_max,
+        "n_doublets": dynamics.N_DOUBLETS,
+        "top_pair_population": max(r.top_pair_population for r in records),
         "min_fidelity": min(r.fidelity for r in records),
         "final_fidelity": records[-1].fidelity,
     }

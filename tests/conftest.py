@@ -3,15 +3,20 @@
 The oracles here are deliberately independent of the package's construction
 path: dense matrix exponentials built from scratch, the closed-form Fock
 coefficients of the squeezed vacuum, quadrature densities expanded in
-Hermite functions, and outcome laws read off a truncated Fock-space probe.
+Hermite functions, outcome laws read off a truncated Fock-space probe, and
+the ramp integrated in the lab frame on a truncated Fock space.
 """
 
 from __future__ import annotations
 
+import warnings
+from dataclasses import dataclass
 from math import lgamma, log
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from jcsense import dynamics, fockspace, ramp
@@ -110,32 +115,90 @@ def fock_sample_outcomes(state: fockspace.StateVector, scheme, seed) -> np.ndarr
     return rng.normal(mean, sigma, scheme.shots) ** 2
 
 
+# the lab-frame oracle's Fock cutoff: twice the headline's adaptive n_max 122
+LAB_N_MAX = 244
+HEADLINE = ramp.RampSchedule(k=1.0 / 200.0, xi=4.0 / 3.0, eta_target=0.995)
+# the same ramp driven through the cusp-free onset clock
+ONSET = ramp.RampSchedule(k=1.0 / 200.0, xi=4.0 / 3.0, eta_target=0.995, onset=2.0)
+
+
+@dataclass
+class LabRun:
+    """A lab-frame trajectory: the record columns of ``dynamics.evolve`` as
+    arrays, and the Fock amplitudes at each record (dim, records)."""
+
+    spec: fockspace.HilbertSpec
+    t: np.ndarray
+    eta: np.ndarray
+    fidelity: np.ndarray
+    mean_n: np.ndarray
+    var_n: np.ndarray
+    mean_x2: np.ndarray
+    mean_p2: np.ndarray
+    amplitudes: np.ndarray
+
+
+def lab_trajectory(schedule: ramp.RampSchedule, n_max: int = LAB_N_MAX, omega: float = 1.0) -> LabRun:
+    """The ramp integrated in the lab frame, i dPsi/dt = (H_jc + eta H_drive) Psi
+    from |0>|g> on Fock levels 0..n_max: scipy's DOP853 on the stacked
+    product of -i H_jc and -i H_drive, at evolve's default tolerances and
+    201 record times."""
+    spec = fockspace.HilbertSpec(n_max=n_max, with_qubit=True)
+    h_jc, h_drive = fockspace.jc_hamiltonian_parts(spec, omega)
+    stacked = sp.vstack([-1j * h_jc.matrix, -1j * h_drive.matrix], format="csr")
+    dim = spec.dim
+
+    def rhs(t, y):
+        z = stacked @ y
+        return z[:dim] + ramp.eta_at(schedule, t) * z[dim:]
+
+    y0 = np.zeros(dim, dtype=complex)
+    y0[0] = 1.0
+    times = np.linspace(0.0, schedule.duration, dynamics.DEFAULT_RECORDS + 1)
+    sol = solve_ivp(
+        rhs, (0.0, times[-1]), y0, method="DOP853",
+        rtol=dynamics.DEFAULT_RTOL, atol=dynamics.DEFAULT_ATOL, t_eval=times,
+    )
+    assert sol.status == 0, sol.message
+    obs = fockspace.field_observables(spec)
+    num, x2, p2 = obs["photon_number"], obs["x_squared"], obs["p_squared"]
+    columns = []
+    for psi, t in zip(sol.y.T, times):
+        eta = ramp.eta_at(schedule, t)
+        mean_n = np.vdot(psi, num @ psi).real
+        columns.append((
+            t, eta,
+            dynamics.fidelity_against_dark(fockspace.StateVector(spec, psi), omega, eta),
+            mean_n,
+            np.vdot(num @ psi, num @ psi).real - mean_n * mean_n,
+            np.vdot(psi, x2 @ psi).real,
+            np.vdot(psi, p2 @ psi).real,
+        ))
+    return LabRun(spec, *map(np.array, zip(*columns)), amplitudes=sol.y)
+
+
+def frame_run(schedule: ramp.RampSchedule) -> list[dynamics.TrajectoryRecord]:
+    """``dynamics.evolve`` on the schedule; a warning fails the run."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return dynamics.evolve(dynamics.EvolutionConfig(omega=1.0, schedule=schedule))
+
+
 @pytest.fixture(scope="session")
 def headline_ramp_run():
-    """The headline trajectory: k = Omega/200, xi = 4/3, target eta = 0.995."""
-    sched = ramp.RampSchedule(k=1.0 / 200.0, xi=4.0 / 3.0, eta_target=0.995)
-    n_max = fockspace.adaptive_n_max(0.995)
-    cfg = dynamics.EvolutionConfig(
-        omega=1.0,
-        schedule=sched,
-        spec=fockspace.HilbertSpec(n_max=n_max, with_qubit=True),
-    )
-    # the jolt-excited doublets touch the tail window at ~1e-7 mass; the
-    # double-cutoff fixture below confirms the fidelity is converged anyway
-    with pytest.warns(fockspace.TruncationWarning):
-        records = dynamics.evolve(cfg)
-    return cfg, records
+    """The headline trajectory: k = Omega/200, xi = 4/3, target eta = 0.995.
+    The frame's top doublet pair stays below its tolerance, so no warning."""
+    cfg = dynamics.EvolutionConfig(omega=1.0, schedule=HEADLINE)
+    return cfg, frame_run(cfg.schedule)
 
 
 @pytest.fixture(scope="session")
-def headline_ramp_double_cutoff(headline_ramp_run):
-    """Same trajectory at twice the Fock cutoff, for convergence checks."""
-    cfg, _ = headline_ramp_run
-    cfg2 = dynamics.EvolutionConfig(
-        omega=cfg.omega,
-        schedule=cfg.schedule,
-        spec=fockspace.HilbertSpec(n_max=2 * cfg.spec.n_max, with_qubit=True),
-        rtol=cfg.rtol,
-        atol=cfg.atol,
-    )
-    return cfg2, dynamics.evolve(cfg2)
+def headline_lab_oracle():
+    """The headline trajectory in the lab frame at n_max 244."""
+    return lab_trajectory(HEADLINE)
+
+
+@pytest.fixture(scope="session")
+def onset_lab_oracle():
+    """The onset (tau = 2) trajectory in the lab frame at n_max 244."""
+    return lab_trajectory(ONSET)

@@ -1,11 +1,11 @@
 """Acceptance suite: one test per exit criterion, each printing a PASS/FAIL
 line with the measured numbers.  Run with ``pytest tests/test_acceptance.py -v -s``.
 
-The heavy trajectory of criterion 5 is shared with the dynamics tests
-through session fixtures.  Criteria 5 and 6 dominate the runtime: one
-headline ramp plus its doubled-cutoff rerun, and six ramps to eta = 0.99
-(three rates, with and without the onset), about a minute and a half
-together on a 2-vCPU machine.
+The trajectories of criterion 5 are shared with the dynamics tests through
+session fixtures: the headline ramp in the adiabatic frame and its
+lab-frame oracle at n_max 244, which dominates the runtime (about 15 s on a
+2-vCPU machine).  Criterion 6 runs six ramps to eta = 0.99 (three rates,
+with and without the onset) in the frame, a few seconds together.
 """
 
 from __future__ import annotations
@@ -103,25 +103,25 @@ def test_criterion_4_qfi_cross_check():
     )
 
 
-def test_criterion_5_fidelity_ramp(headline_ramp_run, headline_ramp_double_cutoff):
+def test_criterion_5_fidelity_ramp(headline_ramp_run, headline_lab_oracle):
+    # the drift is the frame's final fidelity against the lab-frame oracle
+    # on twice the headline's Fock cutoff
     cfg, records = headline_ramp_run
-    _, records2 = headline_ramp_double_cutoff
     min_fidelity = min(r.fidelity for r in records)
     kt_end = cfg.schedule.kt_end
-    drift = abs(records2[-1].fidelity - records[-1].fidelity)
+    drift = abs(headline_lab_oracle.fidelity[-1] - records[-1].fidelity)
     passed = min_fidelity >= 0.9996 and abs(kt_end - 31.4) < 0.1 and drift < 1e-6
     report(
         "criterion 5 (fidelity ramp, k = Omega/200)",
         passed,
         f"min fidelity = {min_fidelity:.6f} (floor 0.9996), kt_end = {kt_end:.2f}, "
-        f"|F(2 n_max) - F(n_max)| = {drift:.2e} (tol 1e-6)",
+        f"|F(lab, n_max 244) - F(frame)| = {drift:.2e} (tol 1e-6)",
     )
 
 
 def test_criterion_6_rate_scaling():
-    # leakage 1 - F at eta = 0.99 across three ramp rates, log-log slope;
-    # n_max above the adaptive value (86) so the result is cleanly converged
-    # (86 vs 128 moves the slope by 1e-4).  The k^2 law covers the
+    # leakage 1 - F at eta = 0.99 across three ramp rates, log-log slope,
+    # integrated in the adiabatic frame at tightened tolerances.  The k^2 law covers the
     # near-critical channel only, so it is checked on the same xi = 4/3
     # schedule driven through the cusp-free onset clock (tau = 2).  Ramps
     # started with the paper's t^(2/3) cusp leak mostly at start-up, which
@@ -129,20 +129,13 @@ def test_criterion_6_rate_scaling():
     # slope must be xi instead.
     eta_target = 0.99
     xi = 4.0 / 3.0
-    n_max = 128
     rates = (OMEGA / 400, OMEGA / 200, OMEGA / 100)
 
     def leakage_slope(onset):
         leakages = []
         for k in rates:
             sched = ramp.RampSchedule(k=k, xi=xi, eta_target=eta_target, onset=onset)
-            cfg = dynamics.EvolutionConfig(
-                omega=OMEGA,
-                schedule=sched,
-                spec=HilbertSpec(n_max=n_max),
-                rtol=1e-10,
-                atol=1e-12,
-            )
+            cfg = dynamics.EvolutionConfig(omega=OMEGA, schedule=sched, rtol=1e-10, atol=1e-12)
             leakages.append(1.0 - dynamics.evolve(cfg)[-1].fidelity)
         return leakages, float(np.polyfit(np.log(rates), np.log(leakages), 1)[0])
 

@@ -94,8 +94,8 @@ class TestValidateCommand:
         assert cli.main(["validate", str(path)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["kt_end"] == pytest.approx(31.44, abs=0.01)
-        assert report["n_max"] == 122  # 121 rounded up to even
-        assert report["peak_dimension"] == 246
+        # the ramp runs in the adiabatic frame: no Fock cutoff to report
+        assert "n_max" not in report and "peak_dimension" not in report
         assert report["estimated_runtime_s"] > 0
 
     @pytest.mark.parametrize("numerics, n_max", [({}, 32), ({"n_max": 64}, 64)])
@@ -130,18 +130,24 @@ class TestValidateCommand:
         assert "estimated_runtime_s" not in json.loads(capsys.readouterr().out)
 
     def test_fidelity_sweep_estimate_calibration(self):
-        resolved = cli.resolve_config({"experiment": "fidelity_sweep"})
-        # the default config's pass takes 2.3 s at the reference core speed
-        estimate = cli._estimate_runtime(resolved, 122)
-        assert 2.3 / 2 < estimate < 2.3 * 2
-        # RHS evaluations grow like the spectral radius, ~sqrt(n_max + 1)
-        doubled = cli._estimate_runtime(resolved, 2 * 123 - 1)
-        assert doubled / estimate == pytest.approx(np.sqrt(2.0), rel=1e-12, abs=0.0)
+        def estimate(physics, numerics=None):
+            return cli._estimate_runtime(cli.resolve_config(
+                {"experiment": "fidelity_sweep", "physics": physics, "numerics": numerics or {}}
+            ))
+
+        # the default config's pass takes 0.36 s at the reference core speed
+        assert 0.36 / 2 < estimate({}) < 0.36 * 2
+        # measured RHS evaluations at 18 us each: k = Omega/400 (35,477) and
+        # the benchmark's smoke ramp, k = 0.05 to eta 0.9 (2,567)
+        assert 0.64 / 2 < estimate({"k": 1 / 400}) < 0.64 * 2
+        assert 0.046 / 2 < estimate({"k": 0.05, "eta_target": 0.9}) < 0.046 * 2
+        # the frame builds no Fock space: the cutoff does not enter
+        assert estimate({}, {"n_max": 16}) == estimate({})
 
     def test_cramer_rao_estimate_calibration(self):
         def estimate(numerics):
             resolved = cli.resolve_config({"experiment": "cramer_rao", "numerics": numerics})
-            return cli._estimate_runtime(resolved, None)
+            return cli._estimate_runtime(resolved)
 
         # measured wall times: the default 500 replicas x 10,000 shots takes
         # 0.24-0.32 s; at 100 shots the per-replica set-up dominates (0.094 s)
@@ -154,7 +160,7 @@ class TestValidateCommand:
             resolved = cli.resolve_config(
                 {"experiment": "cramer_rao", "numerics": {"scheme": scheme}}
             )
-            return cli._estimate_runtime(resolved, None)
+            return cli._estimate_runtime(resolved)
 
         # measured: the default 500 x 10,000 takes 0.13-0.15 s for a quadrature
         for scheme in ("x_squared", "p_squared"):
@@ -356,21 +362,14 @@ class TestCramerRaoEtaRange:
 
 class TestStrictMode:
     def test_truncation_escalates_to_exit_3(self, tmp_path):
-        body = {
-            "experiment": "fidelity_sweep",
-            "physics": {"k": 0.1, "eta_target": 0.9},
-            "numerics": {"n_max": 6},
-        }
+        # the fast ramp populates the frame's top doublet pair
+        body = {"experiment": "fidelity_sweep", "physics": {"k": 0.1, "eta_target": 0.9}}
         path = write_config(tmp_path, body)
         out = tmp_path / "sweep.csv"
         assert cli.main(["run", str(path), "--strict", "--out", str(out)]) == 3
 
     def test_same_run_passes_without_strict(self, tmp_path, recwarn):
-        body = {
-            "experiment": "fidelity_sweep",
-            "physics": {"k": 0.1, "eta_target": 0.9},
-            "numerics": {"n_max": 6},
-        }
+        body = {"experiment": "fidelity_sweep", "physics": {"k": 0.1, "eta_target": 0.9}}
         path = write_config(tmp_path, body)
         out = tmp_path / "sweep.csv"
         assert cli.main(["run", str(path), "--out", str(out)]) == 0
@@ -386,11 +385,7 @@ class TestIntegratorFailure:
             ramp, "eta_at",
             lambda s, t: float("nan") if t > 0.5 * s.duration else eta_at(s, t),
         )
-        body = {
-            "experiment": "fidelity_sweep",
-            "physics": {"k": 0.1, "eta_target": 0.9},
-            "numerics": {"n_max": 16},
-        }
+        body = {"experiment": "fidelity_sweep", "physics": {"k": 0.1, "eta_target": 0.9}}
         return write_config(tmp_path, body), tmp_path / "sweep.csv"
 
     def test_nan_drive_exits_3(self, tmp_path, monkeypatch, capsys):
@@ -407,7 +402,7 @@ class TestIntegratorFailure:
         self, tmp_path, monkeypatch, capsys
     ):
         # under -W error::RuntimeWarning numpy's "invalid value" warning is
-        # raised inside the stepper's error estimate; it is a numerical
+        # raised inside DOP853's error estimate; it is a numerical
         # failure like the step-size underflow it would otherwise lead to
         path, out = self._nan_drive_config(tmp_path, monkeypatch)
         with warnings.catch_warnings():

@@ -5,9 +5,18 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import (
+    HEADLINE,
+    LAB_N_MAX,
+    ONSET,
+    dense_displace,
+    dense_ladder,
+    dense_squeeze,
+    frame_run,
+)
 from scipy.integrate import DOP853, solve_ivp
 
-from jcsense import dynamics, fockspace, ramp
+from jcsense import analytic, dynamics, fockspace, ramp
 from jcsense.dynamics import EvolutionConfig, evolve, fidelity_against_dark
 from jcsense.fockspace import HilbertSpec, StateVector, eigenstate
 
@@ -61,10 +70,11 @@ class TestFidelityAgainstDark:
 class TestEvolve:
     def test_short_ramp_structure(self):
         sched = ramp.RampSchedule(k=1.0 / 20.0, eta_target=0.5)
-        cfg = EvolutionConfig(omega=1.0, schedule=sched, spec=HilbertSpec(n_max=32))
+        cfg = EvolutionConfig(omega=1.0, schedule=sched)
         records = evolve(cfg)
         assert len(records) == 201
         assert records[0].t == 0.0
+        assert records[0].fidelity == 1.0 and records[0].mean_n == 0.0
         assert records[-1].eta == pytest.approx(0.5, abs=1e-12)
         for rec in records:
             assert 0.0 <= rec.fidelity <= 1.0 + 1e-12
@@ -73,13 +83,10 @@ class TestEvolve:
     def test_faster_ramp_loses_fidelity(self):
         def final_fidelity(k):
             sched = ramp.RampSchedule(k=k, eta_target=0.9)
-            cfg = EvolutionConfig(
-                omega=1.0, schedule=sched, spec=HilbertSpec(n_max=48)
-            )
-            return evolve(cfg)[-1].fidelity
+            return evolve(EvolutionConfig(omega=1.0, schedule=sched))[-1].fidelity
 
-        slow = final_fidelity(1.0 / 20.0)
-        # the fast ramp's excited doublets outgrow n_max = 48, and evolve says so
+        slow = final_fidelity(1.0 / 50.0)
+        # the fast ramp excites the frame's top doublet pair, and evolve says so
         with pytest.warns(fockspace.TruncationWarning):
             fast = final_fidelity(1.0 / 5.0)
         assert fast < slow
@@ -90,31 +97,30 @@ class TestEvolve:
         fids = []
         for scale in (1.0, 0.5):
             cfg = EvolutionConfig(
-                omega=1.0,
-                schedule=sched,
-                spec=HilbertSpec(n_max=48),
-                rtol=1e-9 * scale,
-                atol=1e-11 * scale,
+                omega=1.0, schedule=sched, rtol=1e-9 * scale, atol=1e-11 * scale
             )
             fids.append(evolve(cfg)[-1].fidelity)
         assert abs(fids[0] - fids[1]) < 1e-6
 
-    def test_truncation_warning_on_tiny_cutoff(self):
-        # the message says when the worst tail mass occurred; the benchmark
-        # reads the tail mass from it with the pattern "tail mass ([0-9.eE+-]+)"
+    def test_truncation_warning_on_tiny_cutoff(self, monkeypatch):
+        # two doublet pairs cannot hold a fast ramp; the message says when the
+        # top pair's population peaked, and the benchmark reads it with the
+        # pattern "tail mass ([0-9.eE+-]+)"
+        monkeypatch.setattr(dynamics, "N_DOUBLETS", 2)
         sched = ramp.RampSchedule(k=0.1, eta_target=0.9)
-        cfg = EvolutionConfig(omega=1.0, schedule=sched, spec=HilbertSpec(n_max=6))
         pattern = r"tail mass ([0-9.eE+-]+) > 1e-08 at t = ([0-9.eE+-]+), kt = ([0-9.eE+-]+)\)"
         with pytest.warns(fockspace.TruncationWarning, match=pattern) as caught:
-            records = evolve(cfg)
+            records = evolve(EvolutionConfig(omega=1.0, schedule=sched))
         (message,) = [str(w.message) for w in caught if re.search(pattern, str(w.message))]
-        tail, t, kt = (float(v) for v in re.search(pattern, message).groups())
-        assert tail > dynamics.EVOLVE_TAIL_TOL
+        assert "n = 2" in message
+        top, t, kt = (float(v) for v in re.search(pattern, message).groups())
+        assert top > dynamics.TOP_PAIR_TOL
+        assert top == pytest.approx(max(r.top_pair_population for r in records), rel=1e-2)
         assert min(abs(r.t - t) for r in records) <= 1e-5 * max(t, 1.0)  # printed to 6 digits
         assert kt == pytest.approx(sched.k * t, rel=1e-5, abs=0.0)
 
     def _capture_rhs(self, monkeypatch):
-        # a k = 0.05 ramp to eta 0.9 at n_max 48 raises no truncation warning
+        # a k = 0.05 ramp to eta 0.9
         calls = []
 
         def spy(fun, t_span, y0, **kwargs):
@@ -124,50 +130,30 @@ class TestEvolve:
 
         monkeypatch.setattr(dynamics, "solve_ivp", spy)
         sched = ramp.RampSchedule(k=0.05, eta_target=0.9)
-        spec = HilbertSpec(n_max=48)
-        records = evolve(EvolutionConfig(omega=1.0, schedule=sched, spec=spec))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", fockspace.TruncationWarning)
+            records = evolve(EvolutionConfig(omega=1.0, schedule=sched))
         (fun, sol), = calls
-        return fun, sol, records, sched, spec
+        return fun, sol, records, sched
 
     def test_rhs_contract(self, monkeypatch):
-        rhs, _, _, sched, spec = self._capture_rhs(monkeypatch)
-        h_jc, h_drive = fockspace.jc_hamiltonian_parts(spec, 1.0)
-        rng = np.random.default_rng(11)
-        y = rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)
+        # dc/dt = A c with A = -i diag(E) - eta' D, D real antisymmetric: the
+        # norm is conserved and the diagonal holds the doublet energies; each
+        # call returns a fresh array, which DOP853 keeps as a stage
+        rhs, _, _, sched = self._capture_rhs(monkeypatch)
         t = 0.37 * sched.duration
-        expected = -1j * (h_jc.matrix @ y + ramp.eta_at(sched, t) * (h_drive.matrix @ y))
-        first = rhs(t, y)
-        np.testing.assert_array_equal(first, expected)
-        # the integrator keeps each returned derivative as the next step's
-        # first stage, so a later call must not write into an earlier result
-        kept = first.copy()
-        second = rhs(2.0 * t, y)
-        assert not np.shares_memory(first, second)
-        np.testing.assert_array_equal(first, kept)
-
-    def test_rhs_output_stays_fresh_while_its_buffer_is_reused(self, monkeypatch):
-        # the RHS zeroes and refills one product buffer per call, but what it
-        # returns must be owned by the caller: the stepper keeps stages
-        # across calls and overwrites the y it passed in
-        rhs, _, _, sched, spec = self._capture_rhs(monkeypatch)
-        h_jc, h_drive = fockspace.jc_hamiltonian_parts(spec, 1.0)
-
-        def textbook(t, y):
-            return -1j * (h_jc.matrix @ y + ramp.eta_at(sched, t) * (h_drive.matrix @ y))
-
-        rng = np.random.default_rng(12)
-        y1, y2 = (rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim) for _ in range(2))
-        t1, t2 = 0.41 * sched.duration, 0.83 * sched.duration
-        expected1, expected2 = textbook(t1, y1), textbook(t2, y2)
-        first = rhs(t1, y1)
-        second = rhs(t2, y2)
-        assert not np.shares_memory(first, second)
-        np.testing.assert_array_equal(first, expected1)
-        np.testing.assert_array_equal(second, expected2)
-        y1[:] = 0.0
-        y2[:] = 0.0
-        np.testing.assert_array_equal(first, expected1)
-        np.testing.assert_array_equal(second, expected2)
+        size = 2 * dynamics.N_DOUBLETS + 1
+        columns = [rhs(t, np.eye(size, dtype=complex)[j]) for j in range(size)]
+        assert not np.shares_memory(columns[0], columns[1])
+        gen = np.array(columns).T
+        np.testing.assert_allclose(gen + gen.conj().T, 0.0, rtol=0.0, atol=1e-13 * np.abs(gen).max())
+        eta = ramp.eta_at(sched, t)
+        energies = [0.0] + [
+            analytic.eigenvalue(1.0, eta, n, branch)
+            for n in range(1, dynamics.N_DOUBLETS + 1) for branch in ("+", "-")
+        ]
+        np.testing.assert_allclose(np.diag(gen).imag, -np.array(energies), rtol=1e-14, atol=1e-15)
+        assert np.all(np.diag(gen).real == 0.0)
 
     def test_eta_at_called_once_per_rhs_and_record(self, monkeypatch):
         # the benchmark's counters wrap dynamics.solve_ivp and ramp.eta_at;
@@ -180,53 +166,9 @@ class TestEvolve:
             return eta_at(*args, **kwargs)
 
         monkeypatch.setattr(ramp, "eta_at", counting)
-        _, sol, records, _, _ = self._capture_rhs(monkeypatch)
+        _, sol, records, _ = self._capture_rhs(monkeypatch)
         assert sol.nfev > 0
         assert counts["eta_at"] == sol.nfev + len(records)
-
-    def test_fidelity_looked_up_on_the_module_once_per_record(self, monkeypatch):
-        # the benchmark's tracer wraps dynamics.fidelity_against_dark and
-        # counts one call per record
-        calls = []
-        fidelity = dynamics.fidelity_against_dark
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return fidelity(*args, **kwargs)
-
-        monkeypatch.setattr(dynamics, "fidelity_against_dark", counting)
-        sched = ramp.RampSchedule(k=1.0 / 20.0, eta_target=0.5)
-        records = evolve(EvolutionConfig(omega=1.0, schedule=sched, spec=HilbertSpec(n_max=32)))
-        assert len(calls) == len(records) == dynamics.DEFAULT_RECORDS + 1
-        assert [r.fidelity for r in records] == [fidelity(*args) for args in calls]
-
-    def test_rhs_matches_textbook_form_bit_for_bit(self, monkeypatch):
-        # the stacked -1j operator must reproduce -1j (H_jc y + eta H_drive y)
-        # and the in-place stepper scipy's DOP853 exactly, so every step,
-        # record and artifact stays the same
-        calls = []
-
-        def spy(fun, t_span, y0, **kwargs):
-            sol = solve_ivp(fun, t_span, y0, **kwargs)
-            calls.append((t_span, y0.copy(), kwargs, sol))
-            return sol
-
-        monkeypatch.setattr(dynamics, "solve_ivp", spy)
-        spec = HilbertSpec(n_max=48)  # n_max 24, 32 and 40 warn of truncation here
-        h_jc, h_drive = fockspace.jc_hamiltonian_parts(spec, 1.0)
-        m_jc, m_dr = h_jc.matrix, h_drive.matrix
-        sched = ramp.RampSchedule(k=0.05, eta_target=0.9)
-        evolve(EvolutionConfig(omega=1.0, schedule=sched, spec=spec))
-        (t_span, y0, kwargs, sol), = calls
-        assert issubclass(kwargs["method"], DOP853)
-
-        def textbook(t, y):
-            return -1j * (m_jc @ y + ramp.eta_at(sched, t) * (m_dr @ y))
-
-        ref = solve_ivp(textbook, t_span, y0, **dict(kwargs, method="DOP853"))
-        assert sol.nfev == ref.nfev
-        np.testing.assert_array_equal(sol.t, ref.t)
-        np.testing.assert_array_equal(sol.y, ref.y)
 
     def test_nan_drive_fails_loudly(self, monkeypatch):
         # a drive that turns NaN mid-ramp makes every step through it fail
@@ -246,7 +188,7 @@ class TestEvolve:
         monkeypatch.setattr(ramp, "eta_at", nan_after)
         monkeypatch.setattr(dynamics, "solve_ivp", spy)
         sched = ramp.RampSchedule(k=0.05, eta_target=0.9)
-        cfg = EvolutionConfig(omega=1.0, schedule=sched, spec=HilbertSpec(n_max=16))
+        cfg = EvolutionConfig(omega=1.0, schedule=sched)
         with pytest.raises(RuntimeError, match="time integration failed"):
             with pytest.warns(RuntimeWarning, match="invalid value"):
                 evolve(cfg)
@@ -259,13 +201,11 @@ class TestEvolve:
     def test_validation(self):
         sched = ramp.RampSchedule(k=0.1)
         with pytest.raises(ValueError):
-            EvolutionConfig(omega=1.0, schedule=sched, spec=HilbertSpec(n_max=8), rtol=0)
+            EvolutionConfig(omega=1.0, schedule=sched, rtol=0)
         with pytest.raises(ValueError):
-            EvolutionConfig(
-                omega=1.0, schedule=sched, spec=HilbertSpec(n_max=8, with_qubit=False)
-            )
+            EvolutionConfig(omega=1.0, schedule=sched, atol=-1e-12)
         with pytest.raises(ValueError):
-            EvolutionConfig(omega=0.0, schedule=sched, spec=HilbertSpec(n_max=8))
+            EvolutionConfig(omega=0.0, schedule=sched)
 
 
 class TestHeadlineTrajectory:
@@ -285,7 +225,6 @@ class TestHeadlineTrajectory:
         fast = EvolutionConfig(
             omega=cfg.omega,
             schedule=ramp.RampSchedule(k=10 * cfg.schedule.k, eta_target=0.995),
-            spec=cfg.spec,
         )
         with pytest.warns(fockspace.TruncationWarning):
             fast_records = evolve(fast)
@@ -296,8 +235,6 @@ class TestHeadlineTrajectory:
         # the coherent cross-terms left by the start-up jolt (doublet
         # amplitude ~0.013 against O(1) matrix elements): within 10% over the
         # critical window and 25% everywhere the photon number is appreciable
-        from jcsense import analytic
-
         _, records = headline_ramp_run
         for rec in records[1:]:
             if rec.eta > 0.99:
@@ -309,72 +246,176 @@ class TestHeadlineTrajectory:
                 assert abs(rec.mean_n - expected) <= 0.25 * expected
 
 
-class TestErrorNorm:
-    """The stepper's in-place error estimate against scipy's, compared with
-    ``==``: a last-bit difference would move the step sizes."""
+# ---------------------------------------------------------------------------
+# the frame's closed forms
+# ---------------------------------------------------------------------------
 
-    @staticmethod
-    def _solver(n):
-        def fun(t, y):
-            return np.zeros_like(y)
+DENSE_LEVELS = 400
+# the closed forms are checked on a frame of this many doublet pairs; the
+# production frame's leading block is checked against it
+CHECKED_DOUBLETS = 4
 
-        y0 = np.zeros(n, dtype=complex)
-        return dynamics._InPlaceDOP853(fun, 0.0, y0, 1.0, rtol=1e-9, atol=1e-11)
 
-    @staticmethod
-    def _scipy(solver, y, y_new, h):
-        scale = solver.atol + np.maximum(np.abs(y), np.abs(y_new)) * solver.rtol
-        return DOP853._estimate_error_norm(solver, solver.K, h, scale)
+def _frame_elements(frame, terms, eta):
+    """Element matrix of a tabulated operator at eta."""
+    u = np.sqrt((1.0 - eta) * (1.0 + eta))
+    size = len(frame.energies)
+    total = sum(u**power * (table @ eta ** np.arange(table.shape[1])) for power, table in terms)
+    return (total * np.exp(frame.gauss * eta * eta)).reshape(size, size)
 
-    @staticmethod
-    def _draw(rng, shape, spread):
-        mag = np.exp(rng.uniform(-spread, spread, size=shape))
-        return mag * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
 
-    @pytest.mark.parametrize("n", [1, 7, 244])
-    def test_matches_scipy_bit_for_bit(self, n):
-        rng = np.random.default_rng(n)
-        solver = self._solver(n)
-        for _ in range(40):
-            solver.K[:] = self._draw(rng, solver.K.shape, 20.0)
-            y, y_new = self._draw(rng, n, 25.0), self._draw(rng, n, 25.0)
-            h = float(np.exp(rng.uniform(-12.0, 2.0)))
-            expected = self._scipy(solver, y, y_new, h)
-            assert solver._error_norm(y, y_new, h) == expected
-            assert solver._error_norm(y, y_new, -h) == expected
+def _coupling(frame, eta):
+    """D_kj = <k|d_eta j> at eta."""
+    size = len(frame.energies)
+    raw = (frame.coupling @ eta ** np.arange(frame.coupling.shape[1])) * np.exp(frame.gauss * eta * eta)
+    return raw.reshape(size, size) / ((1.0 - eta) * (1.0 + eta))
 
-    def test_zero_stages_give_zero(self):
-        solver = self._solver(9)
-        solver.K[:] = 0.0
-        rng = np.random.default_rng(5)
-        y, y_new = self._draw(rng, 9, 3.0), self._draw(rng, 9, 3.0)
-        assert self._scipy(solver, y, y_new, 0.3) == 0.0
-        assert solver._error_norm(y, y_new, 0.3) == 0.0
 
-    def test_zero_rhs_steps_like_scipy(self):
-        # f = 0 makes every error estimate exactly 0, so each step grows by
-        # MAX_FACTOR: the zero-error branch of the step control
-        def fun(t, y):
-            return np.zeros_like(y)
+@pytest.fixture(scope="module", params=[0.3, 0.8, 0.95])
+def dense_frame(request):
+    """The frame's states at eta as columns on 400 Fock levels x qubit,
+    built from dense matrix exponentials (field-fast, qubit (g, e))."""
+    eta = request.param
+    r = analytic.squeezing_parameter(eta)
+    c, s = analytic.qubit_coefficients(eta)
+    phi0, phi1 = np.array([c, -s]), np.array([-s, c])
+    squeeze = dense_squeeze(DENSE_LEVELS, r).real
+    fock = np.eye(DENSE_LEVELS)
+    states = [np.kron(phi0, squeeze @ fock[0])]
+    for n in range(1, CHECKED_DOUBLETS + 1):
+        # D(alpha) is real orthogonal for real alpha, so D(-alpha) = D(alpha)^T
+        plus = dense_displace(DENSE_LEVELS, -np.sqrt(n) * eta).real
+        for sign, disp in ((1.0, plus), (-1.0, plus.T)):
+            field = squeeze @ disp
+            states.append((np.kron(phi1, field[:, n - 1]) + sign * np.kron(phi0, field[:, n])) / np.sqrt(2))
+    return eta, np.array(states).T
 
-        rng = np.random.default_rng(7)
-        y0 = rng.normal(size=9) + 1j * rng.normal(size=9)
-        t_eval = np.linspace(0.0, 50.0, 11)
-        got, ref = (
-            solve_ivp(fun, (0.0, 50.0), y0, method=method, rtol=1e-9, atol=1e-11, t_eval=t_eval)
-            for method in (dynamics._InPlaceDOP853, "DOP853")
-        )
-        assert got.status == ref.status == 0
-        assert got.nfev == ref.nfev
-        np.testing.assert_array_equal(got.t, ref.t)
-        np.testing.assert_array_equal(got.y, ref.y)
 
-    def test_nan_entry_gives_nan(self):
-        solver = self._solver(9)
-        rng = np.random.default_rng(6)
-        solver.K[:] = self._draw(rng, solver.K.shape, 3.0)
-        solver.K[4, 2] = complex(np.nan, 0.0)
-        y, y_new = self._draw(rng, 9, 3.0), self._draw(rng, 9, 3.0)
-        with np.errstate(invalid="ignore"):
-            assert np.isnan(self._scipy(solver, y, y_new, 0.3))
-            assert np.isnan(solver._error_norm(y, y_new, 0.3))
+class TestClosedForms:
+    def test_dense_states_are_the_frame(self, dense_frame):
+        # orthonormal eigenstates of H(eta) with the energies the frame uses
+        eta, basis = dense_frame
+        np.testing.assert_allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-12)
+        frame = dynamics._frame(CHECKED_DOUBLETS)
+        h = fockspace.build_hamiltonian(HilbertSpec(n_max=DENSE_LEVELS - 1), 1.0, eta).matrix
+        energies = frame.energies * ((1.0 - eta) * (1.0 + eta)) ** 0.75
+        np.testing.assert_allclose(h @ basis, basis * energies, atol=1e-11)
+
+    def test_elements_match_dense_eigenstates(self, dense_frame):
+        eta, basis = dense_frame
+        frame = dynamics._frame(CHECKED_DOUBLETS)
+        a, ad = (m.real for m in dense_ladder(DENSE_LEVELS))
+        x, p = (a + ad) / 2, (a - ad) / 2  # P = i(a^dag - a)/2; P^2 = -p^2
+        num = ad @ a
+
+        def dense(field_op):
+            return basis.T @ np.kron(np.eye(2), field_op) @ basis
+
+        # <k|H_d|j> = (Omega/2) <k|a + a^dag|j> and D_kj = <k|H_d|j> / (E_j - E_k)
+        h_d = dense(x)
+        energies = frame.energies * ((1.0 - eta) * (1.0 + eta)) ** 0.75
+        gap = energies[None, :] - energies[:, None]
+        np.fill_diagonal(gap, 1.0)
+        expected = np.where(np.eye(len(gap)) == 1.0, 0.0, h_d / gap)
+        np.testing.assert_allclose(_coupling(frame, eta), expected, rtol=0.0, atol=2e-14 * np.abs(expected).max())
+        x2 = _frame_elements(frame, frame.moments["x2"], eta)
+        p2 = _frame_elements(frame, frame.moments["p2"], eta)
+        n2 = _frame_elements(frame, frame.moments["n2"], eta)
+        for got, field_op in ((x2, x @ x), (p2, -p @ p), (x2 + p2 - 0.5 * np.eye(len(x2)), num), (n2, num @ num)):
+            ref = dense(field_op)
+            np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-14 * np.abs(ref).max())
+
+    def test_tables_do_not_depend_on_the_doublet_count(self):
+        small, full = dynamics._frame(CHECKED_DOUBLETS), dynamics._frame(dynamics.N_DOUBLETS)
+        size = len(small.energies)
+        block = np.ix_(range(size), range(size))
+        for eta in (0.3, 0.95, 0.995):
+            np.testing.assert_allclose(_coupling(full, eta)[block], _coupling(small, eta), rtol=1e-13, atol=1e-15)
+            for name in ("x2", "p2", "n2"):
+                np.testing.assert_allclose(
+                    _frame_elements(full, full.moments[name], eta)[block],
+                    _frame_elements(small, small.moments[name], eta),
+                    rtol=1e-13, atol=1e-13,
+                )
+
+    def test_dark_row_matches_transition_amplitude(self):
+        # ramp.transition_probability is |eta' D_{n,dark} / E_n|^2 with the
+        # closed-form dark row and the asymptotic eta'
+        frame = dynamics._frame(dynamics.N_DOUBLETS)
+        sched = HEADLINE
+        worst = 0.0
+        for eta in (0.05, 0.3, 0.6, 0.9, 0.99, 0.995):
+            column = np.abs(_coupling(frame, eta)[1:, 0])
+            for n in range(1, dynamics.N_DOUBLETS + 1):
+                amplitude = np.sqrt(ramp.transition_probability(sched, 1.0, eta, n)) * (
+                    analytic.eigenvalue(1.0, eta, n, "+") / ramp.eta_dot_asymptotic(sched, eta)
+                )
+                for got in column[2 * n - 2 : 2 * n]:
+                    worst = max(worst, abs(got - amplitude) / amplitude)
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("eta", [0.0, 0.4, 0.9, 0.995])
+    def test_coupling_is_antisymmetric(self, eta):
+        d = _coupling(dynamics._frame(dynamics.N_DOUBLETS), eta)
+        assert np.abs(d + d.T).max() <= 1e-14 * np.abs(d).max()
+        assert np.all(np.diag(d) == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the frame against the lab-frame oracle
+# ---------------------------------------------------------------------------
+
+COLUMNS = ("fidelity", "mean_n", "var_n", "mean_x2", "mean_p2")
+
+
+def _within_oracle_bounds(records, reference) -> dict:
+    """Worst deviation per column over the records, as a multiple of its
+    bound: 1e-8 in F, 1e-6 absolute in <N>, <X^2>, <P^2>, 1e-5 relative in
+    Var N.  ``reference`` holds the columns as arrays."""
+    worst = {}
+    for name in COLUMNS:
+        got = np.array([getattr(r, name) for r in records])
+        ref = np.asarray(reference[name])
+        if name == "var_n":
+            ratio = np.abs(got - ref)[1:] / np.abs(ref[1:]) / 1e-5
+        else:
+            ratio = np.abs(got - ref) / (1e-8 if name == "fidelity" else 1e-6)
+        worst[name] = float(ratio.max())
+    return worst
+
+
+@pytest.mark.parametrize("which", ["headline", "onset"])
+def test_records_match_lab_oracle(request, headline_ramp_run, which):
+    if which == "headline":
+        _, records = headline_ramp_run
+    else:
+        records = frame_run(ONSET)
+    lab = request.getfixturevalue(f"{which}_lab_oracle")
+    assert lab.spec.n_max == LAB_N_MAX
+    np.testing.assert_array_equal([r.t for r in records], lab.t)
+    np.testing.assert_array_equal([r.eta for r in records], lab.eta)
+    worst = _within_oracle_bounds(records, vars(lab))
+    assert max(worst.values()) <= 1.0, worst
+
+
+@pytest.mark.parametrize("schedule", [HEADLINE, ONSET], ids=["headline", "onset"])
+def test_doubling_the_doublets_moves_no_column(monkeypatch, headline_ramp_run, schedule):
+    records = headline_ramp_run[1] if schedule is HEADLINE else frame_run(schedule)
+    monkeypatch.setattr(dynamics, "N_DOUBLETS", 2 * dynamics.N_DOUBLETS)
+    doubled = frame_run(schedule)
+    reference = {name: [getattr(r, name) for r in doubled] for name in COLUMNS}
+    worst = _within_oracle_bounds(records, reference)
+    assert max(worst.values()) <= 1.0, worst
+
+
+def test_lab_oracle_keeps_the_chiral_symmetry_exactly(headline_lab_oracle):
+    # P = (-1)^{a^dag a} anticommutes with the real H, so psi(t) =
+    # conj(P psi(t)) from |0>|g>: even-field amplitudes real, odd-field ones
+    # imaginary, with the other parts exactly 0.0 in floating point
+    lab = headline_lab_oracle
+    odd = np.arange(lab.spec.dim) % lab.spec.field_dim % 2 == 1
+    for i in (50, 120, 200):
+        psi = lab.amplitudes[:, i]
+        assert np.all(psi[~odd].imag == 0.0)
+        assert np.all(psi[odd].real == 0.0)
+        assert np.abs(psi[odd]).max() > 1e-3

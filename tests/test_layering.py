@@ -1,7 +1,7 @@
 """Layer boundaries read from the source: the closed-form layer loads
 without the rest of the package, estimation reaches the Fock-space layer
-only through its public names, and scipy's private modules are reached only
-by the ramp integrator, through two known modules."""
+only through its public names, and no source file reaches a private scipy
+module."""
 
 from __future__ import annotations
 
@@ -85,12 +85,8 @@ def _private_scipy_modules(tree: ast.Module) -> set[str]:
 
 
 def test_private_scipy_modules_only_in_dynamics():
-    # the in-place DOP853 stepper and its direct CSR product are the only
-    # users of scipy internals, which any scipy release may move
-    allowed = {"scipy.integrate._ivp.rk", "scipy.sparse._sparsetools"}
+    # none at all, in dynamics or elsewhere: any scipy release may move
+    # scipy's internals
     for path in sorted(SRC.glob("*.py")):
         private = _private_scipy_modules(ast.parse(path.read_text()))
-        if path.stem == "dynamics":
-            assert private <= allowed, sorted(private - allowed)
-        else:
-            assert not private, (path.name, sorted(private))
+        assert not private, (path.name, sorted(private))
