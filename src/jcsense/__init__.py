@@ -6,7 +6,7 @@ scheduling, and Fisher-information / Monte-Carlo estimation pipelines.
 
 __version__ = "0.1.0"
 
-from .analytic import AnalyticPoint, eigenvalue, energy_gap, evaluate
+from .analytic import AnalyticPoint, eigenvalue, evaluate
 from .dynamics import EvolutionConfig, TrajectoryRecord, evolve, fidelity_against_dark
 from .fockspace import (
     HilbertSpec,
@@ -15,7 +15,6 @@ from .fockspace import (
     TruncationWarning,
     adaptive_n_max,
     build_hamiltonian,
-    build_ladder_ops,
     eigenstate,
     squeezed_vacuum,
 )
@@ -42,10 +41,8 @@ __all__ = [
     "TruncationWarning",
     "adaptive_n_max",
     "build_hamiltonian",
-    "build_ladder_ops",
     "eigenstate",
     "eigenvalue",
-    "energy_gap",
     "estimate_eta",
     "eta_at",
     "eta_dot_at",

@@ -172,12 +172,6 @@ def eigenvalue(omega: float, eta: float, n: int, branch: str) -> float:
     return float(sign * np.sqrt(n) * omega * ((1.0 - eta) * (1.0 + eta)) ** 0.75)
 
 
-def energy_gap(omega: float, eta: float) -> float:
-    """Gap between the dark state and the nearest doublet: Omega (1-eta^2)^{3/4}."""
-    _check_eta(eta)
-    return float(omega * ((1.0 - eta) * (1.0 + eta)) ** 0.75)
-
-
 def qfi_from_state_derivative(eta: float) -> float:
     """Quantum Fisher information from the parametric state derivative.
 

@@ -124,8 +124,11 @@ def _validate_numerics(num: dict) -> None:
         if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
             raise ConfigError(f"numerics.n_max must be 'auto' or an integer >= 1")
     for key in ("rtol", "atol"):
-        if not isinstance(num[key], (int, float)) or num[key] <= 0:
-            raise ConfigError(f"numerics.{key} must be a positive number")
+        value = num[key]
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ConfigError(f"numerics.{key} must be a number, got {value!r}")
+        if not (value > 0 and math.isfinite(value)):
+            raise ConfigError(f"numerics.{key} must be finite and positive, got {value}")
     for key in ("seed", "shots", "replicas"):
         if not isinstance(num[key], int) or isinstance(num[key], bool) or num[key] < 0:
             raise ConfigError(f"numerics.{key} must be a non-negative integer")
@@ -153,7 +156,8 @@ def _validate_cramer_rao(phys: dict, num: dict) -> None:
 def _validate_output(out: dict) -> None:
     if out["format"] not in ("csv", "json"):
         raise ConfigError(f"output.format must be 'csv' or 'json', got {out['format']!r}")
-    if not isinstance(out["precision"], int) or not 1 <= out["precision"] <= 17:
+    precision = out["precision"]
+    if not isinstance(precision, int) or isinstance(precision, bool) or not 1 <= precision <= 17:
         raise ConfigError("output.precision must be an integer in [1, 17]")
     if not isinstance(out["dump_outcomes"], bool):
         raise ConfigError("output.dump_outcomes must be a boolean")

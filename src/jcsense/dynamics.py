@@ -46,7 +46,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, sqrt
+from math import factorial, isfinite, sqrt
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -75,10 +75,10 @@ class EvolutionConfig:
     atol: float = DEFAULT_ATOL
 
     def __post_init__(self):
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("rtol and atol must be > 0")
-        if self.omega <= 0:
-            raise ValueError(f"omega must be > 0, got {self.omega}")
+        for name in ("rtol", "atol", "omega"):
+            value = getattr(self, name)
+            if not (value > 0 and isfinite(value)):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -96,12 +96,11 @@ class TrajectoryRecord:
     top_pair_population: float
 
 
-def fidelity_against_dark(state: StateVector, omega: float, eta: float) -> float:
+def fidelity_against_dark(state: StateVector, eta: float) -> float:
     """Overlap |<psi_dark(eta)|Psi>|^2 of a Fock-space state with the
     instantaneous dark state, exact at any cutoff:
-    :func:`fockspace.dark_amplitudes` on the state's own levels.  The dark
-    state does not depend on omega.  (In the adiabatic frame the fidelity is
-    |c_dark|^2.)"""
+    :func:`fockspace.dark_amplitudes` on the state's own levels.  (In the
+    adiabatic frame the fidelity is |c_dark|^2.)"""
     dark = fockspace.dark_amplitudes(state.spec, eta)
     return float(abs(np.vdot(dark, state.amplitudes)) ** 2)
 

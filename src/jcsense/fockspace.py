@@ -4,21 +4,24 @@ The photonic mode is truncated at a finite Fock level ``n_max`` (levels
 ``0..n_max`` inclusive).  Composite states live on qubit (x) field with a
 fixed basis ordering: the field index runs fast, the qubit index slow, so
 the flat index of |q>|n> is ``q*(n_max+1) + n`` with q = 0 for |g> and
-q = 1 for |e>.  All serialization headers state this convention.
+q = 1 for |e>.  The CLI's artifact headers state this convention.
 
 The squeezed vacuum -- the measurement probe and the field factor of the
 dark state -- is built from its closed-form Fock amplitudes in
 :mod:`analytic`, exact on every level up to ``n_max``.  The displaced
-doublets (n >= 1) are built by applying squeezing/displacement generators
-with a matrix-exponential action on a padded Fock space (a few extra
-levels beyond ``n_max``) and projecting back down; the padding removes the
-edge artifacts that the hard cutoff would otherwise imprint on the top
-levels.  Every state is normalised on the truncated space.
+doublets (n >= 1) are not exact: they apply the squeezing/displacement
+generators with a matrix-exponential action on a Fock space padded by
+``_CONSTRUCTION_PAD`` levels beyond ``n_max`` and project back down, and
+near criticality the pad is too small.  At eta = 0.995, n_max 121, the
+field factor S(r) D(alpha)|n> is off by up to 5.4e-6, 2.9e-4 and 4.3e-3
+(largest amplitude error) for n = 1, 2 and 3, against the same action on
+9000 levels.  ROADMAP item 2 replaces this construction by the exact
+ladder recurrence once the benchmark stops keeping per-pass logs.  Every
+state is normalised on the truncated space.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -32,7 +35,6 @@ from . import analytic
 # generators to the doublets; projected away before returning states.
 _CONSTRUCTION_PAD = 32
 
-HERMITICITY_TOL = 1e-12
 TAIL_MASS_TOL = 1e-10
 
 
@@ -112,16 +114,6 @@ class StateVector:
         pop = self.field_populations()
         return float(pop[_tail_cut(self.spec.field_dim):].sum())
 
-    def overlap(self, other: "StateVector") -> complex:
-        if self.spec != other.spec:
-            raise ValueError("states live on different Hilbert spaces")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def expectation(self, op: "SparseOperator") -> complex:
-        if op.spec != self.spec:
-            raise ValueError("operator and state live on different Hilbert spaces")
-        return complex(np.vdot(self.amplitudes, op.matrix @ self.amplitudes))
-
 
 @dataclass
 class SparseOperator:
@@ -138,15 +130,6 @@ class SparseOperator:
             )
         self.matrix = m
 
-    def dagger(self) -> "SparseOperator":
-        return SparseOperator(self.spec, self.matrix.conj().T.tocsr())
-
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        d = self.matrix - self.matrix.conj().T
-        if d.nnz == 0:
-            return True
-        return bool(np.max(np.abs(d.data)) <= tol)
-
 
 def _field_ladder(field_dim: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     a = sp.diags(
@@ -160,19 +143,6 @@ def _lift(spec: HilbertSpec, field_op: sp.spmatrix) -> sp.csr_matrix:
     if not spec.with_qubit:
         return sp.csr_matrix(field_op, dtype=complex)
     return sp.kron(sp.identity(2, dtype=complex), field_op, format="csr")
-
-
-def build_ladder_ops(spec: HilbertSpec) -> tuple[SparseOperator, SparseOperator]:
-    """Annihilation and creation operators with hard truncation.
-
-    a|n> = sqrt(n)|n-1> and a^dag|n> = sqrt(n+1)|n+1>, with a^dag|n_max> = 0.
-    On a composite space both act as identity on the qubit factor.
-    """
-    a, ad = _field_ladder(spec.field_dim)
-    return (
-        SparseOperator(spec, _lift(spec, a)),
-        SparseOperator(spec, _lift(spec, ad)),
-    )
 
 
 def number_op(spec: HilbertSpec) -> SparseOperator:
@@ -312,7 +282,10 @@ def eigenstate(
     branch "dark" (n = 0): the zero-energy state S(r)|0> (x) |Phi_0>.
 
     The dark state is :func:`dark_amplitudes`, renormalised on the
-    truncated space; the doublets apply S(r) D(alpha) on a padded Fock space.
+    truncated space.  The doublets apply S(r) D(alpha) on a Fock space
+    padded by ``_CONSTRUCTION_PAD`` levels, which is not exact near
+    criticality: at eta = 0.995, n_max 121, the field factor is off by up to
+    5.4e-6, 2.9e-4 and 4.3e-3 for n = 1, 2 and 3 (see the module docstring).
     """
     if not spec.with_qubit:
         raise ValueError("eigenstates live on the composite space")
@@ -380,54 +353,3 @@ def doublet_spectrum(
     # keep the n_doublets pairs closest to zero
     order = np.argsort(np.abs(keep))[: 2 * n_doublets]
     return np.sort(keep[order])
-
-
-# ---------------------------------------------------------------------------
-# serialization: plain JSON with an explicit basis header
-# ---------------------------------------------------------------------------
-
-
-def _header(spec: HilbertSpec) -> dict:
-    return {
-        "n_max": spec.n_max,
-        "with_qubit": spec.with_qubit,
-        "basis_order": "field-fast",
-    }
-
-
-def dump_state(state: StateVector) -> str:
-    doc = _header(state.spec)
-    doc["amplitudes"] = [[float(z.real), float(z.imag)] for z in state.amplitudes]
-    return json.dumps(doc)
-
-
-def load_state(text: str) -> StateVector:
-    doc = json.loads(text)
-    if doc.get("basis_order") != "field-fast":
-        raise ValueError(f"unsupported basis order {doc.get('basis_order')!r}")
-    spec = HilbertSpec(n_max=int(doc["n_max"]), with_qubit=bool(doc["with_qubit"]))
-    amps = np.array([complex(re, im) for re, im in doc["amplitudes"]])
-    return StateVector(spec, amps)
-
-
-def dump_operator(op: SparseOperator) -> str:
-    doc = _header(op.spec)
-    coo = op.matrix.tocoo()
-    doc["entries"] = [
-        [int(i), int(j), float(v.real), float(v.imag)]
-        for i, j, v in zip(coo.row, coo.col, coo.data)
-    ]
-    return json.dumps(doc)
-
-
-def load_operator(text: str) -> SparseOperator:
-    doc = json.loads(text)
-    if doc.get("basis_order") != "field-fast":
-        raise ValueError(f"unsupported basis order {doc.get('basis_order')!r}")
-    spec = HilbertSpec(n_max=int(doc["n_max"]), with_qubit=bool(doc["with_qubit"]))
-    entries = doc["entries"]
-    rows = [e[0] for e in entries]
-    cols = [e[1] for e in entries]
-    vals = [complex(e[2], e[3]) for e in entries]
-    m = sp.coo_matrix((vals, (rows, cols)), shape=(spec.dim, spec.dim))
-    return SparseOperator(spec, m.tocsr())

@@ -83,10 +83,10 @@ class RampSchedule:
         if not (self.onset >= 0.0 and isfinite(self.onset)):
             raise ValueError(f"onset must be finite and >= 0, got {self.onset}")
 
-    def _kt_at(self, eta: float) -> float:
-        """kt at which the schedule reaches eta in [0, 1)."""
-        if eta == 0.0:
-            return 0.0
+    @property
+    def kt_end(self) -> float:
+        """Dimensionless duration; (eta_target^2/(1 - eta_target^2))^{1/xi} for onset 0."""
+        eta = self.eta_target
         # the clock value phi with phi^xi = w = eta^2 / (1 - eta^2); phi = kt
         # for the paper's schedule
         phi = float((eta * eta / (1.0 - eta * eta)) ** (1.0 / self.xi))
@@ -102,20 +102,9 @@ class RampSchedule:
         )
 
     @property
-    def kt_end(self) -> float:
-        """Dimensionless duration; (eta_target^2/(1 - eta_target^2))^{1/xi} for onset 0."""
-        return self._kt_at(self.eta_target)
-
-    @property
     def duration(self) -> float:
         """Time at which eta(t) = eta_target."""
         return self.kt_end / self.k
-
-    def time_to_reach(self, eta: float) -> float:
-        """Inverse t(eta) of the schedule (closed form for onset 0)."""
-        if not 0.0 <= eta < 1.0:
-            raise ValueError(f"eta must be in [0, 1), got {eta}")
-        return self._kt_at(eta) / self.k
 
 
 def _clock(s: RampSchedule, kt: float) -> tuple[float, float]:

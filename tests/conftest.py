@@ -168,7 +168,7 @@ def lab_trajectory(schedule: ramp.RampSchedule, n_max: int = LAB_N_MAX, omega: f
         mean_n = np.vdot(psi, num @ psi).real
         columns.append((
             t, eta,
-            dynamics.fidelity_against_dark(fockspace.StateVector(spec, psi), omega, eta),
+            dynamics.fidelity_against_dark(fockspace.StateVector(spec, psi), eta),
             mean_n,
             np.vdot(num @ psi, num @ psi).real - mean_n * mean_n,
             np.vdot(psi, x2 @ psi).real,

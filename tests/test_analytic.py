@@ -210,9 +210,8 @@ class TestEigenvalue:
         assert analytic.eigenvalue(2.0, 0.6, 1, "+") == pytest.approx(2 * 0.64**0.75)
 
     def test_gap_is_first_doublet(self):
-        assert analytic.energy_gap(1.0, 0.8) == pytest.approx(
-            analytic.eigenvalue(1.0, 0.8, 1, "+")
-        )
+        # the gap to the dark state, Omega (1 - eta^2)^{3/4}, is the n = 1 "+" level
+        assert analytic.eigenvalue(1.0, 0.8, 1, "+") == pytest.approx(0.36**0.75)
 
     @pytest.mark.parametrize("eta", [0.995, 1.0 - 1e-6, 1.0 - 1e-9])
     def test_near_critical_against_decimal_reference(self, eta):
@@ -222,7 +221,7 @@ class TestEigenvalue:
             ctx.prec = 60
             e = Decimal(eta)
             gap = float((1 - e * e) ** Decimal("0.75"))
-        assert analytic.energy_gap(1.0, eta) == pytest.approx(gap, rel=1e-14, abs=0.0)
+        assert analytic.eigenvalue(1.0, eta, 1, "+") == pytest.approx(gap, rel=1e-14, abs=0.0)
         doublet = analytic.eigenvalue(1.0, eta, 4, "-")
         assert doublet == pytest.approx(-2.0 * gap, rel=1e-14, abs=0.0)
 

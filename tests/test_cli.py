@@ -87,6 +87,26 @@ class TestConfigResolution:
         assert cli.main(["validate", str(path)]) == 2
         assert f"physics.{key}" in json.loads(capsys.readouterr().err)["message"]
 
+    @pytest.mark.parametrize("key", ["rtol", "atol"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "true"])
+    def test_non_finite_or_boolean_tolerance_exits_2(self, tmp_path, capsys, key, value):
+        # each used to pass validation; a NaN or infinite rtol then stalled
+        # the fidelity_sweep integrator, and true was read as 1
+        path = tmp_path / "config.json"
+        path.write_text(
+            f'{{"experiment": "fidelity_sweep", "physics": {{"k": 0.05, "eta_target": 0.9}},'
+            f' "numerics": {{"{key}": {value}}}}}'
+        )
+        assert cli.main(["validate", str(path)]) == 2
+        assert f"numerics.{key}" in json.loads(capsys.readouterr().err)["message"]
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_boolean_precision_exits_2(self, tmp_path, capsys, command):
+        # true used to pass validation and crash the renderer with a traceback
+        path = write_config(tmp_path, {"experiment": "qfi_curve", "output": {"precision": True}})
+        assert cli.main([command, str(path)]) == 2
+        assert "output.precision" in json.loads(capsys.readouterr().err)["message"]
+
 
 class TestValidateCommand:
     def test_reports_ramp_duration(self, tmp_path, capsys):

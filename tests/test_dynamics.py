@@ -25,12 +25,12 @@ class TestFidelityAgainstDark:
     def test_dark_state_gives_unity(self):
         spec = HilbertSpec(n_max=48)
         dark = eigenstate(spec, 1.0, 0.6, 0, "dark")
-        assert fidelity_against_dark(dark, 1.0, 0.6) == pytest.approx(1.0, abs=1e-12)
+        assert fidelity_against_dark(dark, 0.6) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_doublet_gives_zero(self):
         spec = HilbertSpec(n_max=64)
         excited = eigenstate(spec, 1.0, 0.6, 1, "+")
-        assert fidelity_against_dark(excited, 1.0, 0.6) <= 1e-10
+        assert fidelity_against_dark(excited, 0.6) <= 1e-10
 
     def test_equal_superposition_gives_half(self):
         spec = HilbertSpec(n_max=64)
@@ -39,7 +39,7 @@ class TestFidelityAgainstDark:
         mixed = StateVector(
             spec, (dark.amplitudes + excited.amplitudes) / np.sqrt(2)
         )
-        assert fidelity_against_dark(mixed, 1.0, 0.6) == pytest.approx(0.5, abs=1e-10)
+        assert fidelity_against_dark(mixed, 0.6) == pytest.approx(0.5, abs=1e-10)
 
     def test_small_cutoff_matches_zero_padded_state_on_large_cutoff(self):
         # the dark amplitudes are exact on the state's own levels, so a
@@ -55,7 +55,7 @@ class TestFidelityAgainstDark:
         padded[big.field_dim : big.field_dim + fd] = state.amplitudes[fd:]  # qubit |e>
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = fidelity_against_dark(state, 1.0, 0.6)
+            got = fidelity_against_dark(state, 0.6)
             dark = eigenstate(big, 1.0, 0.6, 0, "dark")
         expected = abs(np.vdot(dark.amplitudes, padded)) ** 2
         assert got == pytest.approx(expected, rel=0.0, abs=1e-14)
@@ -64,7 +64,7 @@ class TestFidelityAgainstDark:
     def test_rejects_field_only_state(self):
         state = fockspace.squeezed_vacuum(HilbertSpec(n_max=32, with_qubit=False), -0.1)
         with pytest.raises(ValueError):
-            fidelity_against_dark(state, 1.0, 0.3)
+            fidelity_against_dark(state, 0.3)
 
 
 class TestEvolve:
@@ -206,6 +206,16 @@ class TestEvolve:
             EvolutionConfig(omega=1.0, schedule=sched, atol=-1e-12)
         with pytest.raises(ValueError):
             EvolutionConfig(omega=0.0, schedule=sched)
+
+    @pytest.mark.parametrize("key", ["rtol", "atol", "omega"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, key, value):
+        # a NaN or infinite tolerance used to construct, and evolve then
+        # stalled on it; a NaN omega constructed too
+        sched = ramp.RampSchedule(k=0.1)
+        kwargs = {"omega": 1.0, key: value}
+        with pytest.raises(ValueError, match=key):
+            EvolutionConfig(schedule=sched, **kwargs)
 
 
 class TestHeadlineTrajectory:

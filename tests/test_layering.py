@@ -1,7 +1,7 @@
 """Layer boundaries read from the source: the closed-form layer loads
 without the rest of the package, estimation reaches the Fock-space layer
-only through its public names, and no source file reaches a private scipy
-module."""
+only through its public names, no source file reaches a private scipy
+module, and every exported name exists."""
 
 from __future__ import annotations
 
@@ -23,6 +23,12 @@ def _load_time_nodes(tree: ast.AST):
         for child in ast.iter_child_nodes(node):
             if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 stack.append(child)
+
+
+def test_every_exported_name_resolves():
+    # a deleted name left in __all__ breaks "from jcsense import *" only
+    missing = [name for name in jcsense.__all__ if not hasattr(jcsense, name)]
+    assert not missing, missing
 
 
 def _parse(module: str) -> ast.Module:

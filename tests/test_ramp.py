@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -48,7 +49,7 @@ class TestSchedule:
         s = make_schedule(eta_target=0.9)
         assert eta_at(s, s.duration) == pytest.approx(0.9, abs=1e-12)
         for eta in (0.1, 0.5, 0.99):
-            assert eta_at(s, s.time_to_reach(eta)) == pytest.approx(eta, abs=1e-12)
+            assert eta_at(s, replace(s, eta_target=eta).duration) == pytest.approx(eta, abs=1e-12)
 
     def test_strictly_increasing(self):
         s = make_schedule()
@@ -121,7 +122,7 @@ class TestOnset:
             assert eta_at(s, t) == eta
             if 0.0 < eta < eta_target:
                 expected = float((eta * eta / (1.0 - eta * eta)) ** (1.0 / xi) / k)
-                assert s.time_to_reach(eta) == expected
+                assert replace(s, eta_target=eta).duration == expected
 
     @pytest.mark.parametrize(
         "schedule,t",
@@ -144,7 +145,7 @@ class TestOnset:
         assert 1e-12 < reference < 1e-9
         eta = eta_at(schedule, t)
         assert eta == pytest.approx(reference, rel=1e-13, abs=0.0)
-        assert schedule.time_to_reach(eta) == pytest.approx(t, rel=1e-12, abs=0.0)
+        assert replace(schedule, eta_target=eta).duration == pytest.approx(t, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("tau", [0.0, 2.0])
     @pytest.mark.parametrize("xi", [0.5, 4.0 / 3.0, 2.0, 3.0])
@@ -192,8 +193,8 @@ class TestOnset:
         s = RampSchedule(k=0.005, eta_target=0.99, onset=2.0)
         assert eta_at(s, s.duration) == pytest.approx(0.99, abs=1e-14)
         for t in (1e-3, 1.0, 50.0, 400.0, 2000.0, s.duration):
-            assert s.time_to_reach(eta_at(s, t)) == pytest.approx(t, rel=1e-12, abs=0.0)
-        assert s.time_to_reach(0.0) == 0.0
+            duration = replace(s, eta_target=eta_at(s, t)).duration
+            assert duration == pytest.approx(t, rel=1e-12, abs=0.0)
 
     def test_joins_the_paper_clock_after_the_onset(self):
         # for kt >> tau, phi(kt) = kt - tau: the paper's schedule delayed by tau/k
