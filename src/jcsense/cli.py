@@ -1,7 +1,7 @@
 """Experiment runner: structured JSON config in, self-describing table out.
 
 Config schema (all sections optional except "experiment"; unknown keys are
-rejected at every level):
+rejected at every level; ``KEYS`` gives each key's default and check):
 
     {
       "experiment": "qfi_curve" | "ramp_curve" | "fidelity_sweep" |
@@ -15,16 +15,26 @@ rejected at every level):
                    "dump_outcomes": false}
     }
 
-Internally Omega = 1 sets the units: rates are in units of Omega and times
-in 1/Omega.  A different Omega only rescales the time columns.
+Omega (the coupling) and k (the ramp rate) are rates in one common unit,
+and times are in its inverse.  The ramp depends on k / Omega: scaling both
+by one factor divides the t column by it and leaves every other column
+unchanged, while a larger Omega at fixed k ramps more adiabatically.
 ``numerics.n_max`` is the Fock cutoff of the experiments that build a Fock
 space (moments_check); fidelity_sweep integrates in the adiabatic frame
 and accepts but does not read it.
 
+``resolve_config`` alone decides whether a config can run.  Besides each
+key's check it enforces each experiment's run-time preconditions:
+cramer_rao needs shots >= 100, replicas >= 2 and eta_target <= 1 - 1e-9;
+scaling needs xi = 4/3; ramp_curve and fidelity_sweep need a finite,
+positive duration.  So ``validate config [--seed N]`` rejects exactly what
+``run config [--seed N] [--out PATH] [--strict]`` rejects; it reports
+kt_end and t_end for the two ramp experiments only.
+
 Emitted files are self-describing: the header block carries the artifact
-version, the basis convention and the full resolved config, so a run can be
-reproduced from its own output.  Identical config + seed gives byte-identical
-output on the same platform.
+version, the basis convention and the full resolved config (``--out`` is
+not part of it), so a run can be reproduced from its own output.
+Identical config + seed gives byte-identical output on the same platform.
 
 Exit codes: 0 success, 2 config/validation error, 3 numerical failure
 (truncation warnings escalate to 3 under --strict).
@@ -40,21 +50,53 @@ import warnings
 from pathlib import Path
 
 from . import __version__, experiments, metrology
-from .fockspace import HilbertSpec, TruncationWarning
+from .fockspace import TruncationWarning
 
-DEFAULTS = {
-    "physics": {"Omega": 1.0, "k": 0.005, "xi": 4.0 / 3.0, "eta_target": 0.995},
-    "numerics": {
-        "n_max": "auto",
-        "rtol": 1e-9,
-        "atol": 1e-11,
-        "seed": 2026,
-        "shots": 10000,
-        "replicas": 500,
-        "scheme": "photon_number",
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _positive(value) -> bool:
+    # the upper bound also rejects an integer too large for a float
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and 0 < value <= sys.float_info.max)
+
+
+_POSITIVE = (_positive, "must be a finite, positive number")
+_COUNT = (lambda v: _is_int(v) and v >= 0, "must be a non-negative integer")
+
+# every config key once: section -> key -> (default, check, what the check asks)
+KEYS = {
+    "physics": {
+        "Omega": (1.0, *_POSITIVE),
+        "k": (0.005, *_POSITIVE),
+        "xi": (4.0 / 3.0, *_POSITIVE),
+        "eta_target": (0.995, lambda v: _positive(v) and v < 1.0,
+                       "must be in (0, 1): the closed forms diverge at the critical point"),
     },
-    "output": {"path": "", "format": "csv", "precision": 12, "dump_outcomes": False},
+    "numerics": {
+        "n_max": ("auto", lambda v: v == "auto" or (_is_int(v) and v >= 1),
+                  "must be 'auto' or an integer >= 1"),
+        "rtol": (1e-9, *_POSITIVE),
+        "atol": (1e-11, *_POSITIVE),
+        "seed": (2026, *_COUNT),
+        "shots": (10000, *_COUNT),
+        "replicas": (500, *_COUNT),
+        "scheme": ("photon_number", lambda v: v in metrology.SCHEME_KINDS,
+                   f"must be one of {metrology.SCHEME_KINDS}"),
+    },
+    "output": {
+        "path": ("", lambda v: isinstance(v, str), "must be a string"),
+        "format": ("csv", lambda v: v in ("csv", "json"), "must be 'csv' or 'json'"),
+        "precision": (12, lambda v: _is_int(v) and 1 <= v <= 17,
+                      "must be an integer in [1, 17]"),
+        "dump_outcomes": (False, lambda v: isinstance(v, bool), "must be a boolean"),
+    },
 }
+DEFAULTS = {section: {key: spec[0] for key, spec in keys.items()}
+            for section, keys in KEYS.items()}
+_RAMP_EXPERIMENTS = ("ramp_curve", "fidelity_sweep")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -65,116 +107,78 @@ class ConfigError(Exception):
     """Malformed or physically invalid experiment configuration."""
 
 
-def _merge_section(name: str, user: dict) -> dict:
-    resolved = dict(DEFAULTS[name])
-    for key, value in user.items():
-        if key not in resolved:
-            raise ConfigError(f"unknown key {name}.{key}")
-        resolved[key] = value
-    return resolved
-
-
 def resolve_config(raw: dict) -> dict:
-    """Validate a raw config dict and fill in defaults (strict keys)."""
+    """Check every key of a raw config, fill in defaults and enforce the
+    experiment's run-time preconditions: a config that resolves can run."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    known = {"experiment", "physics", "numerics", "output"}
     for key in raw:
-        if key not in known:
+        if key != "experiment" and key not in KEYS:
             raise ConfigError(f"unknown top-level key {key!r}")
     if "experiment" not in raw:
         raise ConfigError("missing required key 'experiment'")
     experiment = raw["experiment"]
-    if experiment not in experiments.RUNNERS:
+    if not (isinstance(experiment, str) and experiment in experiments.RUNNERS):
         raise ConfigError(
             f"unknown experiment {experiment!r}; "
             f"choose from {sorted(experiments.RUNNERS)}"
         )
     resolved = {"experiment": experiment}
-    for section in ("physics", "numerics", "output"):
+    for section, keys in KEYS.items():
         user = raw.get(section, {})
         if not isinstance(user, dict):
             raise ConfigError(f"section {section!r} must be an object")
-        resolved[section] = _merge_section(section, user)
-    _validate_physics(resolved["physics"])
-    _validate_numerics(resolved["numerics"])
-    _validate_output(resolved["output"])
+        for key in user:
+            if key not in keys:
+                raise ConfigError(f"unknown key {section}.{key}")
+        resolved[section] = {**DEFAULTS[section], **user}
+        for key, (_, check, demand) in keys.items():
+            if not check(resolved[section][key]):
+                raise ConfigError(f"{section}.{key} {demand}, got {resolved[section][key]!r}")
+
+    phys, num, out = resolved["physics"], resolved["numerics"], resolved["output"]
+    if out["dump_outcomes"] and not out["path"]:
+        raise ConfigError("output.dump_outcomes needs an output.path for the sidecar file")
     if experiment == "cramer_rao":
-        _validate_cramer_rao(resolved["physics"], resolved["numerics"])
+        # three decades of shot counts down to shots // 100, a replica
+        # variance, and estimates that clip at ETA_CLIP
+        if phys["eta_target"] > metrology.ETA_CLIP:
+            raise ConfigError(
+                f"cramer_rao needs physics.eta_target <= 1 - 1e-9, where estimates "
+                f"clip, got {phys['eta_target']!r}"
+            )
+        if num["shots"] < 100:
+            raise ConfigError(f"cramer_rao needs numerics.shots >= 100, got {num['shots']}")
+        if num["replicas"] < 2:
+            raise ConfigError(f"cramer_rao needs numerics.replicas >= 2, got {num['replicas']}")
+    elif experiment == "scaling" and abs(phys["xi"] - 4.0 / 3.0) > 1e-12:
+        # the test metrology.scaling_experiment applies
+        raise ConfigError(
+            f"scaling needs physics.xi = 4/3, which its exponents assume, got {phys['xi']!r}"
+        )
+    elif experiment in _RAMP_EXPERIMENTS:
+        try:
+            duration = experiments._schedule(resolved).duration
+        except OverflowError:  # kt_end = w^(1/xi) for a tiny xi
+            duration = math.inf
+        if not 0.0 < duration < math.inf:
+            raise ConfigError(
+                f"{experiment} needs a finite, positive duration; physics.k, xi and "
+                f"eta_target give t_end = {duration!r}"
+            )
     return resolved
 
 
-def _validate_physics(phys: dict) -> None:
-    for key in ("Omega", "k", "xi", "eta_target"):
-        value = phys[key]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"physics.{key} must be a number, got {value!r}")
-        if not (value > 0 and math.isfinite(value)):
-            raise ConfigError(f"physics.{key} must be finite and positive, got {value}")
-    if phys["eta_target"] >= 1.0:
-        raise ConfigError(
-            f"physics.eta_target must be < 1 (closed forms diverge at the "
-            f"critical point), got {phys['eta_target']}"
-        )
-
-
-def _validate_numerics(num: dict) -> None:
-    n_max = num["n_max"]
-    if n_max != "auto":
-        if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
-            raise ConfigError(f"numerics.n_max must be 'auto' or an integer >= 1")
-    for key in ("rtol", "atol"):
-        value = num[key]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"numerics.{key} must be a number, got {value!r}")
-        if not (value > 0 and math.isfinite(value)):
-            raise ConfigError(f"numerics.{key} must be finite and positive, got {value}")
-    for key in ("seed", "shots", "replicas"):
-        if not isinstance(num[key], int) or isinstance(num[key], bool) or num[key] < 0:
-            raise ConfigError(f"numerics.{key} must be a non-negative integer")
-    if num["scheme"] not in metrology.SCHEME_KINDS:
-        raise ConfigError(
-            f"numerics.scheme must be one of {metrology.SCHEME_KINDS}, got {num['scheme']!r}"
-        )
-
-
-def _validate_cramer_rao(phys: dict, num: dict) -> None:
-    # run-time preconditions of experiments.cramer_rao (three decades of shot
-    # counts down to shots // 100), of the replica variance and of the
-    # sampled eta range
-    if phys["eta_target"] > metrology.ETA_CLIP:
-        raise ConfigError(
-            f"cramer_rao needs physics.eta_target <= 1 - 1e-9, where estimates "
-            f"clip, got {phys['eta_target']!r}"
-        )
-    if num["shots"] < 100:
-        raise ConfigError(f"cramer_rao needs numerics.shots >= 100, got {num['shots']}")
-    if num["replicas"] < 2:
-        raise ConfigError(f"cramer_rao needs numerics.replicas >= 2, got {num['replicas']}")
-
-
-def _validate_output(out: dict) -> None:
-    if out["format"] not in ("csv", "json"):
-        raise ConfigError(f"output.format must be 'csv' or 'json', got {out['format']!r}")
-    precision = out["precision"]
-    if not isinstance(precision, int) or isinstance(precision, bool) or not 1 <= precision <= 17:
-        raise ConfigError("output.precision must be an integer in [1, 17]")
-    if not isinstance(out["dump_outcomes"], bool):
-        raise ConfigError("output.dump_outcomes must be a boolean")
-    if out["dump_outcomes"] and not out["path"]:
-        raise ConfigError("output.dump_outcomes needs an output.path for the sidecar file")
-
-
-def load_config(path: str | Path) -> dict:
+def load_config(path: str | Path):
+    """The raw JSON value of a config file, not yet resolved."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    return resolve_config(raw)
 
 
 def _fmt(value: float, precision: int) -> str:
@@ -222,7 +226,7 @@ def run(resolved: dict, out_path: str | None = None, strict: bool = False) -> in
             if strict:
                 warnings.simplefilter("error", TruncationWarning)
             columns, rows, extras = runner(resolved)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         _emit_error(resolved, "config", str(exc))
         return EXIT_CONFIG
     except (TruncationWarning, RuntimeWarning, ArithmeticError, RuntimeError) as exc:
@@ -261,19 +265,6 @@ _CRAMER_RAO_COST = {
     "x_squared": (30e-6, 20e-9),
     "p_squared": (30e-6, 20e-9),
 }
-
-
-def _largest_space(resolved: dict) -> HilbertSpec | None:
-    """The largest truncated space the experiment builds; None if it builds none.
-
-    moments_check builds field-only spaces at each of its etas; the other
-    experiments are closed forms, sample closed-form laws, or integrate
-    fidelity_sweep's ramp in the adiabatic frame, which needs no Fock space.
-    """
-    if resolved["experiment"] == "moments_check":
-        n_max = max(experiments._resolve_n_max(resolved, eta) for eta in experiments.MOMENTS_ETAS)
-        return HilbertSpec(n_max=n_max, with_qubit=False)
-    return None
 
 
 def _estimate_runtime(resolved: dict) -> float | None:
@@ -323,21 +314,19 @@ def _estimate_runtime(resolved: dict) -> float | None:
 def validate(resolved: dict) -> int:
     """Dry-run report: resolved defaults, derived scales, no execution.
 
-    ``n_max`` and ``peak_dimension`` appear only for experiments that build
-    a truncated space, and ``estimated_runtime_s`` only where a cost model
-    exists.
+    ``kt_end`` and ``t_end`` appear only for the experiments that run the
+    ramp, ``n_max`` and ``peak_dimension`` only for moments_check (its
+    largest field-only space), and ``estimated_runtime_s`` only where a cost
+    model exists.
     """
-    sched = experiments._schedule(resolved)
-    report = {
-        "experiment": resolved["experiment"],
-        "resolved_config": resolved,
-        "kt_end": sched.kt_end,
-        "t_end": sched.duration,
-    }
-    space = _largest_space(resolved)
-    if space is not None:
-        report["n_max"] = space.n_max
-        report["peak_dimension"] = space.dim
+    experiment = resolved["experiment"]
+    report = {"experiment": experiment, "resolved_config": resolved}
+    if experiment in _RAMP_EXPERIMENTS:
+        sched = experiments._schedule(resolved)
+        report.update(kt_end=sched.kt_end, t_end=sched.duration)
+    if experiment == "moments_check":
+        n_max = max(experiments._resolve_n_max(resolved, eta) for eta in experiments.MOMENTS_ETAS)
+        report.update(n_max=n_max, peak_dimension=n_max + 1)
     estimate = _estimate_runtime(resolved)
     if estimate is not None:
         report["estimated_runtime_s"] = estimate
@@ -351,30 +340,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="critical qubit-photon sensor experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("run", "execute an experiment config and emit its table"),
-        ("validate", "check a config and report resolved values without running"),
-    ):
-        cmd = sub.add_parser(name, help=help_text)
+    run_cmd = sub.add_parser("run", help="execute an experiment config and emit its table")
+    validate_cmd = sub.add_parser(
+        "validate", help="check a config and report resolved values without running"
+    )
+    for cmd in (run_cmd, validate_cmd):
         cmd.add_argument("config", help="path to a JSON experiment config")
-        cmd.add_argument("--strict", action="store_true",
+        cmd.add_argument("--seed", type=int, default=None, help="override numerics.seed")
+    run_cmd.add_argument("--strict", action="store_true",
                          help="escalate truncation warnings to errors")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="override numerics.seed")
-        cmd.add_argument("--out", default=None, help="override output.path")
+    run_cmd.add_argument("--out", default=None, help="override output.path")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        resolved = load_config(args.config)
+        raw = load_config(args.config)
+        numerics = raw.get("numerics", {}) if isinstance(raw, dict) else None
+        if args.seed is not None and isinstance(numerics, dict):
+            raw["numerics"] = {**numerics, "seed": args.seed}
+        resolved = resolve_config(raw)
     except ConfigError as exc:
         print(json.dumps({"error": "config", "message": str(exc)}, sort_keys=True),
               file=sys.stderr)
         return EXIT_CONFIG
-    if args.seed is not None:
-        resolved["numerics"]["seed"] = args.seed
     if args.command == "validate":
         return validate(resolved)
     return run(resolved, out_path=args.out, strict=args.strict)

@@ -75,8 +75,9 @@ class EvolutionConfig:
     atol: float = DEFAULT_ATOL
 
     def __post_init__(self):
-        for name in ("rtol", "atol", "omega"):
-            value = getattr(self, name)
+        checked = {"rtol": self.rtol, "atol": self.atol, "omega": self.omega,
+                   "schedule duration": self.schedule.duration}
+        for name, value in checked.items():
             if not (value > 0 and isfinite(value)):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
 

@@ -136,13 +136,12 @@ def cramer_rao(resolved: dict) -> tuple[list[str], list[list[float]], dict]:
 
     With ``output.dump_outcomes`` the raw per-replica outcome arrays are
     collected in the extras under ``raw_outcomes`` (one matrix per shot
-    count); the emitter writes them to a sidecar file.
+    count); the emitter writes them to a sidecar file.  ``cli.resolve_config``
+    guarantees shots >= 100 and replicas >= 2.
     """
     num = resolved["numerics"]
     eta = resolved["physics"]["eta_target"]
-    shots = int(num["shots"])
-    if shots < 100:
-        raise ValueError(f"cramer_rao needs shots >= 100, got {shots}")
+    shots = num["shots"]
     dump = resolved["output"]["dump_outcomes"]
     qfi = analytic.evaluate(eta).qfi
     columns = ["nu", "replicas", "mean_eta_hat", "var_eta_hat", "qfi", "ratio"]

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from jcsense import cli, metrology, ramp
+from jcsense import cli, experiments, metrology, ramp
 
 
 def write_config(tmp_path, body: dict, name="config.json"):
@@ -100,6 +100,13 @@ class TestConfigResolution:
         assert cli.main(["validate", str(path)]) == 2
         assert f"numerics.{key}" in json.loads(capsys.readouterr().err)["message"]
 
+    @pytest.mark.parametrize(
+        "section, key", [(s, k) for s, keys in cli.DEFAULTS.items() for k in keys]
+    )
+    def test_every_key_is_checked(self, section, key):
+        with pytest.raises(cli.ConfigError, match=rf"^{section}\.{key} "):
+            cli.resolve_config({"experiment": "qfi_curve", section: {key: [1]}})
+
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_boolean_precision_exits_2(self, tmp_path, capsys, command):
         # true used to pass validation and crash the renderer with a traceback
@@ -117,6 +124,14 @@ class TestValidateCommand:
         # the ramp runs in the adiabatic frame: no Fock cutoff to report
         assert "n_max" not in report and "peak_dimension" not in report
         assert report["estimated_runtime_s"] > 0
+
+    @pytest.mark.parametrize("experiment", sorted(experiments.RUNNERS))
+    def test_ramp_duration_only_for_ramp_experiments(self, tmp_path, capsys, experiment):
+        path = write_config(tmp_path, {"experiment": experiment})
+        assert cli.main(["validate", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        ramps = experiment in ("ramp_curve", "fidelity_sweep")
+        assert ("kt_end" in report, "t_end" in report) == (ramps, ramps)
 
     @pytest.mark.parametrize("numerics, n_max", [({}, 32), ({"n_max": 64}, 64)])
     def test_moments_check_reports_its_largest_cutoff(self, tmp_path, capsys, numerics, n_max):
@@ -224,6 +239,40 @@ class TestValidateCommand:
             tmp_path, {"experiment": "qfi_curve", "numerics": numerics}, name="other.json"
         )
         assert cli.main(["validate", str(other)]) == 0
+
+
+class TestValidateAgreesWithRun:
+    @pytest.mark.parametrize(
+        "body, flags, code",
+        [
+            ({"experiment": ["qfi_curve"]}, [], 2),
+            ({"experiment": "qfi_curve", "output": {"path": 5}}, [], 2),
+            ({"experiment": "cramer_rao"}, ["--seed", "-5"], 2),
+            ({"experiment": "qfi_curve", "physics": {"xi": 0.001}}, [], 0),
+            ({"experiment": "ramp_curve", "physics": {"xi": 0.001}}, [], 2),
+            ({"experiment": "fidelity_sweep", "physics": {"eta_target": 1e-300}}, [], 2),
+            ({"experiment": "scaling", "physics": {"xi": 2.0}}, [], 2),
+            ({"experiment": "ramp_curve", "physics": {"k": 1e-320}}, [], 2),
+        ],
+        ids=["list-experiment", "int-path", "negative-seed", "qfi-tiny-xi",
+             "ramp-tiny-xi", "zero-duration", "scaling-xi", "infinite-duration"],
+    )
+    def test_same_exit_code(self, tmp_path, capsys, body, flags, code):
+        # each used to crash with a traceback, or pass one command and fail
+        # the other
+        path = write_config(tmp_path, body)
+        assert cli.main(["validate", str(path), *flags]) == code
+        assert cli.main(["run", str(path), *flags, "--out", str(tmp_path / "o.csv")]) == code
+        if code:
+            errors = capsys.readouterr().err.splitlines()
+            assert [json.loads(line)["error"] for line in errors] == ["config", "config"]
+
+    @pytest.mark.parametrize("flags", [["--strict"], ["--out", "elsewhere.csv"]])
+    def test_validate_takes_no_run_flags(self, tmp_path, flags):
+        path = write_config(tmp_path, {"experiment": "qfi_curve"})
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["validate", str(path), *flags])
+        assert exc.value.code == 2
 
 
 class TestRunQfiCurve:

@@ -217,6 +217,29 @@ class TestEvolve:
         with pytest.raises(ValueError, match=key):
             EvolutionConfig(schedule=sched, **kwargs)
 
+    @pytest.mark.parametrize(
+        "sched",
+        [ramp.RampSchedule(k=0.005, eta_target=1e-300), ramp.RampSchedule(k=1e-320)],
+        ids=["zero", "infinite"],
+    )
+    def test_rejects_a_degenerate_duration(self, sched):
+        # kt_end underflows to 0, or kt_end / k overflows; evolve used to die
+        # on the zero duration with an AttributeError
+        with pytest.raises(ValueError, match="schedule duration"):
+            EvolutionConfig(omega=1.0, schedule=sched)
+
+    def test_depends_on_k_over_omega(self):
+        # doubling Omega and k together halves t and keeps every other record;
+        # Omega is not the time unit of an absolute rate k
+        fast, slow = (
+            evolve(EvolutionConfig(omega=omega, schedule=ramp.RampSchedule(k=k, eta_target=0.9)))
+            for omega, k in ((2.0, 0.02), (1.0, 0.01))
+        )
+        assert [2.0 * r.t for r in fast] == [r.t for r in slow]
+        for name in ("eta", "fidelity", "mean_n", "var_n", "mean_x2", "mean_p2"):
+            got = np.array([getattr(r, name) for r in fast])
+            assert got == pytest.approx([getattr(r, name) for r in slow], rel=0.0, abs=1e-9), name
+
 
 class TestHeadlineTrajectory:
     """Structural checks on the shared headline run; the fidelity floor

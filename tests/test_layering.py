@@ -1,7 +1,8 @@
 """Layer boundaries read from the source: the closed-form layer loads
 without the rest of the package, estimation reaches the Fock-space layer
 only through its public names, no source file reaches a private scipy
-module, and every exported name exists."""
+module, each module's load-time scipy imports are pinned, and every
+exported name exists."""
 
 from __future__ import annotations
 
@@ -96,3 +97,26 @@ def test_private_scipy_modules_only_in_dynamics():
     for path in sorted(SRC.glob("*.py")):
         private = _private_scipy_modules(ast.parse(path.read_text()))
         assert not private, (path.name, sorted(private))
+
+
+def _load_time_scipy_imports(tree: ast.Module) -> set[str]:
+    found = set()
+    for node in _load_time_nodes(tree):
+        if isinstance(node, ast.Import):
+            found.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module)
+    return {name for name in found if name.split(".")[0] == "scipy"}
+
+
+def test_load_time_scipy_imports_are_pinned():
+    # each costs start-up time in every run that imports the module; add or
+    # remove one here on purpose
+    expected = {
+        "fockspace.py": {"scipy.sparse", "scipy.sparse.linalg"},
+        "dynamics.py": {"scipy.integrate"},
+        "ramp.py": {"scipy.optimize"},
+    }
+    for path in sorted(SRC.glob("*.py")):
+        found = _load_time_scipy_imports(ast.parse(path.read_text()))
+        assert found == expected.get(path.name, set()), (path.name, sorted(found))
