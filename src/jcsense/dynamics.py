@@ -49,7 +49,6 @@ from functools import lru_cache
 from math import factorial, isfinite, sqrt
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import fockspace, ramp
 from .fockspace import StateVector, TruncationWarning
@@ -267,6 +266,13 @@ def _moment(terms: tuple, pairs: np.ndarray, u: np.ndarray, eta: np.ndarray) -> 
         poly = (pairs @ table) * eta[:, None] ** np.arange(table.shape[1])
         total += u**power * poly.sum(axis=1)
     return total
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy's ``solve_ivp``, imported by the first ramp, not at start-up."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def evolve(cfg: EvolutionConfig) -> list[TrajectoryRecord]:

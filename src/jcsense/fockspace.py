@@ -8,32 +8,22 @@ q = 1 for |e>.  The CLI's artifact headers state this convention.
 
 The squeezed vacuum -- the measurement probe and the field factor of the
 dark state -- is built from its closed-form Fock amplitudes in
-:mod:`analytic`, exact on every level up to ``n_max``.  The displaced
-doublets (n >= 1) are not exact: they apply the squeezing/displacement
-generators with a matrix-exponential action on a Fock space padded by
-``_CONSTRUCTION_PAD`` levels beyond ``n_max`` and project back down, and
-near criticality the pad is too small.  At eta = 0.995, n_max 121, the
-field factor S(r) D(alpha)|n> is off by up to 5.4e-6, 2.9e-4 and 4.3e-3
-(largest amplitude error) for n = 1, 2 and 3, against the same action on
-9000 levels.  ROADMAP item 2 replaces this construction by the exact
-ladder recurrence once the benchmark stops keeping per-pass logs.  Every
-state is normalised on the truncated space.
+:mod:`analytic`, and the displaced doublets (n >= 1) from the ladder
+recurrence of S(r) D(alpha); both are exact on every level up to ``n_max``,
+and no route applies a matrix exponential.  Every state is normalised on
+the truncated space.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from math import cosh, sinh, sqrt
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh, expm_multiply
 
 from . import analytic
-
-# Extra Fock levels used internally when applying squeeze/displace
-# generators to the doublets; projected away before returning states.
-_CONSTRUCTION_PAD = 32
 
 TAIL_MASS_TOL = 1e-10
 
@@ -69,12 +59,12 @@ class HilbertSpec:
 
 def adaptive_n_max(eta: float) -> int:
     """The Fock-space routes' cutoff: the squeezed vacuum's support, rounded
-    up to even and clamped at 512.  The dark state populates even levels
+    up to even, with no upper clamp.  The dark state populates even levels
     only and H moves a level by one, so at an even n_max nothing cut away
     couples back: ||H dark|| is 4e-16 at eta = 0.995 (n_max 122), 6.1e-6 at
     the odd support 121."""
     n_max = analytic.squeezed_vacuum_n_max(eta)
-    return min(n_max + n_max % 2, 512)
+    return n_max + n_max % 2
 
 
 @dataclass
@@ -209,23 +199,26 @@ def jc_hamiltonian_parts(
     )
 
 
-def _apply_generators(field_dim: int, r: float, alpha: complex, seed: np.ndarray) -> np.ndarray:
-    """Apply S(r) D(alpha) to a field vector on a padded space, project down.
-
-    S(r) = exp[r(a^2 - a^dag^2)/2], D(alpha) = exp(alpha a^dag - alpha* a).
-    Both generators are anti-Hermitian, so each expm action preserves norm.
-    """
-    fdb = field_dim + _CONSTRUCTION_PAD
-    a, ad = _field_ladder(fdb)
-    vec = np.zeros(fdb, dtype=complex)
-    vec[: len(seed)] = seed
-    if alpha != 0:
-        gen_d = (alpha * ad - np.conj(alpha) * a).tocsc()
-        vec = expm_multiply(gen_d, vec)
-    if r != 0:
-        gen_s = ((r / 2) * (a @ a - ad @ ad)).tocsc()
-        vec = expm_multiply(gen_s, vec)
-    return vec[:field_dim]
+def _displaced_ladder(levels: int, r: float, alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """U|n-1> and U|n> on Fock levels 0..levels-1, up to one common factor,
+    for U = S(r) D(alpha) with real alpha: U|0> is annihilated by
+    U a U^dag = a cosh r + a^dag sinh r - alpha, whose row k fixes level
+    k + 1, and U|m> = (a^dag cosh r + a sinh r - alpha) U|m-1> / sqrt(m).
+    Each raising step reads one level above the one it writes, so U|0> runs
+    n levels past the cutoff and no returned level is truncated."""
+    root = np.sqrt(np.arange(levels + n))
+    ch, sh = cosh(r), sinh(r)
+    amps, sqrt_k = [1.0, alpha / ch], root.tolist()
+    for k in range(1, len(sqrt_k) - 1):
+        amps.append((alpha * amps[k] - sh * sqrt_k[k] * amps[k - 1]) / (ch * sqrt_k[k + 1]))
+    vec = np.array(amps)
+    for m in range(1, n + 1):
+        lower = vec
+        vec = -alpha * lower
+        vec[1:] += ch * root[1:] * lower[:-1]
+        vec[:-1] += sh * root[1:] * lower[1:]
+        vec /= sqrt(m)
+    return lower[:levels], vec[:levels]
 
 
 def _truncated_state(spec: HilbertSpec, amps: np.ndarray, what: str) -> StateVector:
@@ -281,11 +274,11 @@ def eigenstate(
 
     branch "dark" (n = 0): the zero-energy state S(r)|0> (x) |Phi_0>.
 
-    The dark state is :func:`dark_amplitudes`, renormalised on the
-    truncated space.  The doublets apply S(r) D(alpha) on a Fock space
-    padded by ``_CONSTRUCTION_PAD`` levels, which is not exact near
-    criticality: at eta = 0.995, n_max 121, the field factor is off by up to
-    5.4e-6, 2.9e-4 and 4.3e-3 for n = 1, 2 and 3 (see the module docstring).
+    Every branch is exact on every level up to n_max (the doublets by the
+    ladder recurrence of S(r) D(alpha)) and renormalised on the truncated space.
+    The doublets reach higher levels, so the adaptive cutoff flags their
+    tails: at eta = 0.995 the top 10% of levels holds 2.1e-5, 4.9e-3 and
+    8.9e-2 of the population for n = 1, 2 and 3.
     """
     if not spec.with_qubit:
         raise ValueError("eigenstates live on the composite space")
@@ -301,20 +294,14 @@ def eigenstate(
     if branch == "dark":
         amps = dark_amplitudes(spec, eta)
     else:
-        fd = spec.field_dim
         r = analytic.squeezing_parameter(eta)
         c, s = analytic.qubit_coefficients(eta)
         phi0 = np.array([c, -s], dtype=complex)  # in (|g>, |e>) order
         sign = 1.0 if branch == "+" else -1.0
-        alpha = -sign * np.sqrt(n) * eta
         phi1 = np.array([-s, c], dtype=complex)
-        lower = np.zeros(n, dtype=complex)
-        lower[n - 1] = 1.0
-        upper = np.zeros(n + 1, dtype=complex)
-        upper[n] = 1.0
-        f_lower = _apply_generators(fd, r, alpha, lower)
-        f_upper = _apply_generators(fd, r, alpha, upper)
-        amps = (np.kron(phi1, f_lower) + sign * np.kron(phi0, f_upper)) / np.sqrt(2.0)
+        f_lower, f_upper = _displaced_ladder(spec.field_dim, r, -sign * sqrt(n) * eta, n)
+        # the common factor and the 1/sqrt2 go with the normalisation
+        amps = np.kron(phi1, f_lower) + sign * np.kron(phi0, f_upper)
 
     return _truncated_state(spec, amps, f"eigenstate (eta={eta}, n={n}, branch={branch})")
 
@@ -330,6 +317,9 @@ def doublet_spectrum(
     with the dark state; both are identified by their population in the top
     Fock levels and dropped.
     """
+    # imported here: scipy.sparse.linalg would add start-up time to every run
+    from scipy.sparse.linalg import eigsh
+
     if not spec.with_qubit:
         raise ValueError("doublets live on the composite space")
     h = build_hamiltonian(spec, omega, eta)

@@ -4,7 +4,7 @@ construction, Cramer-Rao comparison, and the near-critical scaling fits.
 The probe is the squeezed vacuum S(r)|0> at eta, a Gaussian state, so every
 outcome law is closed form in eta and sampling builds no Fock space: photon
 counts from p(2m) = binom(2m, m) 4^{-m} tanh^{2m}(r) / cosh(r) on levels
-0..max(32, ceil(12/u)) (the Fock cutoff's sizing without its 512 clamp;
+0..max(32, ceil(12/u)) (the support the Fock cutoff rounds up to even;
 both from :mod:`analytic`), quadratures from normal laws with variances
 <X^2> = 1/(4u) and <P^2> = u/4 (u = sqrt(1 - eta^2)).  Estimates clip at
 ``ETA_CLIP`` = 1 - 1e-9, so sampling accepts eta in [0, ETA_CLIP]; at the
@@ -134,7 +134,7 @@ def quadrature_distribution(eta: float, kind: str) -> tuple[float, float]:
 
 def photon_count_distribution(eta: float) -> tuple[np.ndarray, np.ndarray]:
     """Photon-count values 0..L and their closed-form law at eta: the
-    populations p(n) of S(r)|0> (zero for odd n) on the unclamped support
+    populations p(n) of S(r)|0> (zero for odd n) on the support
     L = :func:`analytic.squeezed_vacuum_n_max` (eta)."""
     _require_estimable(eta)
     levels = analytic.squeezed_vacuum_n_max(eta) + 1

@@ -27,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import exp, isfinite, lgamma, log, sqrt, tanh
 
-from scipy.optimize import brentq
-
 DEFAULT_XI = 4.0 / 3.0
 
 # Taylor coefficients of u - tanh(u) in powers u^3, u^5, ..., u^15; below
@@ -64,7 +62,7 @@ class RampSchedule:
 
     onset = tau >= 0 (kt units) replaces kt by the clock
     phi(kt) = kt - tau tanh(kt / tau) in the formula above, which removes
-    the t = 0 cusp; the duration then comes from a bracketed root solve.
+    the t = 0 cusp; the duration then comes from a safeguarded Newton solve.
     onset = 0 is the paper's schedule, evaluated in closed form.
     """
 
@@ -92,14 +90,17 @@ class RampSchedule:
         phi = float((eta * eta / (1.0 - eta * eta)) ** (1.0 / self.xi))
         if not self.onset:
             return phi
-        # kt - tau <= phi(kt) <= kt brackets the root of the monotone clock;
-        # the tiny xtol leaves brentq's relative tolerance in charge
-        return float(
-            brentq(
-                lambda kt: _onset_clock(kt, self.onset) - phi,
-                phi, phi + self.onset, xtol=1e-300,
-            )
-        )
+        # phi(kt) is increasing and convex (d phi/d kt = tanh^2(kt / tau)) and
+        # kt - tau <= phi(kt) <= kt puts the root in [phi, phi + tau], so Newton
+        # from phi + tau descends to it without overshooting; the floor keeps a
+        # rounded step in the bracket, and the loop ends where rounding stalls
+        tau, kt = self.onset, phi + self.onset
+        while True:
+            excess = _onset_clock(kt, tau) - phi
+            step = max(kt - excess / tanh(kt / tau) ** 2, phi) if excess > 0.0 else kt
+            if step >= kt:
+                return kt
+            kt = step
 
     @property
     def duration(self) -> float:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -240,6 +241,15 @@ class TestQfiFromStateDerivative:
         got = analytic.qfi_from_state_derivative(eta)
         expected = analytic.evaluate(eta).qfi
         assert got == pytest.approx(expected, rel=1e-4, abs=0.0)
+
+    def test_near_critical_stencil_is_not_truncated(self):
+        # the stencil's shared cutoff, adaptive_n_max(eta + h), is 602 levels
+        # at 0.9997 and holds every stencil state; the 9.2e-4 left is the
+        # finite-difference step's
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = analytic.qfi_from_state_derivative(0.9997)
+        assert got == pytest.approx(analytic.evaluate(0.9997).qfi, rel=1e-3, abs=0.0)
 
     def test_near_zero_edge(self):
         # qfi(0) = 0; just inside the domain the value stays tiny

@@ -396,7 +396,7 @@ class TestRunCramerRao:
 class TestCramerRaoEtaRange:
     @pytest.mark.parametrize("scheme", ["photon_number", "x_squared", "p_squared"])
     def test_past_the_fock_clamp_runs_strict(self, tmp_path, scheme):
-        # 1 - eta = 1e-5 is past the 512-level Fock clamp; the outcome laws
+        # 1 - eta = 1e-5 needs a Fock cutoff of 2,684; the outcome laws
         # are closed forms at eta, so nothing is truncated
         body = {
             "experiment": "cramer_rao",

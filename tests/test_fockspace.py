@@ -1,9 +1,9 @@
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 
 from jcsense import analytic, fockspace
 from jcsense.fockspace import (
@@ -41,8 +41,9 @@ class TestHilbertSpec:
     def test_adaptive_n_max_clamps(self):
         assert adaptive_n_max(0.0) == 32
         assert adaptive_n_max(0.995) == 122  # the support, 121, rounded up to even
-        # deep critical values hit the upper clamp
-        assert adaptive_n_max(1 - 1e-7) == 512
+        # no upper clamp: deep critical values get the whole even support
+        assert analytic.squeezed_vacuum_n_max(1 - 1e-7) == 26_833
+        assert adaptive_n_max(1 - 1e-7) == 26_834
 
 
 class TestLadderOps:
@@ -160,36 +161,38 @@ class TestSqueezedVacuum:
             np.testing.assert_allclose(state.amplitudes.real, oracle, atol=1e-12)
             np.testing.assert_allclose(state.amplitudes.imag, 0.0, atol=1e-14)
 
-    @pytest.mark.parametrize("eta,n_max", [(0.995, 121), (0.9999, 512)])
+    @pytest.mark.parametrize("eta,n_max", [(0.995, 121), (0.9999, 850)])
     def test_near_critical_matches_closed_form(self, eta, n_max):
         # the probe and the dark state's field factor carry the exact
         # amplitudes up to the cutoff, renormalised on the truncated space;
-        # at the clamp (eta = 0.9999) the tail itself is flagged
+        # at the support and at the adaptive cutoff no tail is flagged
         r = 0.25 * np.log(1 - eta**2)
         oracle = squeezed_vacuum_coefficients(n_max + 1, r)
         oracle /= np.linalg.norm(oracle)
         c = np.sqrt((1 + np.sqrt(1 - eta**2)) / 2)
         phi0 = np.array([c, -np.sqrt(1 - c**2)])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            probe = squeezed_vacuum(HilbertSpec(n_max=n_max, with_qubit=False), r)
-            dark = eigenstate(HilbertSpec(n_max=n_max), 1.0, eta, 0, "dark")
+        probe = squeezed_vacuum(HilbertSpec(n_max=n_max, with_qubit=False), r)
+        dark = eigenstate(HilbertSpec(n_max=n_max), 1.0, eta, 0, "dark")
         np.testing.assert_allclose(probe.amplitudes, oracle, rtol=0, atol=1e-13)
         np.testing.assert_allclose(dark.amplitudes, np.kron(phi0, oracle), rtol=0, atol=1e-13)
 
     def test_built_without_matrix_exponential(self, monkeypatch):
-        # the probe and the dark state are closed-form; only the displaced
-        # doublets still apply generators through expm_multiply
+        # the probe and the dark state are closed forms and the doublets a
+        # ladder recurrence: no route calls any of scipy's matrix exponentials
         def refuse(*args, **kwargs):
-            raise AssertionError("expm_multiply called")
+            raise AssertionError("matrix exponential called")
 
-        monkeypatch.setattr(fockspace, "expm_multiply", refuse)
+        for module, name in (
+            (scipy.linalg, "expm"), (scipy.sparse.linalg, "expm"), (scipy.sparse.linalg, "expm_multiply")
+        ):
+            monkeypatch.setattr(module, name, refuse)
+        assert not {"expm", "expm_multiply"} & set(vars(fockspace))
         spec = HilbertSpec(n_max=64)
         squeezed_vacuum(HilbertSpec(n_max=64, with_qubit=False), -0.5)
         eigenstate(spec, 1.0, 0.8, 0, "dark")
-        for branch in ("+", "-"):
-            with pytest.raises(AssertionError, match="expm_multiply"):
-                eigenstate(spec, 1.0, 0.8, 1, branch)
+        for n in (1, 2, 3):
+            for branch in ("+", "-"):
+                eigenstate(spec, 1.0, 0.8, n, branch)
 
     def test_odd_levels_exactly_empty(self):
         state = squeezed_vacuum(HilbertSpec(n_max=40, with_qubit=False), -0.6)
@@ -240,14 +243,12 @@ class TestEigenstate:
         h = build_hamiltonian(spec, 1.0, 0.6)
         assert np.linalg.norm(h.matrix @ dark.amplitudes) <= 1e-8
 
-    @pytest.mark.parametrize("eta,n_max", [(0.5, 32), (0.9, 256), (0.995, 512), (0.9999, 512)])
+    @pytest.mark.parametrize("eta,n_max", [(0.5, 32), (0.9, 256), (0.995, 512), (0.9999, 850)])
     def test_dark_state_annihilated_to_round_off(self, eta, n_max):
         # at an even cutoff the truncated H annihilates the truncated closed
-        # form level by level, even at the clamp where the tail is flagged
+        # form level by level, here up to the adaptive cutoff at 0.9999
         spec = HilbertSpec(n_max=n_max)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            dark = eigenstate(spec, 1.0, eta, 0, "dark")
+        dark = eigenstate(spec, 1.0, eta, 0, "dark")
         h = build_hamiltonian(spec, 1.0, eta)
         assert np.linalg.norm(h.matrix @ dark.amplitudes) <= 1e-14
 
@@ -338,6 +339,21 @@ class TestStateVector:
             StateVector(HilbertSpec(n_max=4, with_qubit=False), np.zeros(3))
 
 
+@pytest.fixture(scope="module")
+def dense_doublet_fields():
+    """S(r) D(alpha) columns n - 1 and n by dense expm on 1,000 levels at
+    eta = 0.995, keyed by (n, branch)."""
+    eta, levels = 0.995, 1000
+    squeeze = dense_squeeze(levels, 0.25 * np.log(1 - eta**2))
+    fields = {}
+    for n in (1, 2, 3):
+        displace = dense_displace(levels, -np.sqrt(n) * eta)
+        # D(-alpha) = D(alpha)^T: the truncated generator is real antisymmetric
+        for branch, d in (("+", displace), ("-", displace.T)):
+            fields[n, branch] = squeeze @ d[:, n - 1 : n + 1]
+    return eta, fields
+
+
 class TestDisplacedConstruction:
     def test_displacement_matches_dense_oracle(self):
         # the +/- eigenstates exercise S(r) D(alpha); check the field factor
@@ -361,3 +377,21 @@ class TestDisplacedConstruction:
             (c * (sd @ lower) - s * (sd @ upper))[:fd],    # |e> block
         ]) / np.sqrt(2)
         np.testing.assert_allclose(state.amplitudes, expected, atol=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("branch", ["+", "-"])
+    def test_near_critical_doublets_match_dense_oracle(self, dense_doublet_fields, n, branch):
+        # at the adaptive cutoff (n_max 122) every level is exact: the oracle
+        # is projected onto the cutoff and renormalised like the state.  The
+        # doublet's own tail is real and flagged
+        eta, fields = dense_doublet_fields
+        spec = HilbertSpec(n_max=adaptive_n_max(eta))
+        with pytest.warns(TruncationWarning):
+            state = eigenstate(spec, 1.0, eta, n, branch)
+        fd, sign = spec.field_dim, 1.0 if branch == "+" else -1.0
+        lower, upper = fields[n, branch][:fd].T
+        c = np.sqrt((1 + np.sqrt(1 - eta**2)) / 2)
+        s = np.sqrt(1 - c**2)
+        expected = np.concatenate([-s * lower + sign * c * upper, c * lower - sign * s * upper])
+        expected /= np.linalg.norm(expected)
+        np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-12)

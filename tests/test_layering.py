@@ -1,12 +1,15 @@
 """Layer boundaries read from the source: the closed-form layer loads
 without the rest of the package, estimation reaches the Fock-space layer
 only through its public names, no source file reaches a private scipy
-module, each module's load-time scipy imports are pinned, and every
-exported name exists."""
+module, each module's load-time scipy imports are pinned, importing the
+package loads no scipy solver, and every exported name exists."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jcsense
@@ -112,11 +115,23 @@ def _load_time_scipy_imports(tree: ast.Module) -> set[str]:
 def test_load_time_scipy_imports_are_pinned():
     # each costs start-up time in every run that imports the module; add or
     # remove one here on purpose
-    expected = {
-        "fockspace.py": {"scipy.sparse", "scipy.sparse.linalg"},
-        "dynamics.py": {"scipy.integrate"},
-        "ramp.py": {"scipy.optimize"},
-    }
+    expected = {"fockspace.py": {"scipy.sparse"}}
     for path in sorted(SRC.glob("*.py")):
         found = _load_time_scipy_imports(ast.parse(path.read_text()))
         assert found == expected.get(path.name, set()), (path.name, sorted(found))
+
+
+def test_import_leaves_the_solvers_unloaded():
+    # the integrator, the root finders and the sparse eigensolver load only
+    # in a run that calls them
+    probe = (
+        "import sys, jcsense; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.sparse.linalg') "
+        "if m in sys.modules))"
+    )
+    path = filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "[]", out.stdout

@@ -96,8 +96,8 @@ class TestQuadratureLaw:
 
     @pytest.mark.parametrize("eta", [0.0, 0.5, 0.9, 0.99, 0.995, 0.9999])
     def test_variance_matches_closed_form(self, eta):
-        # the Fock oracle on the unclamped cutoff; past the clamp
-        # (eta = 0.9999) the clamped probe's variances are 2.2e-6 low
+        # the Fock oracle on the squeezed vacuum's support, up to level 849
+        # at eta = 0.9999
         state = fock_probe(eta, n_max=analytic.squeezed_vacuum_n_max(eta))
         p = analytic.evaluate(eta)
         for kind, exact in (("x_squared", p.mean_x2), ("p_squared", p.mean_p2)):
@@ -118,8 +118,8 @@ class TestQuadratureLaw:
         np.testing.assert_array_equal(got, want)
 
     def test_photon_counts_are_choice_draws_on_the_fock_populations(self):
-        # below the clamp the closed-form law and the Fock populations agree
-        # to rounding, so the draws are the same
+        # the closed-form law and the Fock populations agree to rounding, so
+        # the draws are the same
         scheme = MeasurementScheme("photon_number", 1000)
         got = sample_outcomes(0.8, scheme, seed=17)
         np.testing.assert_array_equal(got, fock_sample_outcomes(fock_probe(0.8), scheme, 17))
@@ -138,9 +138,12 @@ class TestPhotonCountLaw:
 
     @pytest.mark.parametrize("eta", [0.9999, 0.999999])
     def test_moments_match_closed_forms_past_the_clamp(self, eta):
-        # the support is not clamped at 512 levels
+        # the law spans the squeezed vacuum's whole support (up to level 849
+        # and 8,486), and the Fock cutoff covers it: neither is clamped
         values, p = photon_count_distribution(eta)
-        assert values.size > fockspace.adaptive_n_max(eta) + 1
+        support = analytic.squeezed_vacuum_n_max(eta)
+        assert values[-1] == support and values.size == support + 1
+        assert fockspace.adaptive_n_max(eta) >= support
         mean = p @ values
         var = p @ (values - mean) ** 2
         point = analytic.evaluate(eta)

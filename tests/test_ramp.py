@@ -5,6 +5,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from jcsense.ramp import (
     RampSchedule,
@@ -218,6 +219,19 @@ class TestOnset:
             e2u = (2 * Decimal(kt) / Decimal(tau)).exp()
             exact = float(Decimal(kt) - Decimal(tau) * (e2u - 1) / (e2u + 1))
         assert _onset_clock(kt, tau) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("xi", [0.5, 1.0, 4.0 / 3.0, 2.0])
+    def test_kt_end_against_bracketed_root(self, xi):
+        # the Newton inversion of the onset clock against scipy's bracketed
+        # root finder, run down to its relative tolerance
+        for tau in np.geomspace(0.01, 50.0, 9):
+            for eta in (1e-6, 1e-3, 0.1, 0.5, 0.9, 0.995, 0.9999, 1.0 - 1e-7, 1.0 - 1e-9):
+                phi = float((eta * eta / (1.0 - eta * eta)) ** (1.0 / xi))
+                reference = brentq(
+                    lambda kt: _onset_clock(kt, tau) - phi, phi, phi + tau, xtol=1e-300
+                )
+                got = RampSchedule(k=0.005, xi=xi, eta_target=eta, onset=float(tau)).kt_end
+                assert got == pytest.approx(reference, rel=1e-13, abs=0.0), (tau, eta)
 
     @pytest.mark.parametrize("tau", [-1.0, float("nan"), float("inf")])
     def test_rejects_invalid_onset(self, tau):
