@@ -7,7 +7,7 @@ scheduling, and Fisher-information / Monte-Carlo estimation pipelines.
 __version__ = "0.1.0"
 
 from .analytic import AnalyticPoint, eigenvalue, evaluate
-from .dynamics import EvolutionConfig, TrajectoryRecord, evolve, fidelity_against_dark
+from .dynamics import Trajectory, evolve, fidelity_against_dark
 from .fockspace import (
     HilbertSpec,
     SparseOperator,
@@ -30,14 +30,13 @@ from .ramp import RampSchedule, eta_at, eta_dot_at, transition_probability
 
 __all__ = [
     "AnalyticPoint",
-    "EvolutionConfig",
     "HilbertSpec",
     "MeasurementScheme",
     "RampSchedule",
     "ScalingFit",
     "SparseOperator",
     "StateVector",
-    "TrajectoryRecord",
+    "Trajectory",
     "TruncationWarning",
     "adaptive_n_max",
     "build_hamiltonian",

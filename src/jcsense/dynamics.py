@@ -2,8 +2,10 @@
 its adiabatic frame.
 
 A trajectory is the schedule's ramp from the dark state |0>|g> at t = 0 to
-the schedule's duration, with 201 uniform records of the dark-state
-fidelity, the norm defect and the field moments.
+the schedule's duration.  :func:`evolve` returns it as one
+:class:`Trajectory` of record columns, arrays over 201 uniform times: the
+dark-state fidelity, the field moments, the norm defect and the top-pair
+population.
 
 The state is written over the closed-form instantaneous eigenstates of
 :func:`fockspace.eigenstate`, Psi = sum_j c_j |j(eta)>, with j the dark
@@ -64,36 +66,21 @@ TOP_PAIR_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class EvolutionConfig:
-    """Inputs for one ramp trajectory: the schedule's ramp from t = 0 to its
-    duration, recorded at 201 uniform times."""
+class Trajectory:
+    """The record columns of one ramp trajectory, one entry per record."""
 
-    omega: float
-    schedule: ramp.RampSchedule
-    rtol: float = DEFAULT_RTOL
-    atol: float = DEFAULT_ATOL
+    t: np.ndarray
+    eta: np.ndarray
+    fidelity: np.ndarray
+    mean_n: np.ndarray
+    var_n: np.ndarray
+    mean_x2: np.ndarray
+    mean_p2: np.ndarray
+    norm_defect: np.ndarray
+    top_pair_population: np.ndarray
 
-    def __post_init__(self):
-        checked = {"rtol": self.rtol, "atol": self.atol, "omega": self.omega,
-                   "schedule duration": self.schedule.duration}
-        for name, value in checked.items():
-            if not (value > 0 and isfinite(value)):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
-
-
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """One sampled point of a trajectory."""
-
-    t: float
-    eta: float
-    fidelity: float
-    mean_n: float
-    var_n: float
-    mean_x2: float
-    mean_p2: float
-    norm_defect: float
-    top_pair_population: float
+    def __len__(self) -> int:
+        return len(self.t)
 
 
 def fidelity_against_dark(state: StateVector, eta: float) -> float:
@@ -275,43 +262,51 @@ def solve_ivp(*args, **kwargs):
     return scipy_solve_ivp(*args, **kwargs)
 
 
-def evolve(cfg: EvolutionConfig) -> list[TrajectoryRecord]:
+def evolve(
+    schedule: ramp.RampSchedule, omega: float, rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL
+) -> Trajectory:
     """Integrate the ramp from the t = 0 dark state in the adiabatic frame.
 
     The schedule starts at eta(0) = 0, where the dark state is exactly
-    |0>|g>, and the trajectory runs to the schedule's duration.  Emits one
-    record at each of 201 uniform times with the instantaneous dark-state
-    fidelity and field moments; the final record sits at eta = eta_target.
+    |0>|g>, and the trajectory runs to the schedule's duration.  Returns
+    the record columns at 201 uniform times: the instantaneous dark-state
+    fidelity, field moments, norm defect and top-pair population; the
+    final record sits at eta = eta_target.
 
-    Raises RuntimeError when the integrator fails (step-size underflow);
-    warns with :class:`TruncationWarning` when the population of the top
-    doublet pair (n = ``N_DOUBLETS``) exceeds ``TOP_PAIR_TOL`` at any
-    record; the message names the worst population and the record's t and kt.
+    Raises ValueError, before integrating, unless rtol, atol, omega and the
+    schedule's duration are finite and > 0; RuntimeError when the
+    integrator fails (step-size underflow).  Warns with
+    :class:`TruncationWarning` when the population of the top doublet pair
+    (n = ``N_DOUBLETS``) exceeds ``TOP_PAIR_TOL`` at any record; the
+    message names the worst population and the record's t and kt.
     """
+    checked = {"rtol": rtol, "atol": atol, "omega": omega, "schedule duration": schedule.duration}
+    for name, value in checked.items():
+        if not (value > 0 and isfinite(value)):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
     n_doublets = N_DOUBLETS
     frame = _frame(n_doublets)
     size = len(frame.energies)
-    sched, omega = cfg.schedule, cfg.omega
     coupling, gauss, energies = frame.coupling, frame.gauss, frame.energies
     degrees = np.arange(coupling.shape[1])
     phase = -1j * energies
 
     def rhs(t: float, c: np.ndarray) -> np.ndarray:
-        eta = ramp.eta_at(sched, t)
+        eta = ramp.eta_at(schedule, t)
         eps = (1.0 - eta) * (1.0 + eta)
         d = (coupling @ eta**degrees) * np.exp(gauss * (eta * eta))
         # D is real: one real product on the (re, im) columns of c
         out = (d.reshape(size, size) @ c.view(float).reshape(size, 2)).view(complex).reshape(size)
-        out *= -ramp.eta_dot_at(sched, t) / eps
+        out *= -ramp.eta_dot_at(schedule, t) / eps
         out += (omega * eps**0.75) * (phase * c)
         return out
 
     c0 = np.zeros(size, dtype=complex)
     c0[0] = 1.0  # the dark state, |0>|g> at eta = 0
-    times = np.linspace(0.0, sched.duration, DEFAULT_RECORDS + 1)
+    times = np.linspace(0.0, schedule.duration, DEFAULT_RECORDS + 1)
     sol = solve_ivp(
         rhs, (times[0], times[-1]), c0, method="DOP853",
-        rtol=cfg.rtol, atol=cfg.atol, t_eval=times,
+        rtol=rtol, atol=atol, t_eval=times,
     )
     if sol.status != 0:
         raise RuntimeError(
@@ -321,7 +316,7 @@ def evolve(cfg: EvolutionConfig) -> list[TrajectoryRecord]:
         )
 
     c = sol.y.T  # (records, states)
-    eta = np.array([ramp.eta_at(sched, t) for t in times])
+    eta = np.array([ramp.eta_at(schedule, t) for t in times])
     u = np.sqrt((1.0 - eta) * (1.0 + eta))
     # Re(c_k^* c_j) e^{gauss eta^2}, by (record, kj)
     re, im = c.real, c.imag
@@ -334,28 +329,17 @@ def evolve(cfg: EvolutionConfig) -> list[TrajectoryRecord]:
     norm = pop.sum(axis=1)
     mean_n = x2 + p2 - 0.5 * norm
     top = pop[:, -2:].sum(axis=1)
-    records = [
-        TrajectoryRecord(
-            t=float(times[i]),
-            eta=float(eta[i]),
-            fidelity=float(pop[i, 0]),
-            mean_n=float(mean_n[i]),
-            var_n=float(n2[i] - mean_n[i] * mean_n[i]),
-            mean_x2=float(x2[i]),
-            mean_p2=float(p2[i]),
-            norm_defect=float(abs(1.0 - norm[i])),
-            top_pair_population=float(top[i]),
-        )
-        for i in range(len(times))
-    ]
     worst = int(np.argmax(top))
     if top[worst] > TOP_PAIR_TOL:
         warnings.warn(
             f"population reached the top doublet pair n = {n_doublets} (the "
             f"frame's tail mass {top[worst]:.2e} > {TOP_PAIR_TOL} at "
-            f"t = {times[worst]:.6g}, kt = {sched.k * times[worst]:.6g}); "
+            f"t = {times[worst]:.6g}, kt = {schedule.k * times[worst]:.6g}); "
             f"results are truncation-limited",
             TruncationWarning,
             stacklevel=2,
         )
-    return records
+    return Trajectory(
+        t=times, eta=eta, fidelity=pop[:, 0], mean_n=mean_n, var_n=n2 - mean_n * mean_n,
+        mean_x2=x2, mean_p2=p2, norm_defect=np.abs(1.0 - norm), top_pair_population=top,
+    )

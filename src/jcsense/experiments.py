@@ -78,27 +78,20 @@ def fidelity_sweep(resolved: dict) -> tuple[list[str], list[list[float]], dict]:
     """
     sched = _schedule(resolved)
     num = resolved["numerics"]
-    cfg = dynamics.EvolutionConfig(
-        omega=resolved["physics"]["Omega"],
-        schedule=sched,
-        rtol=num["rtol"],
-        atol=num["atol"],
-    )
-    records = dynamics.evolve(cfg)
+    traj = dynamics.evolve(sched, resolved["physics"]["Omega"], rtol=num["rtol"], atol=num["atol"])
     columns = [
         "kt", "t", "eta", "fidelity",
         "mean_n", "var_n", "mean_x2", "mean_p2", "norm_defect",
     ]
-    rows = [
-        [sched.k * r.t, r.t, r.eta, r.fidelity,
-         r.mean_n, r.var_n, r.mean_x2, r.mean_p2, r.norm_defect]
-        for r in records
-    ]
+    rows = np.column_stack([
+        sched.k * traj.t, traj.t, traj.eta, traj.fidelity,
+        traj.mean_n, traj.var_n, traj.mean_x2, traj.mean_p2, traj.norm_defect,
+    ]).tolist()
     extras = {
         "n_doublets": dynamics.N_DOUBLETS,
-        "top_pair_population": max(r.top_pair_population for r in records),
-        "min_fidelity": min(r.fidelity for r in records),
-        "final_fidelity": records[-1].fidelity,
+        "top_pair_population": traj.top_pair_population.max(),
+        "min_fidelity": traj.fidelity.min(),
+        "final_fidelity": traj.fidelity[-1],
     }
     return columns, rows, extras
 

@@ -177,19 +177,18 @@ def lab_trajectory(schedule: ramp.RampSchedule, n_max: int = LAB_N_MAX, omega: f
     return LabRun(spec, *map(np.array, zip(*columns)), amplitudes=sol.y)
 
 
-def frame_run(schedule: ramp.RampSchedule) -> list[dynamics.TrajectoryRecord]:
-    """``dynamics.evolve`` on the schedule; a warning fails the run."""
+def frame_run(schedule: ramp.RampSchedule) -> dynamics.Trajectory:
+    """``dynamics.evolve`` on the schedule at Omega = 1; a warning fails the run."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return dynamics.evolve(dynamics.EvolutionConfig(omega=1.0, schedule=schedule))
+        return dynamics.evolve(schedule, 1.0)
 
 
 @pytest.fixture(scope="session")
 def headline_ramp_run():
     """The headline trajectory: k = Omega/200, xi = 4/3, target eta = 0.995.
     The frame's top doublet pair stays below its tolerance, so no warning."""
-    cfg = dynamics.EvolutionConfig(omega=1.0, schedule=HEADLINE)
-    return cfg, frame_run(cfg.schedule)
+    return frame_run(HEADLINE)
 
 
 @pytest.fixture(scope="session")

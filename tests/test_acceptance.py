@@ -11,6 +11,7 @@ with and without the onset) in the frame, a few seconds together.
 from __future__ import annotations
 
 import numpy as np
+from conftest import HEADLINE
 
 from jcsense import analytic, dynamics, fockspace, metrology, ramp
 from jcsense.fockspace import HilbertSpec
@@ -106,10 +107,10 @@ def test_criterion_4_qfi_cross_check():
 def test_criterion_5_fidelity_ramp(headline_ramp_run, headline_lab_oracle):
     # the drift is the frame's final fidelity against the lab-frame oracle
     # on twice the headline's Fock cutoff
-    cfg, records = headline_ramp_run
-    min_fidelity = min(r.fidelity for r in records)
-    kt_end = cfg.schedule.kt_end
-    drift = abs(headline_lab_oracle.fidelity[-1] - records[-1].fidelity)
+    traj = headline_ramp_run
+    min_fidelity = traj.fidelity.min()
+    kt_end = HEADLINE.kt_end
+    drift = abs(headline_lab_oracle.fidelity[-1] - traj.fidelity[-1])
     passed = min_fidelity >= 0.9996 and abs(kt_end - 31.4) < 0.1 and drift < 1e-6
     report(
         "criterion 5 (fidelity ramp, k = Omega/200)",
@@ -135,8 +136,7 @@ def test_criterion_6_rate_scaling():
         leakages = []
         for k in rates:
             sched = ramp.RampSchedule(k=k, xi=xi, eta_target=eta_target, onset=onset)
-            cfg = dynamics.EvolutionConfig(omega=OMEGA, schedule=sched, rtol=1e-10, atol=1e-12)
-            leakages.append(1.0 - dynamics.evolve(cfg)[-1].fidelity)
+            leakages.append(1.0 - dynamics.evolve(sched, OMEGA, rtol=1e-10, atol=1e-12).fidelity[-1])
         return leakages, float(np.polyfit(np.log(rates), np.log(leakages), 1)[0])
 
     smooth, smooth_slope = leakage_slope(2.0)

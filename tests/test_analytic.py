@@ -243,9 +243,9 @@ class TestQfiFromStateDerivative:
         assert got == pytest.approx(expected, rel=1e-4, abs=0.0)
 
     def test_near_critical_stencil_is_not_truncated(self):
-        # the stencil's shared cutoff, adaptive_n_max(eta + h), is 602 levels
-        # at 0.9997 and holds every stencil state; the 9.2e-4 left is the
-        # finite-difference step's
+        # the stencil's shared cutoff, the squeezed vacuum's support at
+        # eta + h rounded up to even, is 602 at 0.9997 and holds every
+        # stencil state; the 9.2e-4 left is the finite-difference step's
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = analytic.qfi_from_state_derivative(0.9997)

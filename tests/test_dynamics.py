@@ -17,7 +17,7 @@ from conftest import (
 from scipy.integrate import DOP853, solve_ivp
 
 from jcsense import analytic, dynamics, fockspace, ramp
-from jcsense.dynamics import EvolutionConfig, evolve, fidelity_against_dark
+from jcsense.dynamics import evolve, fidelity_against_dark
 from jcsense.fockspace import HilbertSpec, StateVector, eigenstate
 
 
@@ -70,20 +70,20 @@ class TestFidelityAgainstDark:
 class TestEvolve:
     def test_short_ramp_structure(self):
         sched = ramp.RampSchedule(k=1.0 / 20.0, eta_target=0.5)
-        cfg = EvolutionConfig(omega=1.0, schedule=sched)
-        records = evolve(cfg)
-        assert len(records) == 201
-        assert records[0].t == 0.0
-        assert records[0].fidelity == 1.0 and records[0].mean_n == 0.0
-        assert records[-1].eta == pytest.approx(0.5, abs=1e-12)
-        for rec in records:
-            assert 0.0 <= rec.fidelity <= 1.0 + 1e-12
-            assert rec.norm_defect <= 10 * cfg.atol
+        traj = evolve(sched, 1.0)
+        assert len(traj) == 201
+        for column in vars(traj).values():
+            assert column.shape == (201,)
+        assert traj.t[0] == 0.0
+        assert traj.fidelity[0] == 1.0 and traj.mean_n[0] == 0.0
+        assert traj.eta[-1] == pytest.approx(0.5, abs=1e-12)
+        assert np.all((0.0 <= traj.fidelity) & (traj.fidelity <= 1.0 + 1e-12))
+        assert traj.norm_defect.max() <= 10 * dynamics.DEFAULT_ATOL
 
     def test_faster_ramp_loses_fidelity(self):
         def final_fidelity(k):
             sched = ramp.RampSchedule(k=k, eta_target=0.9)
-            return evolve(EvolutionConfig(omega=1.0, schedule=sched))[-1].fidelity
+            return evolve(sched, 1.0).fidelity[-1]
 
         slow = final_fidelity(1.0 / 50.0)
         # the fast ramp excites the frame's top doublet pair, and evolve says so
@@ -96,10 +96,7 @@ class TestEvolve:
         sched = ramp.RampSchedule(k=1.0 / 50.0, eta_target=0.9)
         fids = []
         for scale in (1.0, 0.5):
-            cfg = EvolutionConfig(
-                omega=1.0, schedule=sched, rtol=1e-9 * scale, atol=1e-11 * scale
-            )
-            fids.append(evolve(cfg)[-1].fidelity)
+            fids.append(evolve(sched, 1.0, rtol=1e-9 * scale, atol=1e-11 * scale).fidelity[-1])
         assert abs(fids[0] - fids[1]) < 1e-6
 
     def test_truncation_warning_on_tiny_cutoff(self, monkeypatch):
@@ -110,13 +107,13 @@ class TestEvolve:
         sched = ramp.RampSchedule(k=0.1, eta_target=0.9)
         pattern = r"tail mass ([0-9.eE+-]+) > 1e-08 at t = ([0-9.eE+-]+), kt = ([0-9.eE+-]+)\)"
         with pytest.warns(fockspace.TruncationWarning, match=pattern) as caught:
-            records = evolve(EvolutionConfig(omega=1.0, schedule=sched))
+            traj = evolve(sched, 1.0)
         (message,) = [str(w.message) for w in caught if re.search(pattern, str(w.message))]
         assert "n = 2" in message
         top, t, kt = (float(v) for v in re.search(pattern, message).groups())
         assert top > dynamics.TOP_PAIR_TOL
-        assert top == pytest.approx(max(r.top_pair_population for r in records), rel=1e-2)
-        assert min(abs(r.t - t) for r in records) <= 1e-5 * max(t, 1.0)  # printed to 6 digits
+        assert top == pytest.approx(traj.top_pair_population.max(), rel=1e-2)
+        assert np.abs(traj.t - t).min() <= 1e-5 * max(t, 1.0)  # printed to 6 digits
         assert kt == pytest.approx(sched.k * t, rel=1e-5, abs=0.0)
 
     def _capture_rhs(self, monkeypatch):
@@ -132,9 +129,9 @@ class TestEvolve:
         sched = ramp.RampSchedule(k=0.05, eta_target=0.9)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", fockspace.TruncationWarning)
-            records = evolve(EvolutionConfig(omega=1.0, schedule=sched))
+            traj = evolve(sched, 1.0)
         (fun, sol), = calls
-        return fun, sol, records, sched
+        return fun, sol, traj, sched
 
     def test_rhs_contract(self, monkeypatch):
         # dc/dt = A c with A = -i diag(E) - eta' D, D real antisymmetric: the
@@ -166,9 +163,9 @@ class TestEvolve:
             return eta_at(*args, **kwargs)
 
         monkeypatch.setattr(ramp, "eta_at", counting)
-        _, sol, records, _ = self._capture_rhs(monkeypatch)
+        _, sol, traj, _ = self._capture_rhs(monkeypatch)
         assert sol.nfev > 0
-        assert counts["eta_at"] == sol.nfev + len(records)
+        assert counts["eta_at"] == sol.nfev + len(traj)
 
     def test_nan_drive_fails_loudly(self, monkeypatch):
         # a drive that turns NaN mid-ramp makes every step through it fail
@@ -188,57 +185,59 @@ class TestEvolve:
         monkeypatch.setattr(ramp, "eta_at", nan_after)
         monkeypatch.setattr(dynamics, "solve_ivp", spy)
         sched = ramp.RampSchedule(k=0.05, eta_target=0.9)
-        cfg = EvolutionConfig(omega=1.0, schedule=sched)
         with pytest.raises(RuntimeError, match="time integration failed"):
             with pytest.warns(RuntimeWarning, match="invalid value"):
-                evolve(cfg)
+                evolve(sched, 1.0)
         (sol,) = calls
         assert sol.status == -1
         assert sol.message == DOP853.TOO_SMALL_STEP
         # with t_eval, sol.t holds the records reached before the failure
         assert 0.0 < sol.t[-1] <= 0.5 * sched.duration
 
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
+        # every check runs before the integrator is reached
+        monkeypatch.setattr(dynamics, "solve_ivp", None)
         sched = ramp.RampSchedule(k=0.1)
         with pytest.raises(ValueError):
-            EvolutionConfig(omega=1.0, schedule=sched, rtol=0)
+            evolve(sched, 1.0, rtol=0)
         with pytest.raises(ValueError):
-            EvolutionConfig(omega=1.0, schedule=sched, atol=-1e-12)
+            evolve(sched, 1.0, atol=-1e-12)
         with pytest.raises(ValueError):
-            EvolutionConfig(omega=0.0, schedule=sched)
+            evolve(sched, 0.0)
 
     @pytest.mark.parametrize("key", ["rtol", "atol", "omega"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    def test_rejects_non_finite(self, key, value):
-        # a NaN or infinite tolerance used to construct, and evolve then
-        # stalled on it; a NaN omega constructed too
+    def test_rejects_non_finite(self, monkeypatch, key, value):
+        # a NaN or infinite tolerance used to reach the integrator, which then
+        # stalled on it; a NaN omega reached it too
+        monkeypatch.setattr(dynamics, "solve_ivp", None)
         sched = ramp.RampSchedule(k=0.1)
         kwargs = {"omega": 1.0, key: value}
         with pytest.raises(ValueError, match=key):
-            EvolutionConfig(schedule=sched, **kwargs)
+            evolve(sched, **kwargs)
 
     @pytest.mark.parametrize(
         "sched",
         [ramp.RampSchedule(k=0.005, eta_target=1e-300), ramp.RampSchedule(k=1e-320)],
         ids=["zero", "infinite"],
     )
-    def test_rejects_a_degenerate_duration(self, sched):
+    def test_rejects_a_degenerate_duration(self, monkeypatch, sched):
         # kt_end underflows to 0, or kt_end / k overflows; evolve used to die
         # on the zero duration with an AttributeError
+        monkeypatch.setattr(dynamics, "solve_ivp", None)
         with pytest.raises(ValueError, match="schedule duration"):
-            EvolutionConfig(omega=1.0, schedule=sched)
+            evolve(sched, 1.0)
 
     def test_depends_on_k_over_omega(self):
         # doubling Omega and k together halves t and keeps every other record;
         # Omega is not the time unit of an absolute rate k
         fast, slow = (
-            evolve(EvolutionConfig(omega=omega, schedule=ramp.RampSchedule(k=k, eta_target=0.9)))
+            evolve(ramp.RampSchedule(k=k, eta_target=0.9), omega)
             for omega, k in ((2.0, 0.02), (1.0, 0.01))
         )
-        assert [2.0 * r.t for r in fast] == [r.t for r in slow]
+        np.testing.assert_array_equal(2.0 * fast.t, slow.t)
         for name in ("eta", "fidelity", "mean_n", "var_n", "mean_x2", "mean_p2"):
-            got = np.array([getattr(r, name) for r in fast])
-            assert got == pytest.approx([getattr(r, name) for r in slow], rel=0.0, abs=1e-9), name
+            assert getattr(fast, name) == pytest.approx(getattr(slow, name), rel=0.0, abs=1e-9), name
 
 
 class TestHeadlineTrajectory:
@@ -246,37 +245,31 @@ class TestHeadlineTrajectory:
     itself is an acceptance criterion."""
 
     def test_norm_conserved_along_trajectory(self, headline_ramp_run):
-        cfg, records = headline_ramp_run
-        assert max(r.norm_defect for r in records) <= 10 * cfg.atol
+        assert headline_ramp_run.norm_defect.max() <= 10 * dynamics.DEFAULT_ATOL
 
     def test_final_record_at_target(self, headline_ramp_run):
-        _, records = headline_ramp_run
-        assert records[-1].eta == pytest.approx(0.995, abs=1e-12)
+        assert headline_ramp_run.eta[-1] == pytest.approx(0.995, abs=1e-12)
 
     def test_ten_times_faster_ramp_ends_below_headline_fidelity(self, headline_ramp_run):
-        cfg, records = headline_ramp_run
-        fast = EvolutionConfig(
-            omega=cfg.omega,
-            schedule=ramp.RampSchedule(k=10 * cfg.schedule.k, eta_target=0.995),
-        )
+        fast = ramp.RampSchedule(k=10 * HEADLINE.k, eta_target=0.995)
         with pytest.warns(fockspace.TruncationWarning):
-            fast_records = evolve(fast)
-        assert fast_records[-1].fidelity < records[-1].fidelity
+            fast_traj = evolve(fast, 1.0)
+        assert fast_traj.fidelity[-1] < headline_ramp_run.fidelity[-1]
 
     def test_moments_track_instantaneous_dark_state(self, headline_ramp_run):
         # measured <N> follows the closed form at the instantaneous eta up to
         # the coherent cross-terms left by the start-up jolt (doublet
         # amplitude ~0.013 against O(1) matrix elements): within 10% over the
         # critical window and 25% everywhere the photon number is appreciable
-        _, records = headline_ramp_run
-        for rec in records[1:]:
-            if rec.eta > 0.99:
+        traj = headline_ramp_run
+        for eta, mean_n in zip(traj.eta[1:], traj.mean_n[1:]):
+            if eta > 0.99:
                 continue
-            expected = analytic.evaluate(rec.eta).mean_n
-            if 0.9 <= rec.eta:
-                assert abs(rec.mean_n - expected) <= 0.10 * expected
+            expected = analytic.evaluate(eta).mean_n
+            if 0.9 <= eta:
+                assert abs(mean_n - expected) <= 0.10 * expected
             elif expected >= 0.01:
-                assert abs(rec.mean_n - expected) <= 0.25 * expected
+                assert abs(mean_n - expected) <= 0.25 * expected
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +351,42 @@ class TestClosedForms:
             ref = dense(field_op)
             np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-14 * np.abs(ref).max())
 
+    @pytest.mark.parametrize(
+        "eta, doublets, tol",
+        [(0.3, 10, 1e-11), (0.6, 10, 1e-11), (0.9, 10, 1e-11), (0.995, 3, 5e-14), (0.999, 3, 5e-14)],
+    )
+    def test_full_frame_matches_fock_eigenstates(self, eta, doublets, tol):
+        # the production frame's tables against its states built in Fock space
+        # by fockspace.eigenstate on 8x the adaptive cutoff: all 21 states up
+        # to eta = 0.9 (measured within 1.3e-12 of the largest element), and
+        # the leading n <= 3 block nearer the critical point, where the ladder
+        # recurrence is accurate for n <= 3 only (within 5.5e-15)
+        frame = dynamics._frame(dynamics.N_DOUBLETS)
+        spec = HilbertSpec(n_max=8 * fockspace.adaptive_n_max(eta))
+        states = [eigenstate(spec, 1.0, eta, 0, "dark")] + [
+            eigenstate(spec, 1.0, eta, n, branch) for n in range(1, doublets + 1) for branch in ("+", "-")
+        ]
+        basis = np.array([state.amplitudes.real for state in states]).T
+        size = basis.shape[1]
+        block = np.ix_(range(size), range(size))
+        observables = fockspace.field_observables(spec)
+
+        def fock(op):
+            return basis.T @ (op @ basis).real
+
+        # D_kj = <k|H_d|j> / (E_j - E_k), H_d = Omega X
+        energies = frame.energies[:size] * ((1.0 - eta) * (1.0 + eta)) ** 0.75
+        gap = energies[None, :] - energies[:, None]
+        np.fill_diagonal(gap, np.inf)
+        num = observables["photon_number"]
+        for got, ref in (
+            (_coupling(frame, eta)[block], fock(fockspace.quadrature_x(spec).matrix) / gap),
+            (_frame_elements(frame, frame.moments["x2"], eta)[block], fock(observables["x_squared"])),
+            (_frame_elements(frame, frame.moments["p2"], eta)[block], fock(observables["p_squared"])),
+            (_frame_elements(frame, frame.moments["n2"], eta)[block], fock(num @ num)),
+        ):
+            np.testing.assert_allclose(got, ref, rtol=0.0, atol=tol * np.abs(ref).max())
+
     def test_tables_do_not_depend_on_the_doublet_count(self):
         small, full = dynamics._frame(CHECKED_DOUBLETS), dynamics._frame(dynamics.N_DOUBLETS)
         size = len(small.energies)
@@ -401,14 +430,13 @@ class TestClosedForms:
 COLUMNS = ("fidelity", "mean_n", "var_n", "mean_x2", "mean_p2")
 
 
-def _within_oracle_bounds(records, reference) -> dict:
+def _within_oracle_bounds(traj, reference) -> dict:
     """Worst deviation per column over the records, as a multiple of its
     bound: 1e-8 in F, 1e-6 absolute in <N>, <X^2>, <P^2>, 1e-5 relative in
-    Var N.  ``reference`` holds the columns as arrays."""
+    Var N.  ``reference`` has the same columns as attributes."""
     worst = {}
     for name in COLUMNS:
-        got = np.array([getattr(r, name) for r in records])
-        ref = np.asarray(reference[name])
+        got, ref = getattr(traj, name), getattr(reference, name)
         if name == "var_n":
             ratio = np.abs(got - ref)[1:] / np.abs(ref[1:]) / 1e-5
         else:
@@ -419,25 +447,20 @@ def _within_oracle_bounds(records, reference) -> dict:
 
 @pytest.mark.parametrize("which", ["headline", "onset"])
 def test_records_match_lab_oracle(request, headline_ramp_run, which):
-    if which == "headline":
-        _, records = headline_ramp_run
-    else:
-        records = frame_run(ONSET)
+    traj = headline_ramp_run if which == "headline" else frame_run(ONSET)
     lab = request.getfixturevalue(f"{which}_lab_oracle")
     assert lab.spec.n_max == LAB_N_MAX
-    np.testing.assert_array_equal([r.t for r in records], lab.t)
-    np.testing.assert_array_equal([r.eta for r in records], lab.eta)
-    worst = _within_oracle_bounds(records, vars(lab))
+    np.testing.assert_array_equal(traj.t, lab.t)
+    np.testing.assert_array_equal(traj.eta, lab.eta)
+    worst = _within_oracle_bounds(traj, lab)
     assert max(worst.values()) <= 1.0, worst
 
 
 @pytest.mark.parametrize("schedule", [HEADLINE, ONSET], ids=["headline", "onset"])
 def test_doubling_the_doublets_moves_no_column(monkeypatch, headline_ramp_run, schedule):
-    records = headline_ramp_run[1] if schedule is HEADLINE else frame_run(schedule)
+    traj = headline_ramp_run if schedule is HEADLINE else frame_run(schedule)
     monkeypatch.setattr(dynamics, "N_DOUBLETS", 2 * dynamics.N_DOUBLETS)
-    doubled = frame_run(schedule)
-    reference = {name: [getattr(r, name) for r in doubled] for name in COLUMNS}
-    worst = _within_oracle_bounds(records, reference)
+    worst = _within_oracle_bounds(traj, frame_run(schedule))
     assert max(worst.values()) <= 1.0, worst
 
 

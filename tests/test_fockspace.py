@@ -388,10 +388,59 @@ class TestDisplacedConstruction:
         spec = HilbertSpec(n_max=adaptive_n_max(eta))
         with pytest.warns(TruncationWarning):
             state = eigenstate(spec, 1.0, eta, n, branch)
-        fd, sign = spec.field_dim, 1.0 if branch == "+" else -1.0
-        lower, upper = fields[n, branch][:fd].T
-        c = np.sqrt((1 + np.sqrt(1 - eta**2)) / 2)
-        s = np.sqrt(1 - c**2)
-        expected = np.concatenate([-s * lower + sign * c * upper, c * lower - sign * s * upper])
-        expected /= np.linalg.norm(expected)
+        lower, upper = fields[n, branch][: spec.field_dim].T
+        expected = _doublet_amplitudes(eta, branch, lower, upper)
         np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-12)
+
+    def test_lost_precision_raises(self):
+        # at eta = 0.999 the forward sweep for n = 10 has lost every digit
+        # (0.28 off a 50-digit run at n_max 2160); the lowering relation
+        # reads a residual of 27 and the state is refused, not returned
+        with pytest.raises(RuntimeError, match="lost precision"):
+            eigenstate(HilbertSpec(n_max=2160), 1.0, 0.999, 10, "+")
+
+    @pytest.mark.parametrize("branch", ["+", "-"])
+    def test_accepted_near_critical_doublet_matches_50_digit_recurrence(self, branch):
+        # n = 3 at eta = 1 - 1e-4 (n_max 850) passes the guard; the same
+        # recurrence in 50 digits is the reference
+        mpmath = pytest.importorskip("mpmath")
+        eta, n = 1.0 - 1e-4, 3
+        spec = HilbertSpec(n_max=adaptive_n_max(eta))
+        with pytest.warns(TruncationWarning):
+            state = eigenstate(spec, 1.0, eta, n, branch)
+        r, alpha = analytic.squeezing_parameter(eta), -(1.0 if branch == "+" else -1.0) * np.sqrt(n) * eta
+        with mpmath.workdps(50):
+            lower, upper = _ladder_in_mpmath(mpmath, spec.field_dim, r, alpha, n)
+        expected = _doublet_amplitudes(eta, branch, lower, upper)
+        np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-10)
+
+
+def _doublet_amplitudes(eta, branch, lower, upper) -> np.ndarray:
+    """The normalised doublet (|n-1>|Phi_1> +/- |n>|Phi_0>) from the field
+    columns U|n-1> and U|n>, in the package's (|g>, |e>) block order."""
+    sign = 1.0 if branch == "+" else -1.0
+    c = np.sqrt((1 + np.sqrt(1 - eta**2)) / 2)
+    s = np.sqrt(1 - c**2)
+    amps = np.concatenate([-s * lower + sign * c * upper, c * lower - sign * s * upper])
+    return amps / np.linalg.norm(amps)
+
+
+def _ladder_in_mpmath(mpmath, levels, r, alpha, n):
+    """U|n-1> and U|n> for U = S(r) D(alpha) on levels 0..levels-1, by the
+    ladder recurrence at mpmath's working precision, rounded to floats."""
+    r, alpha = mpmath.mpf(r), mpmath.mpf(alpha)
+    ch, sh = mpmath.cosh(r), mpmath.sinh(r)
+    size = levels + n
+    root = [mpmath.sqrt(k) for k in range(size)]
+    vec = [mpmath.mpf(1), alpha / ch]
+    for k in range(1, size - 1):
+        vec.append((alpha * vec[k] - sh * root[k] * vec[k - 1]) / (ch * root[k + 1]))
+    for m in range(1, n + 1):
+        lower = vec
+        vec = [
+            ((ch * root[k] * lower[k - 1] if k else 0) - alpha * lower[k]
+             + (sh * root[k + 1] * lower[k + 1] if k + 1 < size else 0)) / mpmath.sqrt(m)
+            for k in range(size)
+        ]
+    return (np.array([float(v) for v in lower[:levels]]),
+            np.array([float(v) for v in vec[:levels]]))
