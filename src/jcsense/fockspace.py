@@ -15,6 +15,12 @@ loses digits as n and the squeezing grow, so each doublet is checked
 against the lowering relation and rejected with RuntimeError where it has
 lost precision (see :func:`eigenstate`).  Every state is normalised on the
 truncated space.
+
+Importing this module loads numpy only.  ``scipy.sparse`` is imported by
+the functions that build a sparse matrix, so a run loads it with its first
+operator; :func:`doublet_spectrum` loads ``scipy.sparse.linalg`` for its
+eigensolver, and :mod:`dynamics` loads ``scipy.integrate`` with the first
+ramp.  The closed-form experiments never load scipy.
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ from dataclasses import dataclass, field
 from math import cosh, sinh, sqrt
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import analytic
 
@@ -113,12 +118,17 @@ class StateVector:
 
 @dataclass
 class SparseOperator:
-    """Sparse complex matrix over a declared basis."""
+    """Sparse complex matrix over a declared basis.
+
+    ``matrix`` accepts anything ``scipy.sparse.csr_matrix`` does and is
+    stored as a complex CSR matrix."""
 
     spec: HilbertSpec
-    matrix: sp.spmatrix = field(repr=False)
+    matrix: object = field(repr=False)
 
     def __post_init__(self):
+        import scipy.sparse as sp
+
         m = sp.csr_matrix(self.matrix, dtype=complex)
         if m.shape != (self.spec.dim, self.spec.dim):
             raise ValueError(
@@ -127,15 +137,22 @@ class SparseOperator:
         self.matrix = m
 
 
-def _field_ladder(field_dim: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+def _field_ladder(field_dim: int):
+    """The annihilation operator a and its adjoint on Fock levels
+    0..field_dim-1, as complex CSR matrices."""
+    import scipy.sparse as sp
+
     a = sp.diags(
         np.sqrt(np.arange(1, field_dim)), offsets=1, format="csr", dtype=complex
     )
     return a, a.conj().T.tocsr()
 
 
-def _lift(spec: HilbertSpec, field_op: sp.spmatrix) -> sp.csr_matrix:
-    """Lift a field-only operator to the composite space (identity on qubit)."""
+def _lift(spec: HilbertSpec, field_op):
+    """Lift a sparse field-only operator to the composite space (identity on
+    qubit), as a complex CSR matrix."""
+    import scipy.sparse as sp
+
     if not spec.with_qubit:
         return sp.csr_matrix(field_op, dtype=complex)
     return sp.kron(sp.identity(2, dtype=complex), field_op, format="csr")
@@ -158,8 +175,9 @@ def quadrature_p(spec: HilbertSpec) -> SparseOperator:
     return SparseOperator(spec, _lift(spec, (1j * (ad - a) / 2).tocsr()))
 
 
-def field_observables(spec: HilbertSpec) -> dict[str, sp.csr_matrix]:
-    """The measured observables N, X^2 and P^2, keyed by measurement scheme."""
+def field_observables(spec: HilbertSpec) -> dict:
+    """The measured observables N, X^2 and P^2 as CSR matrices, keyed by
+    measurement scheme."""
     x = quadrature_x(spec).matrix
     p = quadrature_p(spec).matrix
     return {"photon_number": number_op(spec).matrix, "x_squared": x @ x, "p_squared": p @ p}
@@ -194,6 +212,8 @@ def jc_hamiltonian_parts(
     """Split H(eta) = H_jc + eta*H_drive for cheap time-dependent assembly."""
     if not spec.with_qubit:
         raise ValueError("the interaction Hamiltonian needs the qubit factor")
+    import scipy.sparse as sp
+
     a, ad = _field_ladder(spec.field_dim)
     sigma_ge = sp.csr_matrix(np.array([[0, 1], [0, 0]], dtype=complex))  # |g><e|
     sigma_eg = sigma_ge.conj().T.tocsr()
@@ -345,7 +365,9 @@ def doublet_spectrum(
     with the dark state; both are identified by their population in the top
     Fock levels and dropped.
     """
-    # imported here: scipy.sparse.linalg would add start-up time to every run
+    # imported here, like scipy.sparse in the operator builders: a run loads
+    # the eigensolver only when it calls this, scipy.sparse with its first
+    # operator and scipy.integrate with its first ramp, never at start-up
     from scipy.sparse.linalg import eigsh
 
     if not spec.with_qubit:

@@ -205,7 +205,13 @@ def transition_probability(s: RampSchedule, omega: float, eta: float, n: int) ->
 
 
 def transition_bound(s: RampSchedule, omega: float) -> float:
-    """Uniform near-critical bound (k / (3 sqrt2 Omega))^2 on every channel."""
+    """The bound (k / (3 sqrt2 Omega))^2 on :func:`transition_probability`,
+    the first-order near-critical estimate, for every channel.
+
+    It does not bound the simulated leakage.  On the paper's schedule the
+    start-up cusp at t = 0 puts the first doublet's population at 2.41e-4
+    (173x this bound) at kt 0.31.
+    """
     if omega <= 0:
         raise ValueError(f"omega must be > 0, got {omega}")
     return (s.k / (3.0 * sqrt(2.0) * omega)) ** 2

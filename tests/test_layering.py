@@ -1,12 +1,14 @@
 """Layer boundaries read from the source: the closed-form layer imports
 nothing from the rest of the package, estimation reaches the Fock-space layer
 only through its public names, no source file reaches a private scipy
-module, each module's load-time scipy imports are pinned, importing the
-package loads no scipy solver, and every exported name exists."""
+module, no module imports scipy at load time, importing the package loads
+no scipy module, each run loads only the scipy it uses, and every exported
+name exists."""
 
 from __future__ import annotations
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -96,9 +98,8 @@ def _private_scipy_modules(tree: ast.Module) -> set[str]:
     return {name for name in found if name.split(".")[0] == "scipy" and _is_private(name)}
 
 
-def test_private_scipy_modules_only_in_dynamics():
-    # none at all, in dynamics or elsewhere: any scipy release may move
-    # scipy's internals
+def test_no_source_file_reaches_a_private_scipy_module():
+    # any scipy release may move scipy's internals
     for path in sorted(SRC.glob("*.py")):
         private = _private_scipy_modules(ast.parse(path.read_text()))
         assert not private, (path.name, sorted(private))
@@ -115,25 +116,76 @@ def _load_time_scipy_imports(tree: ast.Module) -> set[str]:
 
 
 def test_load_time_scipy_imports_are_pinned():
-    # each costs start-up time in every run that imports the module; add or
-    # remove one here on purpose
-    expected = {"fockspace.py": {"scipy.sparse"}}
+    # none: each would cost start-up time in every run that imports the
+    # module, closed-form runs included; add one here only on purpose
     for path in sorted(SRC.glob("*.py")):
         found = _load_time_scipy_imports(ast.parse(path.read_text()))
-        assert found == expected.get(path.name, set()), (path.name, sorted(found))
+        assert found == set(), (path.name, sorted(found))
 
 
-def test_import_leaves_the_solvers_unloaded():
-    # the integrator, the root finders and the sparse eigensolver load only
-    # in a run that calls them
-    probe = (
-        "import sys, jcsense; "
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.sparse.linalg') "
-        "if m in sys.modules))"
-    )
+def _run_python(code: str, *args: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    package; return its stdout."""
     path = filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     out = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env
     )
-    assert out.stdout.strip() == "[]", out.stdout
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def test_import_leaves_the_solvers_unloaded():
+    # sparse matrices, the integrator, the root finders and the eigensolver
+    # load only in a run that calls them
+    probe = (
+        "import sys, jcsense, jcsense.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert _run_python(probe).strip() == "[]"
+
+
+# In one fresh interpreter: validate every experiment's default config, run
+# the four closed-form experiments, then moments_check, the one that builds
+# Fock-space operators without a ramp; print the scipy modules loaded after
+# each stage.
+_STAGED_RUNS = """
+import contextlib, io, json, sys
+from pathlib import Path
+from jcsense import cli, experiments
+
+tmp = Path(sys.argv[1])
+
+def main(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(list(argv)) == 0, argv
+
+def config(name, numerics):
+    path = tmp / f"{name}.json"
+    path.write_text(json.dumps({"experiment": name, "numerics": numerics}))
+    return str(path)
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+loaded = {}
+for name in experiments.RUNNERS:
+    main("validate", config(name, {}))
+loaded["validate"] = scipy_loaded()
+for name in ("qfi_curve", "ramp_curve", "scaling", "cramer_rao"):
+    numerics = {"shots": 100, "replicas": 4} if name == "cramer_rao" else {}
+    main("run", config(name, numerics), "--out", str(tmp / f"{name}.csv"))
+loaded["closed_forms"] = scipy_loaded()
+main("run", config("moments_check", {}), "--out", str(tmp / "moments_check.csv"))
+loaded["moments_check"] = scipy_loaded()
+print(json.dumps(loaded))
+"""
+
+
+def test_each_run_loads_only_the_scipy_it_uses(tmp_path):
+    loaded = json.loads(_run_python(_STAGED_RUNS, str(tmp_path)))
+    assert loaded["validate"] == []
+    assert loaded["closed_forms"] == []
+    assert "scipy.sparse" in loaded["moments_check"]
+    for solver in ("scipy.integrate", "scipy.sparse.linalg"):
+        assert solver not in loaded["moments_check"], solver
