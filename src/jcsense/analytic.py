@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# finite-difference step of qfi_from_state_derivative
-QFI_FD_STEP = 1e-4
+# step h of richardson_derivative's stencil
+FD_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -172,20 +172,29 @@ def eigenvalue(omega: float, eta: float, n: int, branch: str) -> float:
     return float(sign * np.sqrt(n) * omega * ((1.0 - eta) * (1.0 + eta)) ** 0.75)
 
 
+def richardson_derivative(f, x: float):
+    """df/dx at x from central differences of steps ``FD_STEP`` and
+    ``FD_STEP``/2, Richardson-extrapolated once: f is called at x + h, x - h,
+    x + h/2 and x - h/2, in that order, and may return an array."""
+    h = FD_STEP
+    d_full = (f(x + h) - f(x - h)) / (2.0 * h)
+    d_half = (f(x + h / 2) - f(x - h / 2)) / h
+    return (4.0 * d_half - d_full) / 3.0
+
+
 def qfi_from_state_derivative(eta: float) -> float:
     """Quantum Fisher information from the parametric state derivative.
 
     Evaluates 4 * [<d_eta phi | d_eta phi> + (<d_eta phi | phi>)^2] with the
-    derivative of the squeezed vacuum formed by central finite differences
-    of step ``QFI_FD_STEP``, Richardson-extrapolated once.  Each stencil
-    point is :func:`squeezed_vacuum_amplitudes` normalised on one shared
-    cutoff: the support :func:`squeezed_vacuum_n_max` gives at eta + h,
-    rounded up to even like ``fockspace.adaptive_n_max``.  For this
+    derivative of the squeezed vacuum from :func:`richardson_derivative`.
+    Each stencil point is :func:`squeezed_vacuum_amplitudes` normalised on
+    one shared cutoff: the support :func:`squeezed_vacuum_n_max` gives at
+    eta + h, rounded up to even like ``fockspace.adaptive_n_max``.  For this
     real-amplitude family the overlap term vanishes by normalization; it is
     computed anyway as a consistency term.  Agrees with ``evaluate(eta).qfi``
     to better than relative 1e-4 for eta <= 0.9.
     """
-    h = QFI_FD_STEP
+    h = FD_STEP
     if not (eta - h > 0.0 and eta + h < 1.0):
         raise ValueError(f"need 0 < eta-h and eta+h < 1 (h = {h}); got eta={eta}")
     # sized for the most demanding point of the stencil
@@ -196,9 +205,7 @@ def qfi_from_state_derivative(eta: float) -> float:
         amps = squeezed_vacuum_amplitudes(levels, squeezing_parameter(e))
         return amps / np.linalg.norm(amps)
 
-    d_full = (state(eta + h) - state(eta - h)) / (2.0 * h)
-    d_half = (state(eta + h / 2) - state(eta - h / 2)) / h
-    deriv = (4.0 * d_half - d_full) / 3.0
+    deriv = richardson_derivative(state, eta)
 
     phi = state(eta)
     overlap_term = float(deriv @ phi)

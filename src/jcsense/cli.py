@@ -37,7 +37,7 @@ not part of it), so a run can be reproduced from its own output.
 Identical config + seed gives byte-identical output on the same platform.
 
 Exit codes: 0 success, 2 config/validation error, 3 numerical failure
-(truncation warnings escalate to 3 under --strict).
+(truncation and clipped-estimate warnings escalate to 3 under --strict).
 """
 
 from __future__ import annotations
@@ -225,11 +225,13 @@ def run(resolved: dict, out_path: str | None = None, strict: bool = False) -> in
         with warnings.catch_warnings():
             if strict:
                 warnings.simplefilter("error", TruncationWarning)
+                warnings.simplefilter("error", metrology.EstimateClippedWarning)
             columns, rows, extras = runner(resolved)
     except ValueError as exc:
         _emit_error(resolved, "config", str(exc))
         return EXIT_CONFIG
-    except (TruncationWarning, RuntimeWarning, ArithmeticError, RuntimeError) as exc:
+    except (TruncationWarning, metrology.EstimateClippedWarning, RuntimeWarning,
+            ArithmeticError, RuntimeError) as exc:
         _emit_error(resolved, "numerical", str(exc))
         return EXIT_NUMERICAL
 
@@ -355,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("config", help="path to a JSON experiment config")
         cmd.add_argument("--seed", type=int, default=None, help="override numerics.seed")
     run_cmd.add_argument("--strict", action="store_true",
-                         help="escalate truncation warnings to errors")
+                         help="escalate truncation and clipped-estimate warnings to errors")
     run_cmd.add_argument("--out", default=None, help="override output.path")
     return parser
 

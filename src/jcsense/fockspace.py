@@ -16,6 +16,9 @@ against the lowering relation and rejected with RuntimeError where it has
 lost precision (see :func:`eigenstate`).  Every state is normalised on the
 truncated space.
 
+Each term of H moves the Fock level by one, so H anticommutes with the field
+parity and :func:`doublet_spectrum` reads the doublets off one parity block.
+
 Importing this module loads numpy only.  ``scipy.sparse`` is imported by
 the functions that build a sparse matrix, so a run loads it with its first
 operator; :func:`doublet_spectrum` loads ``scipy.sparse.linalg`` for its
@@ -357,39 +360,36 @@ def eigenstate(
 def doublet_spectrum(
     spec: HilbertSpec, omega: float, eta: float, n_doublets: int
 ) -> np.ndarray:
-    """Sparse-eigensolve the lowest +/- doublet energies around zero.
+    """The doublet energies -E_n..-E_1, E_1..E_n, sorted, with n = n_doublets.
 
-    Returns a sorted array of 2*n_doublets eigenvalues (the -/+ pairs for
-    n = 1..n_doublets).  Hard truncation leaves the top-of-ladder state
-    |n_max>|e> unpaired, producing a spurious near-zero mode that hybridizes
-    with the dark state; both are identified by their population in the top
-    Fock levels and dropped.
+    Ordered by field parity, H is [[0, B], [B^T, 0]].  On an even n_max the
+    even block holds two more states (the dark state and the unpaired
+    |n_max>|e>), so the n_doublets smallest eigenvalues of the n_max x n_max
+    matrix B^T B are the E_n^2.  Raises ValueError for an odd n_max or
+    n_doublets < 1, and RuntimeError when a doublet holds over 1e-3 of its
+    population in the top 10% of Fock levels.
     """
-    # imported here, like scipy.sparse in the operator builders: a run loads
-    # the eigensolver only when it calls this, scipy.sparse with its first
-    # operator and scipy.integrate with its first ramp, never at start-up
-    from scipy.sparse.linalg import eigsh
+    from scipy.sparse.linalg import eigsh  # loaded on first use
 
     if not spec.with_qubit:
         raise ValueError("doublets live on the composite space")
-    h = build_hamiltonian(spec, omega, eta)
-    k = 2 * n_doublets + 4
-    vals, vecs = eigsh(h.matrix, k=k, sigma=1e-3 * omega, which="LM")
-    fd = spec.field_dim
-    cut = _tail_cut(fd)
-    keep = []
-    for i in range(len(vals)):
-        pop = np.abs(vecs[:fd, i]) ** 2 + np.abs(vecs[fd:, i]) ** 2
-        edge_heavy = pop[cut:].sum() > 1e-3
-        near_zero = abs(vals[i]) < 1e-9 * omega
-        if not edge_heavy and not near_zero:
-            keep.append(vals[i])
-    keep = np.sort(np.asarray(keep))
-    if len(keep) < 2 * n_doublets:
-        raise RuntimeError(
-            f"eigensolver returned only {len(keep)} clean doublet values; "
-            "increase n_max or the requested subspace"
-        )
-    # keep the n_doublets pairs closest to zero
-    order = np.argsort(np.abs(keep))[: 2 * n_doublets]
-    return np.sort(keep[order])
+    if spec.n_max % 2:
+        raise ValueError(f"the parity blocks need an even n_max, got {spec.n_max}")
+    if n_doublets < 1:
+        raise ValueError(f"n_doublets must be >= 1, got {n_doublets}")
+    levels = np.tile(np.arange(spec.field_dim), 2)
+    even = levels % 2 == 0
+    b = build_hamiltonian(spec, omega, eta).matrix.real[even][:, ~even]
+    vals, vecs = eigsh(b.T @ b, k=n_doublets, sigma=0)
+    order = np.argsort(vals)
+    energies, vecs = np.sqrt(vals[order]), vecs[:, order]
+    # doublet n is (B v_n / E_n, +/- v_n) / sqrt2 on the (even, odd) blocks
+    top = levels >= _tail_cut(spec.field_dim)
+    edge = ((b @ vecs / energies)[top[even]] ** 2).sum(0) + (vecs[top[~even]] ** 2).sum(0)
+    for n, pop in enumerate(edge / 2, start=1):
+        if pop > 1e-3:
+            raise RuntimeError(
+                f"doublet n={n} holds {pop:.2e} of its population in the top 10% of "
+                f"Fock levels at n_max={spec.n_max}; increase n_max"
+            )
+    return np.concatenate([-energies[::-1], energies])

@@ -8,11 +8,14 @@ counts from p(2m) = binom(2m, m) 4^{-m} tanh^{2m}(r) / cosh(r) on levels
 both from :mod:`analytic`), quadratures from normal laws with variances
 <X^2> = 1/(4u) and <P^2> = u/4 (u = sqrt(1 - eta^2)).  Estimates clip at
 ``ETA_CLIP`` = 1 - 1e-9, so sampling accepts eta in [0, ETA_CLIP]; at the
-bound the photon-count support is about 2.7e5 levels.  Sampling is
-deterministic per (seed, scheme, eta); replica fans use spawned seed
-sequences so accumulation order never matters, and build the outcome law
-once, drawing every replica from it; photon counts are drawn by inverse-cdf
-lookup in one cumulative table per fan.  Detector imperfections are not modeled.
+bound the photon-count support is about 2.7e5 levels.  Every clipped
+estimate is flagged with :class:`EstimateClippedWarning`: one per call of
+:func:`estimate_eta`, one per replica fan with the count at each bound.
+Sampling is deterministic per (seed, scheme, eta); replica fans use
+spawned seed sequences so accumulation order never matters, and build the
+outcome law once, drawing every replica from it; photon counts are drawn
+by inverse-cdf lookup in one cumulative table per fan.  Detector
+imperfections are not modeled.
 
 :func:`inverted_variance_numeric` cross-checks the Fisher figures of merit
 in Fock space, with N, X^2 and P^2 from :func:`fockspace.field_observables`.
@@ -35,14 +38,12 @@ from .fockspace import StateVector
 SCHEME_KINDS = ("photon_number", "x_squared", "p_squared")
 
 DEFAULT_REPLICAS = 500
-# finite-difference step of inverted_variance_numeric
-D_ETA = 1e-4
 
 ETA_CLIP = 1.0 - 1e-9
 
 
 class EstimateClippedWarning(UserWarning):
-    """Emitted when a sample mean falls outside the invertible range."""
+    """Emitted when an estimate is clipped to 0 or ``ETA_CLIP``."""
 
 
 @dataclass(frozen=True)
@@ -81,9 +82,10 @@ def inverted_variance_numeric(state: StateVector, scheme: MeasurementScheme, eta
     """Classical Fisher figure of merit (d_eta <O>)^2 / Var[O] from Fock space.
 
     ``state`` is the squeezed-vacuum probe at eta; the states at the stencil
-    points eta +/- D_ETA (and half steps, for one Richardson pass) are
-    rebuilt internally on the same cutoff.  Matches the closed-form quantum
-    Fisher information to relative 1e-3 for eta <= 0.9.
+    points of :func:`analytic.richardson_derivative` (eta +/- h and
+    eta +/- h/2, h = ``analytic.FD_STEP``) are rebuilt on the same cutoff.
+    Matches the closed-form quantum Fisher information to relative 1e-3 for
+    eta <= 0.9.
 
     Raises ValueError when Var[O] vanishes (eta = 0 for the photon-number
     and x/p-squared observables), where the ratio is undefined.
@@ -92,8 +94,9 @@ def inverted_variance_numeric(state: StateVector, scheme: MeasurementScheme, eta
         raise ValueError("metrology operates on field-only states")
     if abs(state.norm() - 1.0) > 1e-9:
         raise ValueError("state must be normalized")
-    if not (0.0 < eta - D_ETA and eta + D_ETA < 1.0):
-        raise ValueError(f"need 0 < eta-D_ETA and eta+D_ETA < 1, got eta={eta}")
+    h = analytic.FD_STEP
+    if not (0.0 < eta - h and eta + h < 1.0):
+        raise ValueError(f"need 0 < eta-h and eta+h < 1 (h = {h}), got eta={eta}")
     spec = state.spec
     op = fockspace.field_observables(spec)[scheme.kind]
     mean, var = mean_and_variance(state, op)
@@ -104,9 +107,7 @@ def inverted_variance_numeric(state: StateVector, scheme: MeasurementScheme, eta
         probe = fockspace.squeezed_vacuum(spec, analytic.squeezing_parameter(e))
         return float(np.real(np.vdot(probe.amplitudes, op @ probe.amplitudes)))
 
-    d_full = (mean_at(eta + D_ETA) - mean_at(eta - D_ETA)) / (2.0 * D_ETA)
-    d_half = (mean_at(eta + D_ETA / 2) - mean_at(eta - D_ETA / 2)) / D_ETA
-    deriv = (4.0 * d_half - d_full) / 3.0
+    deriv = analytic.richardson_derivative(mean_at, eta)
     return deriv * deriv / var
 
 
@@ -188,51 +189,54 @@ def _invert_mean_n(m: float) -> float:
     return float(np.sqrt(max(0.0, 1.0 - u * u)))
 
 
-def estimate_eta(outcomes: np.ndarray, scheme: MeasurementScheme) -> float:
-    """Method-of-moments estimate of the drive amplitude.
-
-    Solves <O>(eta_hat) = sample mean through the closed-form mean maps,
-    each strictly monotone in eta, so the inverse is unique.  The estimate
-    is clipped to [0, 1 - 1e-9]; a sample mean outside the physical range
-    (possible at small shot counts) is clipped to the boundary and flagged
-    with :class:`EstimateClippedWarning`.
-    """
-    outcomes = np.asarray(outcomes, dtype=float)
-    if outcomes.size == 0:
-        raise ValueError("cannot estimate from an empty outcome array")
-    m = float(outcomes.mean())
-    if scheme.kind == "photon_number":
+def _clipped_estimate(m: float, kind: str) -> tuple[float, bool]:
+    """eta_hat for the sample mean m of one scheme, clipped to [0, ETA_CLIP],
+    and whether it was clipped.  A mean outside the physical range clips to
+    0 and an estimate past ETA_CLIP to ETA_CLIP; a mean on the range's edge
+    (an all-zero photon record) maps exactly to 0 and is not a clip."""
+    if kind == "photon_number":
         if m <= 0.0:
-            if m < 0.0:
-                _warn_clip(m, scheme)
-            return 0.0
+            return 0.0, m < 0.0
         eta_hat = _invert_mean_n(m)
-    elif scheme.kind == "x_squared":
+    elif kind == "x_squared":
         # <X^2> = 1/(4u), increasing in eta from 1/4
         if m <= 0.25:
-            if m < 0.25:
-                _warn_clip(m, scheme)
-            return 0.0
+            return 0.0, m < 0.25
         u = 1.0 / (4.0 * m)
         eta_hat = float(np.sqrt(1.0 - u * u))
     else:
         # <P^2> = u/4, decreasing in eta from 1/4
         if m >= 0.25:
-            if m > 0.25:
-                _warn_clip(m, scheme)
-            return 0.0
+            return 0.0, m > 0.25
         u = 4.0 * m
         eta_hat = float(np.sqrt(1.0 - u * u))
-    return min(eta_hat, ETA_CLIP)
+    if eta_hat > ETA_CLIP:
+        return ETA_CLIP, True
+    return eta_hat, False
 
 
-def _warn_clip(m: float, scheme: MeasurementScheme) -> None:
-    warnings.warn(
-        f"sample mean {m:.6g} of {scheme.kind} lies outside the physical "
-        "range; estimate clipped to the boundary",
-        EstimateClippedWarning,
-        stacklevel=3,
-    )
+def estimate_eta(outcomes: np.ndarray, scheme: MeasurementScheme) -> float:
+    """Method-of-moments estimate of the drive amplitude.
+
+    Solves <O>(eta_hat) = sample mean through the closed-form mean maps,
+    each strictly monotone in eta, so the inverse is unique.  The estimate
+    is clipped to [0, ETA_CLIP]: a sample mean outside the physical range
+    (possible at small shot counts) clips to 0 and an estimate past the
+    bound to ETA_CLIP, each flagged with :class:`EstimateClippedWarning`.
+    """
+    outcomes = np.asarray(outcomes, dtype=float)
+    if outcomes.size == 0:
+        raise ValueError("cannot estimate from an empty outcome array")
+    m = float(outcomes.mean())
+    eta_hat, clipped = _clipped_estimate(m, scheme.kind)
+    if clipped:
+        warnings.warn(
+            f"sample mean {m:.6g} of {scheme.kind} maps outside [0, ETA_CLIP]; "
+            f"estimate clipped to {eta_hat!r}",
+            EstimateClippedWarning,
+            stacklevel=2,
+        )
+    return eta_hat
 
 
 def replica_estimates(
@@ -246,25 +250,34 @@ def replica_estimates(
 
     The closed-form outcome law at eta is built once, with no Fock space,
     and every replica draws from it exactly as :func:`sample_outcomes`
-    would with the replica's seed.  Replica seeds are spawned from ``seed``
-    (splittable SeedSequence), so results are reproducible and independent
-    of execution order.  When ``outcome_sink`` is a list, the raw outcome
+    would with the replica's seed and is estimated as :func:`estimate_eta`
+    would.  Replica seeds are spawned from ``seed`` (splittable
+    SeedSequence), so results are reproducible and independent of
+    execution order.  When ``outcome_sink`` is a list, the raw outcome
     array of every replica is appended to it (outcomes are not retained
-    otherwise).  Raises ValueError for eta outside [0, ETA_CLIP], where
-    every estimate clips.
+    otherwise).  When estimates clip, one :class:`EstimateClippedWarning`
+    gives the count at each bound.  Raises ValueError for eta outside
+    [0, ETA_CLIP], where every estimate clips.
     """
     if replicas < 2:
         raise ValueError(f"need at least 2 replicas, got {replicas}")
     law = _outcome_law(eta, scheme.kind)
     children = np.random.SeedSequence(seed).spawn(replicas)
     estimates = np.empty(replicas)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EstimateClippedWarning)
-        for i, child in enumerate(children):
-            outcomes = _draw(scheme.kind, law, scheme.shots, child)
-            if outcome_sink is not None:
-                outcome_sink.append(outcomes)
-            estimates[i] = estimate_eta(outcomes, scheme)
+    clipped = np.zeros(replicas, dtype=bool)
+    for i, child in enumerate(children):
+        outcomes = _draw(scheme.kind, law, scheme.shots, child)
+        if outcome_sink is not None:
+            outcome_sink.append(outcomes)
+        estimates[i], clipped[i] = _clipped_estimate(float(outcomes.mean()), scheme.kind)
+    if clipped.any():
+        upper = int((estimates[clipped] == ETA_CLIP).sum())
+        warnings.warn(
+            f"{clipped.sum() - upper} of {replicas} {scheme.kind} estimates at eta={eta} "
+            f"with {scheme.shots} shots clipped to 0 and {upper} to ETA_CLIP",
+            EstimateClippedWarning,
+            stacklevel=2,
+        )
     return estimates
 
 

@@ -57,8 +57,8 @@ class RampSchedule:
 
     k sets the ramp rate (same units as the coupling Omega), xi > 0 the
     approach exponent, and eta_target < 1 fixes the total duration through
-    the inverse of the schedule.  k must be finite and > 0: every schedule
-    ramps, so its duration is always defined.
+    the inverse of the schedule.  k and xi must be finite and > 0: every
+    schedule ramps, so its duration is always defined.
 
     onset = tau >= 0 (kt units) replaces kt by the clock
     phi(kt) = kt - tau tanh(kt / tau) in the formula above, which removes
@@ -74,8 +74,8 @@ class RampSchedule:
     def __post_init__(self):
         if not (self.k > 0.0 and isfinite(self.k)):
             raise ValueError(f"ramp rate k must be finite and > 0, got {self.k}")
-        if self.xi <= 0:
-            raise ValueError(f"exponent xi must be > 0, got {self.xi}")
+        if not (self.xi > 0.0 and isfinite(self.xi)):
+            raise ValueError(f"exponent xi must be finite and > 0, got {self.xi}")
         if not 0.0 < self.eta_target < 1.0:
             raise ValueError(f"eta_target must be in (0, 1), got {self.eta_target}")
         if not (self.onset >= 0.0 and isfinite(self.onset)):

@@ -445,6 +445,31 @@ class TestStrictMode:
         assert out.exists()
 
 
+class TestClippedEstimates:
+    BODY = {
+        "experiment": "cramer_rao",
+        "physics": {"eta_target": 0.999999999},
+        "numerics": {"shots": 1000, "replicas": 200},
+    }
+
+    def test_strict_exits_3(self, tmp_path, capsys):
+        # about half of the estimates sit at ETA_CLIP: the ratios under-read
+        path = write_config(tmp_path, self.BODY)
+        out = tmp_path / "cr.csv"
+        assert cli.main(["run", str(path), "--strict", "--out", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "numerical" and "to ETA_CLIP" in err["message"]
+        assert not out.exists()
+
+    def test_warns_without_strict(self, tmp_path):
+        path = write_config(tmp_path, self.BODY)
+        out = tmp_path / "cr.csv"
+        with pytest.warns(metrology.EstimateClippedWarning) as caught:
+            assert cli.main(["run", str(path), "--out", str(out)]) == 0
+        assert len(caught) == 3  # one per shot count
+        assert len(data_rows(out.read_text())) == 3
+
+
 class TestIntegratorFailure:
     @staticmethod
     def _nan_drive_config(tmp_path, monkeypatch):
@@ -513,7 +538,9 @@ class TestOutcomeDumps:
             "output": {"path": str(out), "dump_outcomes": True},
         }
         path = write_config(tmp_path, body)
-        assert cli.main(["run", str(path)]) == 0
+        # with 2 (and for x_squared 20) shots per replica some estimates clip to 0
+        with pytest.warns(metrology.EstimateClippedWarning, match="clipped to 0"):
+            assert cli.main(["run", str(path)]) == 0
         doc = json.loads((tmp_path / "cr.csv.outcomes.json").read_text())
         values = np.array(doc["outcomes"]["200"])
         assert values.shape == (5, 200) and (values >= 0).all()

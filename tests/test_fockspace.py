@@ -327,6 +327,45 @@ class TestDoubletSpectrum:
         np.testing.assert_allclose(vals, expected, rtol=1e-8)
 
 
+def closed_form_doublets(eta: float, n_doublets: int) -> np.ndarray:
+    return np.sort([
+        analytic.eigenvalue(1.0, eta, n, b) for n in range(1, n_doublets + 1) for b in ("+", "-")
+    ])
+
+
+class TestParityBlockSpectrum:
+    def test_pairs_near_the_critical_point(self):
+        # the gap Omega (1 - eta^2)^{3/4} is 1.7e-3 here: a shift-invert
+        # window of the same size, not centred on zero, loses -E3 for E4
+        vals = doublet_spectrum(HilbertSpec(n_max=1700), 1.0, 0.9999, 3)
+        assert np.array_equal(vals, -vals[::-1])
+        np.testing.assert_allclose(vals, closed_form_doublets(0.9999, 3), rtol=1e-5)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.6, 0.9])
+    def test_is_the_dense_spectrum_without_its_two_zeros(self, eta):
+        # H = [[0, B], [B^T, 0]] by parity: its eigenvalues are +/- the
+        # singular values of B and two zeros (the dark state and |n_max>|e>)
+        spec = HilbertSpec(n_max=64)
+        dense = np.linalg.eigvalsh(build_hamiltonian(spec, 1.0, eta).matrix.toarray())
+        by_size = dense[np.argsort(np.abs(dense))]
+        assert np.abs(by_size[:2]).max() < 1e-12
+        vals = doublet_spectrum(spec, 1.0, eta, 4)
+        assert np.array_equal(vals, -vals[::-1])
+        np.testing.assert_allclose(vals, np.sort(by_size[2:10]), rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize("n_max, n_doublets", [(41, 3), (40, 0)])
+    def test_rejects_odd_cutoff_and_empty_request(self, n_max, n_doublets):
+        with pytest.raises(ValueError):
+            doublet_spectrum(HilbertSpec(n_max=n_max), 1.0, 0.5, n_doublets)
+
+    @pytest.mark.parametrize(
+        "eta, n_max", [(0.99, 100), (0.995, 122), (0.999, 300), (0.9999, 850)]
+    )
+    def test_edge_heavy_doublet_raises(self, eta, n_max):
+        with pytest.raises(RuntimeError, match=r"doublet n=\d"):
+            doublet_spectrum(HilbertSpec(n_max=n_max), 1.0, eta, 3)
+
+
 class TestStateVector:
     def test_norm_and_normalize(self):
         spec = HilbertSpec(n_max=4, with_qubit=False)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+from contextlib import nullcontext
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -11,7 +13,7 @@ from conftest import (
     quadrature_density,
     squeezed_vacuum_coefficients,
 )
-from scipy import stats
+from scipy import integrate, stats
 
 from jcsense import analytic, cli, experiments, fockspace, metrology, ramp
 from jcsense.metrology import (
@@ -160,7 +162,13 @@ class TestChiSquaredLaw:
         p = analytic.evaluate(eta)
         sigma2 = p.mean_x2 if kind == "x_squared" else p.mean_p2
         sink = []
-        replica_estimates(eta, MeasurementScheme(kind, shots), replicas, seed=8, outcome_sink=sink)
+        with warnings.catch_warnings():
+            # the test reads the draws: one x_squared mean of 4000 falls below
+            # 1/4 and its estimate clips to 0
+            warnings.simplefilter("ignore", EstimateClippedWarning)
+            replica_estimates(
+                eta, MeasurementScheme(kind, shots), replicas, seed=8, outcome_sink=sink
+            )
         means = np.array([outcomes.mean() for outcomes in sink])
         # moments of m = sigma^2 chi^2_nu / nu: variance 2 sigma^4 / nu and
         # fourth central moment 12 (nu + 4) sigma^8 / nu^3
@@ -243,8 +251,9 @@ class TestEstimateEta:
 
     def test_clip_at_upper_boundary(self):
         scheme = MeasurementScheme("photon_number", 1)
-        got = estimate_eta(np.array([1e9]), scheme)
-        assert got <= 1.0 - 1e-9
+        with pytest.warns(EstimateClippedWarning, match="clipped to 0.999999999"):
+            got = estimate_eta(np.array([1e9]), scheme)
+        assert got == ETA_CLIP
 
 
 class TestCramerRao:
@@ -283,7 +292,9 @@ class TestReplicaFan:
         replicas, seed = 4, 13
         scheme = MeasurementScheme("photon_number", 100)
         sink = []
-        replica_estimates(eta, scheme, replicas, seed=seed, outcome_sink=sink)
+        # at the clip two of the four estimates sit at ETA_CLIP
+        with pytest.warns(EstimateClippedWarning) if eta == ETA_CLIP else nullcontext():
+            replica_estimates(eta, scheme, replicas, seed=seed, outcome_sink=sink)
         values, p = photon_count_distribution(eta)
         for outcomes, child in zip(sink, np.random.SeedSequence(seed).spawn(replicas)):
             want = np.random.default_rng(child).choice(values, size=scheme.shots, p=p)
@@ -334,17 +345,56 @@ class TestReplicaFan:
         # the bound caps the photon-count support at about 2.7e5 levels
         values, _ = photon_count_distribution(ETA_CLIP)
         assert 2.6e5 < values.size < 2.8e5
-        estimates = replica_estimates(ETA_CLIP, MeasurementScheme("photon_number", 10), 2)
+        with pytest.warns(EstimateClippedWarning, match="0 and 1 to ETA_CLIP"):
+            estimates = replica_estimates(ETA_CLIP, MeasurementScheme("photon_number", 10), 2)
         assert ((0.0 <= estimates) & (estimates <= ETA_CLIP)).all()
 
 
+class TestClippedFans:
+    """A replica fan flags its clipped estimates with one warning."""
+
+    @pytest.mark.parametrize("kind", metrology.SCHEME_KINDS)
+    def test_no_clip_at_0_995(self, kind):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            estimates = replica_estimates(0.995, MeasurementScheme(kind, 100), 500, seed=2026)
+        assert ((0.0 < estimates) & (estimates < ETA_CLIP)).all()
+
+    @pytest.mark.parametrize(
+        "kind, at_clip", [("photon_number", 244), ("x_squared", 241), ("p_squared", 259)]
+    )
+    def test_counts_at_the_clip(self, kind, at_clip):
+        # about half of the estimates at eta = ETA_CLIP sit at the bound, and
+        # their replica variance understates the estimator's
+        with pytest.warns(EstimateClippedWarning) as caught:
+            estimates = replica_estimates(
+                ETA_CLIP, MeasurementScheme(kind, 1000), 500, seed=2026
+            )
+        assert len(caught) == 1
+        assert f"0 of 500 {kind} estimates" in str(caught[0].message)
+        assert f"clipped to 0 and {at_clip} to ETA_CLIP" in str(caught[0].message)
+        assert (estimates == ETA_CLIP).sum() == at_clip
+
+    def test_all_zero_photon_records_are_not_clips(self):
+        # criterion 8's nu = 100 fan: all-zero records estimate exactly 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            estimates = replica_estimates(
+                0.8, MeasurementScheme("photon_number", 100), 500, seed=2026
+            )
+        assert (estimates == 0.0).sum() == 16
+
+
 class TestPhotonEstimatorOracle:
-    """Exact nu Var[eta_hat] QFI of the photon-number estimator.
+    """Exact nu Var[eta_hat] QFI of the estimators at finite nu.
 
     A replica's photon counts are 2 m_i with m_i ~ NegBin(1/2, sech^2 r), so
     the pair sum S = sum_i m_i is NegBin(nu/2, sech^2 r) and
     eta_hat = g(2S/nu), with g the inverse of <N>(eta) = (1 - u)^2/(4u).
-    The moments of eta_hat are finite sums over the law of S.
+    A squared quadrature is sigma^2 Z^2, so the sum over nu shots is
+    Gamma(nu/2, scale 2 sigma^2) and eta_hat inverts <X^2> = 1/(4u) or
+    <P^2> = u/4 at its mean.  The moments of eta_hat are finite sums over
+    the law of S, or quadratures over it.
     """
 
     ETA, REPLICAS, SEED = 0.8, 500, 2026
@@ -362,20 +412,73 @@ class TestPhotonEstimatorOracle:
         mean = pmf @ g
         return pmf @ (g - mean) ** 2, pmf @ (g - mean) ** 4
 
+    @staticmethod
+    def quadrature_moments(kind: str, eta: float, nu: int) -> tuple[float, float]:
+        """Var[eta_hat] and its fourth central moment from the Gamma law of
+        the sample mean S/nu; a mean past 1/4 estimates exactly 0, and g
+        has a square-root edge there, so the integral stops at it."""
+        p = analytic.evaluate(eta)
+        sigma2 = p.mean_x2 if kind == "x_squared" else p.mean_p2
+        law = stats.gamma(nu / 2, scale=2.0 * sigma2 / nu)
+        lo, hi = law.ppf(1e-17), law.isf(1e-17)
+        if kind == "x_squared":
+            at_zero, lo = law.cdf(0.25), max(lo, 0.25)
+            u = lambda m: 1.0 / (4.0 * m)
+        else:
+            at_zero, hi = law.sf(0.25), min(hi, 0.25)
+            u = lambda m: 4.0 * m
+
+        def expect(f):
+            inner = integrate.quad(
+                lambda m: f(min(np.sqrt(1.0 - u(m) ** 2), ETA_CLIP)) * law.pdf(m),
+                lo, hi, epsabs=0.0, epsrel=1e-12, limit=200,
+            )[0]
+            return at_zero * f(0.0) + inner
+
+        mean = expect(lambda g: g)
+        return expect(lambda g: (g - mean) ** 2), expect(lambda g: (g - mean) ** 4)
+
+    def check(self, kind, eta, nu, moments, expected):
+        var, mu4 = moments
+        r = self.REPLICAS
+        scale = nu * analytic.evaluate(eta).qfi
+        exact = scale * var
+        se = scale * np.sqrt((mu4 - var**2 * (r - 3) / (r - 1)) / r)
+        assert exact == pytest.approx(expected, rel=5e-4, abs=0.0)
+        got, _ = cramer_rao_ratio(eta, MeasurementScheme(kind, nu), replicas=r, seed=self.SEED)
+        assert abs(got - exact) <= 4.0 * se, (got, exact, se)
+
     @pytest.mark.parametrize(
         "nu, expected", [(100, 6.807), (1000, 1.061), (10_000, 1.0057)]
     )
     def test_monte_carlo_within_four_standard_errors(self, nu, expected):
-        var, mu4 = self.exact_moments(self.ETA, nu)
-        r = self.REPLICAS
-        scale = nu * analytic.evaluate(self.ETA).qfi
-        exact = scale * var
-        se = scale * np.sqrt((mu4 - var**2 * (r - 3) / (r - 1)) / r)
-        assert exact == pytest.approx(expected, rel=5e-4, abs=0.0)
-        got, _ = cramer_rao_ratio(
-            self.ETA, MeasurementScheme("photon_number", nu), replicas=r, seed=self.SEED
-        )
-        assert abs(got - exact) <= 4.0 * se, (got, exact, se)
+        self.check("photon_number", self.ETA, nu, self.exact_moments(self.ETA, nu), expected)
+
+    @pytest.mark.parametrize(
+        "nu, expected", [(100, 1.2487), (1000, 1.0218), (10_000, 1.0022)]
+    )
+    def test_photon_counts_near_the_critical_point(self, nu, expected):
+        self.check("photon_number", 0.995, nu, self.exact_moments(0.995, nu), expected)
+
+    @pytest.mark.parametrize(
+        "kind, eta, nu, expected",
+        [
+            ("x_squared", 0.8, 100, 1.5637),
+            ("x_squared", 0.8, 1000, 1.0356),
+            ("x_squared", 0.8, 10_000, 1.0035),
+            ("x_squared", 0.995, 100, 1.2441),
+            ("x_squared", 0.995, 1000, 1.0215),
+            ("x_squared", 0.995, 10_000, 1.0021),
+            ("p_squared", 0.8, 100, 1.1787),
+            ("p_squared", 0.8, 1000, 1.0142),
+            ("p_squared", 0.8, 10_000, 1.0014),
+            ("p_squared", 0.995, 100, 1.0519),
+            ("p_squared", 0.995, 1000, 1.0051),
+            ("p_squared", 0.995, 10_000, 1.0005),
+        ],
+    )
+    def test_squared_quadratures(self, kind, eta, nu, expected):
+        self.check(kind, eta, nu, self.quadrature_moments(kind, eta, nu), expected)
 
 
 class TestScalingExperiment:

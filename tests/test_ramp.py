@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from decimal import Decimal, localcontext
 
@@ -31,6 +32,12 @@ class TestSchedule:
             RampSchedule(k=1.0, xi=0.0)
         with pytest.raises(ValueError):
             RampSchedule(k=1.0, eta_target=1.0)
+
+    @pytest.mark.parametrize("xi", [math.nan, math.inf])
+    def test_rejects_non_finite_xi(self, xi):
+        # NaN would give a NaN schedule, inf kt_end 1 and eta 0 everywhere
+        with pytest.raises(ValueError, match="xi"):
+            RampSchedule(k=1.0, xi=xi)
 
     def test_starts_at_zero(self):
         assert eta_at(make_schedule(), 0.0) == 0.0
