@@ -8,7 +8,7 @@ rejected at every level; ``KEYS`` gives each key's default and check):
                     "scaling" | "cramer_rao" | "moments_check",
       "physics":  {"Omega": 1.0, "k": 0.005, "xi": 1.3333333333333333,
                    "eta_target": 0.995},
-      "numerics": {"n_max": "auto", "rtol": 1e-9, "atol": 1e-11,
+      "numerics": {"n_max": "auto", "rtol": 1e-7, "atol": 5e-10,
                    "seed": 2026, "shots": 10000, "replicas": 500,
                    "scheme": "photon_number"},
       "output":   {"path": "out.csv", "format": "csv", "precision": 12,
@@ -78,8 +78,8 @@ KEYS = {
     "numerics": {
         "n_max": ("auto", lambda v: v == "auto" or (_is_int(v) and v >= 1),
                   "must be 'auto' or an integer >= 1"),
-        "rtol": (1e-9, *_POSITIVE),
-        "atol": (1e-11, *_POSITIVE),
+        "rtol": (1e-7, *_POSITIVE),
+        "atol": (5e-10, *_POSITIVE),
         "seed": (2026, *_COUNT),
         "shots": (10000, *_COUNT),
         "replicas": (500, *_COUNT),
@@ -276,21 +276,21 @@ def _estimate_runtime(resolved: dict) -> float | None:
     It covers the experiment's own work only.  It leaves out process
     start-up: importing ``jcsense.cli`` took 0.24-0.27 s of wall time on a
     2-vCPU 2.1 GHz Xeon host (a bare interpreter 0.05 s), with no scipy
-    module loaded.  For fidelity_sweep it also leaves out the first ramp's
-    import of ``scipy.integrate``, 0.47-0.65 s on the same host after
-    ``import jcsense``.
+    module loaded.
 
-    fidelity_sweep: DOP853 in the adiabatic frame takes steps in proportion
-    to the phase the doublets wind, Omega * int (1 - eta^2)^{3/4} dt, which
-    on the xi = 4/3 schedule grows like (Omega / k) ln(1 + kt_end), plus a
-    fixed start-up cost.  Fitted RHS evaluation counts: 2,600 + 24 (Omega / k)
-    ln(1 + kt_end), within 10% of the measured 19,757 (default config),
-    11,693 (k = Omega/100), 35,477 (k = Omega/400) and 25,517
-    (eta_target 0.999), and 30% above the 2,567 of the k = 0.05 ramp to
-    eta 0.9; the cusp-free onset clock (tau = 2) takes 10,817, half the
-    estimate.  The default config's pass took 0.36 s at perfbench's
-    reference core speed (median of 25 passes), 18 us per evaluation with
-    the records included.
+    fidelity_sweep: the Magnus steps of ``dynamics.solve_ivp`` follow the
+    doublets' phase, Omega * int (1 - eta^2)^{3/4} dt, which on the
+    xi = 4/3 schedule grows like (Omega / k) ln(1 + kt_end); the step count
+    grows like its square root.  Fitted generator evaluation counts (three
+    per step): 140 + 130 sqrt((Omega / k) ln(1 + kt_end)), within 12% of
+    the measured 1,761, 2,484, 3,627 (default config), 5,373 and 7,962 at
+    k = Omega/50 to Omega/800, of 2,265, 4,101 and 4,602 at eta_target 0.9,
+    0.999 and 0.9999, and of 663, 834 and 1,131 on ramps to eta 0.9 at
+    k = 0.1, 0.05 and 0.02.  The cusp-free onset clock (tau = 2) takes about
+    1.45x as many (5,235 at the default rate).  At perfbench's reference
+    core speed a pass costs 60 us per evaluation with the records included:
+    the default config's pass took 0.23 s (perfbench median), k = Omega/400
+    0.32 s and the k = 0.05 ramp to eta 0.9 0.051 s.
 
     cramer_rao: three replica fans of ``shots``, ``shots // 10`` and
     ``shots // 100`` draws, so 3 * replicas experiments and about
@@ -312,7 +312,7 @@ def _estimate_runtime(resolved: dict) -> float | None:
     if experiment == "fidelity_sweep":
         sched = experiments._schedule(resolved)
         omega = resolved["physics"]["Omega"]
-        return 18e-6 * (2600.0 + 24.0 * omega / sched.k * math.log1p(sched.kt_end))
+        return 60e-6 * (140.0 + 130.0 * math.sqrt(omega / sched.k * math.log1p(sched.kt_end)))
     if experiment == "cramer_rao":
         num = resolved["numerics"]
         per_experiment, per_draw = _CRAMER_RAO_COST[num["scheme"]]

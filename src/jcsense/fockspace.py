@@ -21,9 +21,9 @@ parity and :func:`doublet_spectrum` reads the doublets off one parity block.
 
 Importing this module loads numpy only.  ``scipy.sparse`` is imported by
 the functions that build a sparse matrix, so a run loads it with its first
-operator; :func:`doublet_spectrum` loads ``scipy.sparse.linalg`` for its
-eigensolver, and :mod:`dynamics` loads ``scipy.integrate`` with the first
-ramp.  The closed-form experiments never load scipy.
+operator, and :func:`doublet_spectrum` loads ``scipy.sparse.linalg`` for
+its eigensolver.  The ramp (:mod:`dynamics`, numpy only) and the
+closed-form experiments never load scipy.
 """
 
 from __future__ import annotations

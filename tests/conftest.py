@@ -141,7 +141,7 @@ class LabRun:
 def lab_trajectory(schedule: ramp.RampSchedule, n_max: int = LAB_N_MAX, omega: float = 1.0) -> LabRun:
     """The ramp integrated in the lab frame, i dPsi/dt = (H_jc + eta H_drive) Psi
     from |0>|g> on Fock levels 0..n_max: scipy's DOP853 on the stacked
-    product of -i H_jc and -i H_drive, at evolve's default tolerances and
+    product of -i H_jc and -i H_drive, at rtol 1e-9 and atol 1e-11, and
     201 record times."""
     spec = fockspace.HilbertSpec(n_max=n_max, with_qubit=True)
     h_jc, h_drive = fockspace.jc_hamiltonian_parts(spec, omega)
@@ -157,7 +157,7 @@ def lab_trajectory(schedule: ramp.RampSchedule, n_max: int = LAB_N_MAX, omega: f
     times = np.linspace(0.0, schedule.duration, dynamics.DEFAULT_RECORDS + 1)
     sol = solve_ivp(
         rhs, (0.0, times[-1]), y0, method="DOP853",
-        rtol=dynamics.DEFAULT_RTOL, atol=dynamics.DEFAULT_ATOL, t_eval=times,
+        rtol=1e-9, atol=1e-11, t_eval=times,
     )
     assert sol.status == 0, sol.message
     obs = fockspace.field_observables(spec)
@@ -175,6 +175,31 @@ def lab_trajectory(schedule: ramp.RampSchedule, n_max: int = LAB_N_MAX, omega: f
             np.vdot(psi, p2 @ psi).real,
         ))
     return LabRun(spec, *map(np.array, zip(*columns)), amplitudes=sol.y)
+
+
+def dop853_frame(fun, t_span, y0, *, rtol, atol, t_eval):
+    """``dynamics.solve_ivp``'s signature over scipy's DOP853 at rtol 1e-12
+    and atol 1e-14 (the tolerances passed are ignored): the frame's
+    equations under an integrator independent of the Magnus steps."""
+    return solve_ivp(fun, t_span, y0, method="DOP853", rtol=1e-12, atol=1e-14, t_eval=t_eval)
+
+
+def frame_amplitudes(schedule: ramp.RampSchedule, solve=None) -> np.ndarray:
+    """The frame's amplitudes (states, records) of ``dynamics.evolve`` at
+    Omega = 1 and its default tolerances, stepped by ``solve`` (by default
+    ``dynamics.solve_ivp``); a warning fails the run."""
+    solve = solve or dynamics.solve_ivp
+    solutions = []
+
+    def spy(fun, t_span, y0, **kwargs):
+        solutions.append(solve(fun, t_span, y0, **kwargs))
+        return solutions[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "solve_ivp", spy)
+        frame_run(schedule)
+    (sol,) = solutions
+    return sol.y
 
 
 def frame_run(schedule: ramp.RampSchedule) -> dynamics.Trajectory:

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from jcsense import cli, experiments, metrology, ramp
+from jcsense import cli, dynamics, experiments, metrology, ramp
 
 
 def write_config(tmp_path, body: dict, name="config.json"):
@@ -47,6 +47,10 @@ class TestConfigResolution:
         assert "d_eta" not in cli.DEFAULTS["numerics"]
         with pytest.raises(cli.ConfigError, match="numerics.d_eta"):
             cli.resolve_config({"experiment": "qfi_curve", "numerics": {"d_eta": 1e-4}})
+
+    def test_ramp_tolerances_default_to_evolve_defaults(self):
+        numerics = cli.DEFAULTS["numerics"]
+        assert (numerics["rtol"], numerics["atol"]) == (dynamics.DEFAULT_RTOL, dynamics.DEFAULT_ATOL)
 
     def test_scheme_defaults_to_photon_number(self):
         resolved = cli.resolve_config({"experiment": "cramer_rao"})
@@ -170,12 +174,13 @@ class TestValidateCommand:
                 {"experiment": "fidelity_sweep", "physics": physics, "numerics": numerics or {}}
             ))
 
-        # the default config's pass takes 0.36 s at the reference core speed
-        assert 0.36 / 2 < estimate({}) < 0.36 * 2
-        # measured RHS evaluations at 18 us each: k = Omega/400 (35,477) and
-        # the benchmark's smoke ramp, k = 0.05 to eta 0.9 (2,567)
-        assert 0.64 / 2 < estimate({"k": 1 / 400}) < 0.64 * 2
-        assert 0.046 / 2 < estimate({"k": 0.05, "eta_target": 0.9}) < 0.046 * 2
+        # the default config's pass takes 0.23 s at the reference core speed
+        assert 0.23 / 2 < estimate({}) < 0.23 * 2
+        # measured at the reference core speed: k = Omega/400 (5,373
+        # generator evaluations) and the benchmark's smoke ramp, k = 0.05 to
+        # eta 0.9 (834)
+        assert 0.32 / 2 < estimate({"k": 1 / 400}) < 0.32 * 2
+        assert 0.051 / 2 < estimate({"k": 0.05, "eta_target": 0.9}) < 0.051 * 2
         # the frame builds no Fock space: the cutoff does not enter
         assert estimate({}, {"n_max": 16}) == estimate({})
 

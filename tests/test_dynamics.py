@@ -12,9 +12,10 @@ from conftest import (
     dense_displace,
     dense_ladder,
     dense_squeeze,
+    dop853_frame,
+    frame_amplitudes,
     frame_run,
 )
-from scipy.integrate import DOP853, solve_ivp
 
 from jcsense import analytic, dynamics, fockspace, ramp
 from jcsense.dynamics import evolve, fidelity_against_dark
@@ -119,6 +120,7 @@ class TestEvolve:
     def _capture_rhs(self, monkeypatch):
         # a k = 0.05 ramp to eta 0.9
         calls = []
+        solve_ivp = dynamics.solve_ivp
 
         def spy(fun, t_span, y0, **kwargs):
             sol = solve_ivp(fun, t_span, y0, **kwargs)
@@ -136,7 +138,7 @@ class TestEvolve:
     def test_rhs_contract(self, monkeypatch):
         # dc/dt = A c with A = -i diag(E) - eta' D, D real antisymmetric: the
         # norm is conserved and the diagonal holds the doublet energies; each
-        # call returns a fresh array, which DOP853 keeps as a stage
+        # call returns a fresh array, as a Magnus step keeps three at once
         rhs, _, _, sched = self._capture_rhs(monkeypatch)
         t = 0.37 * sched.duration
         size = 2 * dynamics.N_DOUBLETS + 1
@@ -168,14 +170,15 @@ class TestEvolve:
         assert counts["eta_at"] == sol.nfev + len(traj)
 
     def test_nan_drive_fails_loudly(self, monkeypatch):
-        # a drive that turns NaN mid-ramp makes every step through it fail
-        # the error test; the stepper shrinks h until it underflows
+        # a drive that turns NaN mid-ramp ends the solve at the first step
+        # whose generator is not finite
         eta_at = ramp.eta_at
 
         def nan_after(s, t):
             return float("nan") if t > 0.5 * s.duration else eta_at(s, t)
 
         calls = []
+        solve_ivp = dynamics.solve_ivp
 
         def spy(fun, t_span, y0, **kwargs):
             sol = solve_ivp(fun, t_span, y0, **kwargs)
@@ -190,9 +193,11 @@ class TestEvolve:
                 evolve(sched, 1.0)
         (sol,) = calls
         assert sol.status == -1
-        assert sol.message == DOP853.TOO_SMALL_STEP
-        # with t_eval, sol.t holds the records reached before the failure
-        assert 0.0 < sol.t[-1] <= 0.5 * sched.duration
+        assert sol.message.startswith("non-finite generator near t = ")
+        # sol.t holds the records reached before the failure: a step's nodes
+        # lie inside it, so the last is the record at half the duration
+        assert len(sol.t) == dynamics.DEFAULT_RECORDS // 2 + 1
+        assert sol.t[-1] == pytest.approx(0.5 * sched.duration, rel=1e-15, abs=0.0)
 
     def test_validation(self, monkeypatch):
         # every check runs before the integrator is reached
@@ -238,6 +243,47 @@ class TestEvolve:
         np.testing.assert_array_equal(2.0 * fast.t, slow.t)
         for name in ("eta", "fidelity", "mean_n", "var_n", "mean_x2", "mean_p2"):
             assert getattr(fast, name) == pytest.approx(getattr(slow, name), rel=0.0, abs=1e-9), name
+
+
+class TestSolveIvp:
+    """The Magnus integrator on a qubit in a rotating field, whose state is
+    closed-form: H(t) = (delta/2) Z + (g/2)(cos(w t) X + sin(w t) Y) gives
+    psi(t) = exp(-i w t Z/2) exp(-i H_rot t) psi(0), with the static
+    H_rot = ((delta - w)/2) Z + (g/2) X."""
+
+    DELTA, G, W = 1.0, 0.7, 1.3
+    X = np.array([[0, 1], [1, 0]], dtype=complex)
+    Y = np.array([[0, -1j], [1j, 0]])
+    Z = np.diag([1.0 + 0j, -1.0])
+
+    def fun(self, t, y):
+        h = 0.5 * (self.DELTA * self.Z + self.G * (np.cos(self.W * t) * self.X + np.sin(self.W * t) * self.Y))
+        return -1j * h @ y
+
+    def exact(self, t, y0):
+        w, v = np.linalg.eigh(0.5 * ((self.DELTA - self.W) * self.Z + self.G * self.X))
+        psi = v @ (np.exp(-1j * w * t) * (v.conj().T @ y0))
+        return np.exp(-0.5j * self.W * t * np.diag(self.Z)) * psi
+
+    def test_records_land_on_the_closed_form(self):
+        times = np.linspace(0.0, 20.0, 41)
+        y0 = np.array([1.0, 0.0], dtype=complex)
+        sol = dynamics.solve_ivp(self.fun, (0.0, 20.0), y0, rtol=1e-10, atol=1e-12, t_eval=times)
+        assert sol.status == 0 and sol.nfev % 3 == 0
+        np.testing.assert_array_equal(sol.t, times)
+        expected = np.array([self.exact(t, y0) for t in times]).T
+        assert np.abs(sol.y - expected).max() <= 1e-9
+        assert np.abs(np.linalg.norm(sol.y, axis=0) - 1.0).max() <= 1e-14
+
+    def test_step_size_underflow_fails(self):
+        # no step meets a tolerance of 1e-200: h shrinks until it underflows
+        times = np.linspace(0.0, 20.0, 41)
+        y0 = np.array([1.0, 0.0], dtype=complex)
+        sol = dynamics.solve_ivp(self.fun, (0.0, 20.0), y0, rtol=1e-200, atol=1e-200, t_eval=times)
+        assert sol.status == -1
+        assert sol.message.startswith("step size below")
+        np.testing.assert_array_equal(sol.t, times[:1])
+        assert sol.y.shape == (2, 1)
 
 
 class TestHeadlineTrajectory:
@@ -462,6 +508,32 @@ def test_doubling_the_doublets_moves_no_column(monkeypatch, headline_ramp_run, s
     monkeypatch.setattr(dynamics, "N_DOUBLETS", 2 * dynamics.N_DOUBLETS)
     worst = _within_oracle_bounds(traj, frame_run(schedule))
     assert max(worst.values()) <= 1.0, worst
+
+
+# the largest amplitude error over the records of scipy's DOP853 at rtol
+# 1e-9 and atol 1e-11 (evolve's integrator and defaults before the Magnus
+# steps) against DOP853 at rtol 1e-12 and atol 1e-14
+FORMER_DEFAULT_ERROR = {
+    "headline": (HEADLINE, 2.4e-9),
+    "onset": (ONSET, 2.3e-9),
+    "k = 1/50": (ramp.RampSchedule(k=1.0 / 50.0), 6.1e-10),
+    "k = 1/800": (ramp.RampSchedule(k=1.0 / 800.0), 8.5e-9),
+}
+
+
+@pytest.fixture(scope="module", params=list(FORMER_DEFAULT_ERROR))
+def frame_against_dop853(request):
+    schedule, former = FORMER_DEFAULT_ERROR[request.param]
+    return frame_amplitudes(schedule), frame_amplitudes(schedule, dop853_frame), former
+
+
+def test_default_tolerances_match_the_former_dop853_error(frame_against_dop853):
+    # rtol and atol now bound the Magnus step's local error; at the defaults
+    # every amplitude is as close to the DOP853 oracle as DOP853 at its
+    # former defaults was
+    got, reference, former = frame_against_dop853
+    assert got.shape == reference.shape
+    assert np.abs(got - reference).max() <= former
 
 
 def test_lab_oracle_keeps_the_chiral_symmetry_exactly(headline_lab_oracle):

@@ -146,11 +146,11 @@ def test_import_leaves_the_solvers_unloaded():
 
 
 # In one fresh interpreter: validate every experiment's default config, run
-# the four closed-form experiments, then moments_check, the one that builds
-# Fock-space operators without a ramp; print the scipy modules loaded after
-# each stage.
+# the four closed-form experiments, a smoke-size fidelity_sweep (k = 0.05 to
+# eta 0.9), then moments_check, the one that builds Fock-space operators;
+# print the scipy modules loaded after each stage.
 _STAGED_RUNS = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, warnings
 from pathlib import Path
 from jcsense import cli, experiments
 
@@ -160,9 +160,9 @@ def main(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(list(argv)) == 0, argv
 
-def config(name, numerics):
+def config(name, numerics, physics=None):
     path = tmp / f"{name}.json"
-    path.write_text(json.dumps({"experiment": name, "numerics": numerics}))
+    path.write_text(json.dumps({"experiment": name, "numerics": numerics, "physics": physics or {}}))
     return str(path)
 
 def scipy_loaded():
@@ -176,6 +176,11 @@ for name in ("qfi_curve", "ramp_curve", "scaling", "cramer_rao"):
     numerics = {"shots": 100, "replicas": 4} if name == "cramer_rao" else {}
     main("run", config(name, numerics), "--out", str(tmp / f"{name}.csv"))
 loaded["closed_forms"] = scipy_loaded()
+smoke_ramp = config("fidelity_sweep", {}, {"k": 0.05, "eta_target": 0.9})
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")  # the fast ramp reaches the top doublet pair
+    main("run", smoke_ramp, "--out", str(tmp / "fidelity_sweep.csv"))
+loaded["fidelity_sweep"] = scipy_loaded()
 main("run", config("moments_check", {}), "--out", str(tmp / "moments_check.csv"))
 loaded["moments_check"] = scipy_loaded()
 print(json.dumps(loaded))
@@ -186,6 +191,14 @@ def test_each_run_loads_only_the_scipy_it_uses(tmp_path):
     loaded = json.loads(_run_python(_STAGED_RUNS, str(tmp_path)))
     assert loaded["validate"] == []
     assert loaded["closed_forms"] == []
+    # the ramp's integrator is numpy only
+    assert loaded["fidelity_sweep"] == []
     assert "scipy.sparse" in loaded["moments_check"]
     for solver in ("scipy.integrate", "scipy.sparse.linalg"):
         assert solver not in loaded["moments_check"], solver
+
+
+def test_no_source_file_names_scipy_integrate():
+    # the ramp is stepped by the package's own Magnus integrator
+    for path in sorted(SRC.glob("*.py")):
+        assert "scipy.integrate" not in path.read_text(), path.name
