@@ -269,6 +269,14 @@ _CRAMER_RAO_COST = {
 }
 
 
+def _fidelity_sweep_evaluations(resolved: dict) -> float:
+    """The fitted generator evaluation count of a fidelity_sweep run (see
+    :func:`_estimate_runtime`), against the ``nfev`` of its header."""
+    sched = experiments._schedule(resolved)
+    omega = resolved["physics"]["Omega"]
+    return 75.0 + 147.0 * math.sqrt(omega / sched.k * math.log1p(sched.kt_end))
+
+
 def _estimate_runtime(resolved: dict) -> float | None:
     """Crude wall-time estimate in seconds (order of magnitude), or None for
     the experiments without a cost model.
@@ -281,16 +289,17 @@ def _estimate_runtime(resolved: dict) -> float | None:
     fidelity_sweep: the Magnus steps of ``dynamics.solve_ivp`` follow the
     doublets' phase, Omega * int (1 - eta^2)^{3/4} dt, which on the
     xi = 4/3 schedule grows like (Omega / k) ln(1 + kt_end); the step count
-    grows like its square root.  Fitted generator evaluation counts (three
-    per step): 140 + 130 sqrt((Omega / k) ln(1 + kt_end)), within 12% of
-    the measured 1,761, 2,484, 3,627 (default config), 5,373 and 7,962 at
-    k = Omega/50 to Omega/800, of 2,265, 4,101 and 4,602 at eta_target 0.9,
-    0.999 and 0.9999, and of 663, 834 and 1,131 on ramps to eta 0.9 at
-    k = 0.1, 0.05 and 0.02.  The cusp-free onset clock (tau = 2) takes about
-    1.45x as many (5,235 at the default rate).  At perfbench's reference
-    core speed a pass costs 60 us per evaluation with the records included:
-    the default config's pass took 0.23 s (perfbench median), k = Omega/400
-    0.32 s and the k = 0.05 ramp to eta 0.9 0.051 s.
+    grows like its square root.  ``_fidelity_sweep_evaluations`` holds the
+    fitted generator evaluation count (three per step),
+    75 + 147 sqrt((Omega / k) ln(1 + kt_end)), within 9% of the measured
+    1,869, 2,649, 3,894 (default config), 5,730 and 8,538 at k = Omega/50
+    to Omega/800, of 2,412, 4,392 and 4,926 at eta_target 0.9, 0.999 and
+    0.9999, and of 678, 852 and 1,197 on ramps to eta 0.9 at k = 0.1, 0.05
+    and 0.02.  The cusp-free onset clock (tau = 2) takes about 1.44x as
+    many (5,595 at the default rate).  At perfbench's reference core speed
+    a pass costs 41 us per evaluation with the records included: the
+    default config's pass took 0.16 s (perfbench median), k = Omega/400
+    0.22 s and the k = 0.05 ramp to eta 0.9 0.034 s.
 
     cramer_rao: three replica fans of ``shots``, ``shots // 10`` and
     ``shots // 100`` draws, so 3 * replicas experiments and about
@@ -310,9 +319,7 @@ def _estimate_runtime(resolved: dict) -> float | None:
     """
     experiment = resolved["experiment"]
     if experiment == "fidelity_sweep":
-        sched = experiments._schedule(resolved)
-        omega = resolved["physics"]["Omega"]
-        return 60e-6 * (140.0 + 130.0 * math.sqrt(omega / sched.k * math.log1p(sched.kt_end)))
+        return 41e-6 * _fidelity_sweep_evaluations(resolved)
     if experiment == "cramer_rao":
         num = resolved["numerics"]
         per_experiment, per_draw = _CRAMER_RAO_COST[num["scheme"]]

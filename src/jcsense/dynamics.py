@@ -32,16 +32,27 @@ u = sqrt(1 - eta^2) times a polynomial in eta.  The polynomials'
 coefficients do not depend on eta: they are tabulated once per process, on
 the first trajectory, and nothing else is kept between trajectories.
 
+The generator keeps a chiral symmetry.  Q, the real involution with
+Q|dark> = |dark> and Q|n+/-> = s_n |n-/+>, s_n = (-1)^{n-1}, gives
+Q D Q = D and Q E Q = -E, so the generator commutes with Q followed by
+complex conjugation, and so does the t = 0 dark state.  The amplitudes
+therefore keep c_dark real and c_n- = s_n conj(c_n+), and the solve runs on
+the 21 real coordinates z = (c_dark, sqrt2 Re c_n+, sqrt2 Im c_n+),
+c = W z with W unitary.  In them the generator is real and antisymmetric:
+P^T D P, with P = Re W + Im W real orthogonal, plus a fixed energy block.
+
 One generator evaluation is a few array operations on the tabulated
-coupling.  :func:`solve_ivp` steps the amplitudes with an adaptive
-sixth-order Magnus integrator in numpy: three generator evaluations and
-one exact exponential (``eigh`` of the 21 x 21 exponent) per step, on the
-graded clock t = t_end sigma^3, which smooths the paper clock's start-up
-cusp (eta ~ t^{2/3}).  rtol and atol bound the local error of the embedded
-fourth-order step; the sixth-order result is kept.  The records are read
-after the solve, all at once: F = |c_dark|^2, the norm defect
-|1 - ||c||^2|, and <X^2>, <P^2>, <N> = <X^2> + <P^2> - 1/2 and Var N from
-the tabulated elements.  No Fock space is built.
+coupling and two real 21 x 21 products.  :func:`solve_ivp` steps z with an
+adaptive sixth-order Magnus integrator in numpy: three generator
+evaluations and one exponential (the [13/13] Pade approximant, exactly
+orthogonal for an antisymmetric exponent) per step, on the graded clock
+t = t_end sigma^3, which smooths the paper clock's start-up cusp
+(eta ~ t^{2/3}).  rtol and atol bound the local error of the embedded
+fourth-order step in each component of z; the sixth-order result is kept.
+After the solve z is mapped back to c once, and the records are read all
+at once: F = |c_dark|^2, the norm defect |1 - ||c||^2|, and <X^2>, <P^2>,
+<N> = <X^2> + <P^2> - 1/2 and Var N from the tabulated elements.  No Fock
+space is built.
 
 The frame's own cutoff is the doublet count: after the solve the peak
 population of the top pair (n = N_DOUBLETS) is compared with
@@ -61,7 +72,7 @@ from . import fockspace, ramp
 from .fockspace import StateVector, TruncationWarning
 
 # the local-error tolerances of the Magnus step (see solve_ivp); against
-# DOP853 at rtol 1e-12, atol 1e-14 they keep every amplitude within 2.5e-9
+# DOP853 at rtol 1e-12, atol 1e-14 they keep every amplitude within 1.3e-9
 # on ramps from k = Omega/50 to Omega/800
 DEFAULT_RTOL = 1e-7
 DEFAULT_ATOL = 5e-10
@@ -75,7 +86,9 @@ TOP_PAIR_TOL = 1e-8
 
 @dataclass(frozen=True)
 class Trajectory:
-    """The record columns of one ramp trajectory, one entry per record."""
+    """The record columns of one ramp trajectory, one entry per record, and
+    the integrator's work: generator evaluations ``nfev`` and accepted
+    ``steps``."""
 
     t: np.ndarray
     eta: np.ndarray
@@ -86,6 +99,8 @@ class Trajectory:
     mean_p2: np.ndarray
     norm_defect: np.ndarray
     top_pair_population: np.ndarray
+    nfev: int
+    steps: int
 
     def __len__(self) -> int:
         return len(self.t)
@@ -176,6 +191,8 @@ class _Frame:
     gauss: np.ndarray  # -(a_j - a_k)^2 / 2, by kj
     coupling: np.ndarray  # D_kj (1 - eta^2) e^{-gauss eta^2}, by (kj, degree)
     moments: dict  # "x2", "p2", "n2": tuple of (power s, table)
+    unitary: np.ndarray  # W, with c = W z for the real coordinates z
+    real_energies: np.ndarray  # W^dag (-i diag e) W, real antisymmetric
 
 
 def _elements(rows: list, op: np.ndarray, coef, level, qubit, j: int) -> np.ndarray:
@@ -226,6 +243,16 @@ def _frame(n_doublets: int) -> _Frame:
     # D = <k|H_d|j> / (Omega (e_j - e_k) u^{3/2}), <k|H_d|j> = (Omega/2) u^{-1/2} table
     coupling = tables.pop(("h_d", 0)) / (2.0 * gap[:, :, None])
     flat = size * size
+    # the real coordinates: z_0 = c_dark and z_{2n-1} + i z_{2n} = sqrt2 c_n+,
+    # with c_n- = s_n conj(c_n+); n+ is state 2n - 1 and n- state 2n
+    plus = np.arange(1, size, 2)
+    sign = (-1.0) ** np.arange(n_doublets)
+    unitary = np.zeros((size, size), dtype=complex)
+    unitary[0, 0] = 1.0
+    unitary[plus, plus], unitary[plus + 1, plus] = sqrt(0.5), sign * sqrt(0.5)
+    unitary[plus, plus + 1], unitary[plus + 1, plus + 1] = 1j * sqrt(0.5), -1j * sign * sqrt(0.5)
+    real_energies = np.zeros((size, size))
+    real_energies[plus, plus + 1], real_energies[plus + 1, plus] = energy[plus], -energy[plus]
     return _Frame(
         energies=_read_only(energy),
         gauss=_read_only((-0.5 * (shift[None, :] - shift[:, None]) ** 2).reshape(flat)),
@@ -234,6 +261,8 @@ def _frame(n_doublets: int) -> _Frame:
             name: tuple((power, _trim(t.reshape(flat, -1))) for (n, power), t in tables.items() if n == name)
             for name in ("x2", "p2", "n2")
         },
+        unitary=_read_only(unitary),
+        real_energies=_read_only(real_energies),
     )
 
 
@@ -267,12 +296,13 @@ def _moment(terms: tuple, pairs: np.ndarray, u: np.ndarray, eta: np.ndarray) -> 
 class Solution:
     """What :func:`solve_ivp` returns: the record times reached ``t``, the
     states there ``y`` (states, records), the generator evaluations
-    ``nfev``, and ``status`` (0 on success, -1 on failure) with its
-    ``message``."""
+    ``nfev``, the accepted ``steps``, and ``status`` (0 on success, -1 on
+    failure) with its ``message``."""
 
     t: np.ndarray
     y: np.ndarray
     nfev: int
+    steps: int
     status: int
     message: str
 
@@ -283,17 +313,53 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 5.0
 _MIN_STEP = 10.0 * np.finfo(float).eps
 
 
+# the [13/13] Pade approximant of exp, and the 1-norm up to which its backward
+# error is below the unit roundoff of double precision (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005))
+_PADE_13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0,
+    1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA_13 = 5.371920351148152
+
+
 def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # [a, b] = ab - (ab)^dag for anti-Hermitian a and b
     ab = a @ b
     return ab - ab.conj().T
 
 
+def _expm_times(a: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """exp(a) y by the [13/13] Pade approximant r = (V - U)^{-1} (V + U),
+    with U odd and V even in a.  Above ||a||_1 = ``_THETA_13`` a is scaled by
+    2^-s and r squared s times.  For an anti-Hermitian a, U is anti-Hermitian
+    and V Hermitian, so r is exactly unitary."""
+    norm = np.abs(a).sum(axis=0).max()
+    squarings = ceil(np.log2(norm / _THETA_13)) if norm > _THETA_13 else 0
+    if squarings:
+        a = a * 2.0**-squarings
+    b = _PADE_13
+    eye = np.eye(len(a))
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    if not squarings:
+        return np.linalg.solve(v - u, (v + u) @ y)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(squarings):
+        r = r @ r
+    return r @ y
+
+
 def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, t_eval) -> Solution:
     """Integrate dy/dt = A(t) y, A anti-Hermitian, from y0 at t_span[0] to
     t_span[1], recording y at the increasing times ``t_eval``, which run
     from t_span[0] to t_span[1].  ``fun(t, y)`` returns A(t) y, so
-    ``fun(t, I)`` is the generator itself.
+    ``fun(t, I)`` is the generator itself.  The solve follows the dtype of
+    y0 and of ``fun``'s output: a real y0 with a real antisymmetric A stays
+    real, a complex y0 is stepped in complex arithmetic.
 
     The solve runs on the graded clock sigma in [0, 1],
     t = t0 + (t1 - t0) sigma^3, with the generator scaled by dt/dsigma: a
@@ -301,12 +367,16 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, t_eval) -> Solution:
     cusp) is smooth in sigma.  Each step evaluates the generator at the
     three Gauss-Legendre nodes and advances y by exp(Omega_6), the
     sixth-order Magnus exponent (Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
-    151 (2009)); ``numpy.linalg.eigh`` of i Omega_6 makes the step exactly
-    unitary.  The step size is controlled by the embedded fourth-order
-    exponent: max_k |((Omega_6 - Omega_4) y)_k| / (atol + rtol |y_k|) must
-    be <= 1.  So rtol and atol bound the local error of the fourth-order
-    step, while the sixth-order result is kept.  Steps end exactly on the
-    record times.
+    151 (2009)).  The exponential is the [13/13] Pade approximant with
+    scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
+    (2005)), applied to y by one linear solve; it is exactly unitary for an
+    anti-Hermitian exponent.  The step size is controlled by the embedded
+    fourth-order exponent: max_k |((Omega_6 - Omega_4) y)_k| /
+    (atol + rtol |y_k|) must be <= 1, over the components of y.  So rtol
+    and atol bound the local error of the fourth-order step, while the
+    sixth-order result is kept.  Steps end exactly on the record times;
+    ``steps`` counts the accepted ones and ``nfev`` the generator
+    evaluations, three per attempted step.
 
     A step below ``_MIN_STEP`` in sigma ends the solve with status -1 and
     the records reached; so does a generator that is not finite, after a
@@ -316,10 +386,10 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, t_eval) -> Solution:
     span = t1 - t0
     t_eval = np.asarray(t_eval, dtype=float)
     sigma_eval = np.cbrt((t_eval - t0) / span)
-    eye = np.eye(len(y0), dtype=complex)
-    y = np.array(y0, dtype=complex)
+    y = np.array(y0, dtype=np.result_type(y0, 1.0))
+    eye = np.eye(len(y), dtype=y.dtype)
     records = [y]
-    nfev = 0
+    nfev = steps = 0
     sigma = 0.0
     h = sigma_eval[1] if len(sigma_eval) > 1 else 1.0
     status, message = 0, "reached the last record"
@@ -352,8 +422,8 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, t_eval) -> Solution:
         err = (np.abs((corr + c1 / 12.0) @ y) / (atol + rtol * np.abs(y))).max()
         factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err**-0.2))
         if err <= 1.0:
-            w, v = np.linalg.eigh(1j * omega6)
-            y = v @ (np.exp(-1j * w) * (v.conj().T @ y))
+            y = _expm_times(omega6, y)
+            steps += 1
             if step < target - sigma:
                 sigma += step
             else:  # landed on the record
@@ -362,7 +432,7 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, t_eval) -> Solution:
                 # a step shortened to land keeps the longer proposal
                 factor = max(factor, h / step)
         h = step * factor
-    return Solution(t_eval[: len(records)], np.array(records).T, nfev, status, message)
+    return Solution(t_eval[: len(records)], np.array(records).T, nfev, steps, status, message)
 
 
 def evolve(
@@ -376,8 +446,11 @@ def evolve(
     fidelity, field moments, norm defect and top-pair population; the
     final record sits at eta = eta_target.
 
-    rtol and atol bound the local error of each step (see
-    :func:`solve_ivp`).  Raises ValueError, before integrating, unless
+    The solve runs on the real coordinates z of the module docstring and
+    maps them back to the amplitudes c once, after the last step.  rtol and
+    atol bound the local error of each step in each component of z (see
+    :func:`solve_ivp`); the trajectory also carries the solve's generator
+    evaluations ``nfev`` and accepted ``steps``.  Raises ValueError, before integrating, unless
     rtol, atol, omega and the schedule's duration are finite and > 0;
     RuntimeError when the integrator fails (a non-finite generator, or a
     step-size underflow).  Warns with
@@ -392,24 +465,24 @@ def evolve(
     n_doublets = N_DOUBLETS
     frame = _frame(n_doublets)
     size = len(frame.energies)
-    coupling, gauss, energies = frame.coupling, frame.gauss, frame.energies
+    coupling, gauss, real_energies = frame.coupling, frame.gauss, frame.real_energies
     degrees = np.arange(coupling.shape[1])
-    # -i E_k on the diagonal of the flat (kj) generator
-    phase = np.zeros(size * size, dtype=complex)
-    phase[:: size + 1] = -1j * energies
+    # P = Re W + Im W, real orthogonal: W^dag D W = P^T D P for the real D
+    basis = frame.unitary.real + frame.unitary.imag
 
-    def rhs(t: float, c: np.ndarray) -> np.ndarray:
+    def rhs(t: float, z: np.ndarray) -> np.ndarray:
         eta = ramp.eta_at(schedule, t)
         eps = (1.0 - eta) * (1.0 + eta)
         gen = (coupling @ eta**degrees) * np.exp(gauss * (eta * eta))
         gen *= -ramp.eta_dot_at(schedule, t) / eps
-        gen = gen + (omega * eps**0.75) * phase
-        return gen.reshape(size, size) @ c
+        gen = basis.T @ gen.reshape(size, size) @ basis
+        gen += (omega * eps**0.75) * real_energies
+        return gen @ z
 
-    c0 = np.zeros(size, dtype=complex)
-    c0[0] = 1.0  # the dark state, |0>|g> at eta = 0
+    z0 = np.zeros(size)
+    z0[0] = 1.0  # the dark state, |0>|g> at eta = 0
     times = np.linspace(0.0, schedule.duration, DEFAULT_RECORDS + 1)
-    sol = solve_ivp(rhs, (times[0], times[-1]), c0, rtol=rtol, atol=atol, t_eval=times)
+    sol = solve_ivp(rhs, (times[0], times[-1]), z0, rtol=rtol, atol=atol, t_eval=times)
     if sol.status != 0:
         raise RuntimeError(
             f"time integration failed after the record at "
@@ -417,7 +490,7 @@ def evolve(
             f"{sol.message}"
         )
 
-    c = sol.y.T  # (records, states)
+    c = sol.y.T @ frame.unitary.T  # (records, states)
     eta = np.array([ramp.eta_at(schedule, t) for t in times])
     u = np.sqrt((1.0 - eta) * (1.0 + eta))
     # Re(c_k^* c_j) e^{gauss eta^2}, by (record, kj)
@@ -444,4 +517,5 @@ def evolve(
     return Trajectory(
         t=times, eta=eta, fidelity=pop[:, 0], mean_n=mean_n, var_n=n2 - mean_n * mean_n,
         mean_x2=x2, mean_p2=p2, norm_defect=np.abs(1.0 - norm), top_pair_population=top,
+        nfev=sol.nfev, steps=sol.steps,
     )

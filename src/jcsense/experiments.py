@@ -74,7 +74,8 @@ def fidelity_sweep(resolved: dict) -> tuple[list[str], list[list[float]], dict]:
 
     The ramp runs in the adiabatic frame of :func:`dynamics.evolve`, which
     builds no Fock space: ``numerics.n_max`` does not apply.  The extras
-    give the frame's doublet count and the peak population of its top pair.
+    give the frame's doublet count, the peak population of its top pair,
+    and the integrator's generator evaluations and accepted steps.
     """
     sched = _schedule(resolved)
     num = resolved["numerics"]
@@ -92,6 +93,8 @@ def fidelity_sweep(resolved: dict) -> tuple[list[str], list[list[float]], dict]:
         "top_pair_population": traj.top_pair_population.max(),
         "min_fidelity": traj.fidelity.min(),
         "final_fidelity": traj.fidelity[-1],
+        "nfev": traj.nfev,
+        "steps": traj.steps,
     }
     return columns, rows, extras
 

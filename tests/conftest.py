@@ -180,8 +180,10 @@ def lab_trajectory(schedule: ramp.RampSchedule, n_max: int = LAB_N_MAX, omega: f
 def dop853_frame(fun, t_span, y0, *, rtol, atol, t_eval):
     """``dynamics.solve_ivp``'s signature over scipy's DOP853 at rtol 1e-12
     and atol 1e-14 (the tolerances passed are ignored): the frame's
-    equations under an integrator independent of the Magnus steps."""
-    return solve_ivp(fun, t_span, y0, method="DOP853", rtol=1e-12, atol=1e-14, t_eval=t_eval)
+    equations under an integrator independent of the Magnus steps.  The
+    dense output's step boundaries give the accepted steps."""
+    sol = solve_ivp(fun, t_span, y0, method="DOP853", rtol=1e-12, atol=1e-14, t_eval=t_eval, dense_output=True)
+    return dynamics.Solution(sol.t, sol.y, sol.nfev, len(sol.sol.ts) - 1, sol.status, sol.message)
 
 
 def frame_amplitudes(schedule: ramp.RampSchedule, solve=None) -> np.ndarray:

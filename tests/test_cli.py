@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -174,13 +175,13 @@ class TestValidateCommand:
                 {"experiment": "fidelity_sweep", "physics": physics, "numerics": numerics or {}}
             ))
 
-        # the default config's pass takes 0.23 s at the reference core speed
-        assert 0.23 / 2 < estimate({}) < 0.23 * 2
-        # measured at the reference core speed: k = Omega/400 (5,373
+        # the default config's pass takes 0.16 s at the reference core speed
+        assert 0.16 / 2 < estimate({}) < 0.16 * 2
+        # measured at the reference core speed: k = Omega/400 (5,730
         # generator evaluations) and the benchmark's smoke ramp, k = 0.05 to
-        # eta 0.9 (834)
-        assert 0.32 / 2 < estimate({"k": 1 / 400}) < 0.32 * 2
-        assert 0.051 / 2 < estimate({"k": 0.05, "eta_target": 0.9}) < 0.051 * 2
+        # eta 0.9 (852)
+        assert 0.22 / 2 < estimate({"k": 1 / 400}) < 0.22 * 2
+        assert 0.034 / 2 < estimate({"k": 0.05, "eta_target": 0.9}) < 0.034 * 2
         # the frame builds no Fock space: the cutoff does not enter
         assert estimate({}, {"n_max": 16}) == estimate({})
 
@@ -336,6 +337,23 @@ class TestRunQfiCurve:
         body1 = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         body2 = [l for l in out2.read_text().splitlines() if not l.startswith("#")]
         assert body1 == body2
+
+
+class TestRunFidelitySweep:
+    @pytest.mark.parametrize("physics", [{}, {"k": 0.05, "eta_target": 0.9}], ids=["default", "smoke"])
+    def test_header_work_matches_the_count_model(self, tmp_path, physics):
+        # the header states the integrator's work, and _estimate_runtime's
+        # count model is within 12% of it
+        out = tmp_path / "sweep.csv"
+        path = write_config(tmp_path, {"experiment": "fidelity_sweep", "physics": physics})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", dynamics.TruncationWarning)
+            assert cli.main(["run", str(path), "--out", str(out)]) == 0
+        text = out.read_text()
+        nfev, steps = (int(re.search(rf"^# {key}: (\d+)$", text, re.M).group(1)) for key in ("nfev", "steps"))
+        assert 0 < 3 * steps <= nfev
+        model = cli._fidelity_sweep_evaluations(cli.resolve_config(json.loads(path.read_text())))
+        assert abs(model - nfev) <= 0.12 * nfev
 
 
 class TestRunRampCurve:

@@ -73,8 +73,12 @@ class TestEvolve:
         sched = ramp.RampSchedule(k=1.0 / 20.0, eta_target=0.5)
         traj = evolve(sched, 1.0)
         assert len(traj) == 201
-        for column in vars(traj).values():
+        columns = {name: value for name, value in vars(traj).items() if name not in ("nfev", "steps")}
+        assert len(columns) == 9
+        for column in columns.values():
             assert column.shape == (201,)
+        # three generator evaluations per attempted step
+        assert 0 < 3 * traj.steps <= traj.nfev and traj.nfev % 3 == 0
         assert traj.t[0] == 0.0
         assert traj.fidelity[0] == 1.0 and traj.mean_n[0] == 0.0
         assert traj.eta[-1] == pytest.approx(0.5, abs=1e-12)
@@ -136,23 +140,33 @@ class TestEvolve:
         return fun, sol, traj, sched
 
     def test_rhs_contract(self, monkeypatch):
-        # dc/dt = A c with A = -i diag(E) - eta' D, D real antisymmetric: the
+        # dz/dt = G z in the real coordinates, c = W z: G is real and
+        # antisymmetric, and W G W^dag is the frame's generator
+        # A = -i diag(E) - eta' D built from _frame's complex tables, so the
         # norm is conserved and the diagonal holds the doublet energies; each
         # call returns a fresh array, as a Magnus step keeps three at once
         rhs, _, _, sched = self._capture_rhs(monkeypatch)
         t = 0.37 * sched.duration
         size = 2 * dynamics.N_DOUBLETS + 1
-        columns = [rhs(t, np.eye(size, dtype=complex)[j]) for j in range(size)]
+        columns = [rhs(t, np.eye(size)[j]) for j in range(size)]
         assert not np.shares_memory(columns[0], columns[1])
         gen = np.array(columns).T
-        np.testing.assert_allclose(gen + gen.conj().T, 0.0, rtol=0.0, atol=1e-13 * np.abs(gen).max())
+        assert gen.dtype == np.float64
+        np.testing.assert_allclose(gen + gen.T, 0.0, rtol=0.0, atol=1e-13 * np.abs(gen).max())
+        frame = dynamics._frame(dynamics.N_DOUBLETS)
+        w = frame.unitary
+        np.testing.assert_allclose(w.conj().T @ w, np.eye(size), rtol=0.0, atol=1e-15)
         eta = ramp.eta_at(sched, t)
+        eps = (1.0 - eta) * (1.0 + eta)
+        expected = -1j * eps**0.75 * np.diag(frame.energies) - ramp.eta_dot_at(sched, t) * _coupling(frame, eta)
+        mapped = w @ gen @ w.conj().T
+        np.testing.assert_allclose(mapped, expected, rtol=0.0, atol=1e-13 * np.abs(expected).max())
         energies = [0.0] + [
             analytic.eigenvalue(1.0, eta, n, branch)
             for n in range(1, dynamics.N_DOUBLETS + 1) for branch in ("+", "-")
         ]
-        np.testing.assert_allclose(np.diag(gen).imag, -np.array(energies), rtol=1e-14, atol=1e-15)
-        assert np.all(np.diag(gen).real == 0.0)
+        np.testing.assert_allclose(np.diag(mapped).imag, -np.array(energies), rtol=1e-14, atol=1e-15)
+        assert np.abs(np.diag(mapped).real).max() <= 1e-15 * np.abs(gen).max()
 
     def test_eta_at_called_once_per_rhs_and_record(self, monkeypatch):
         # the benchmark's counters wrap dynamics.solve_ivp and ramp.eta_at;
@@ -284,6 +298,30 @@ class TestSolveIvp:
         assert sol.message.startswith("step size below")
         np.testing.assert_array_equal(sol.t, times[:1])
         assert sol.y.shape == (2, 1)
+
+
+class TestPadeExponential:
+    """The Magnus step's exponential against an ``eigh`` reference, on both
+    sides of the 1-norm theta_13 above which it scales and squares."""
+
+    @pytest.mark.parametrize("norm", [0.5, 5.0, 6.0, 40.0])
+    @pytest.mark.parametrize("size", [2, 21])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_eigh(self, norm, size, dtype):
+        rng = np.random.default_rng(size)
+        m, y = rng.normal(size=(size, size)), rng.normal(size=size)
+        if dtype is complex:
+            m, y = m + 1j * rng.normal(size=(size, size)), y + 1j * rng.normal(size=size)
+        a = m - m.conj().T
+        a *= norm / np.abs(a).sum(axis=0).max()
+        y /= np.linalg.norm(y)
+        # exp(a) = v exp(-i w) v^dag with i a = v diag(w) v^dag
+        w, v = np.linalg.eigh(1j * a)
+        expected = v @ (np.exp(-1j * w) * (v.conj().T @ y))
+        got = dynamics._expm_times(a, y)
+        assert got.dtype == y.dtype
+        assert np.abs(got - expected).max() <= 1e-14
+        assert abs(np.linalg.norm(got) - 1.0) <= 1e-14
 
 
 class TestHeadlineTrajectory:
@@ -461,6 +499,29 @@ class TestClosedForms:
                 for got in column[2 * n - 2 : 2 * n]:
                     worst = max(worst, abs(got - amplitude) / amplitude)
         assert worst <= 1e-13
+
+    @pytest.mark.parametrize("doublets", [dynamics.N_DOUBLETS, 2 * dynamics.N_DOUBLETS])
+    def test_chiral_symmetry(self, doublets):
+        # Q|dark> = |dark> and Q|n+/-> = s_n |n-/+>, s_n = (-1)^{n-1}, give
+        # Q D Q = D and Q E Q = -E: the generator commutes with Q after complex
+        # conjugation, so the amplitudes keep Q conj(c) = c and evolve's real
+        # coordinates, c = W z, hold every trajectory from the dark state.
+        # Checked at 2 N_DOUBLETS too, for the doubling test, to the tables'
+        # own round-off: their antisymmetry defect, 6.8e-10 of max |D| at
+        # eta = 0.5 on 20 pairs
+        frame = dynamics._frame(doublets)
+        size = 2 * doublets + 1
+        q = np.zeros((size, size))
+        q[0, 0] = 1.0
+        for n in range(1, doublets + 1):
+            q[2 * n - 1, 2 * n] = q[2 * n, 2 * n - 1] = (-1.0) ** (n - 1)
+        np.testing.assert_array_equal(q @ frame.unitary.conj(), frame.unitary)
+        energies = np.diag(frame.energies)
+        np.testing.assert_array_equal(q @ energies @ q, -energies)
+        for eta in (0.1, 0.5, 0.9, 0.995):
+            d = _coupling(frame, eta)
+            defect = max(np.abs(d + d.T).max(), 1e-15 * np.abs(d).max())
+            np.testing.assert_allclose(q @ d @ q, d, rtol=0.0, atol=defect)
 
     @pytest.mark.parametrize("eta", [0.0, 0.4, 0.9, 0.995])
     def test_coupling_is_antisymmetric(self, eta):
