@@ -306,16 +306,13 @@ def _estimate_runtime(resolved: dict) -> float | None:
     1.11 * replicas * shots draws.  Each experiment costs a fixed amount (its
     spawned seed, generator and estimate) and each draw a per-draw amount,
     both depending on the scheme; ``_CRAMER_RAO_COST`` holds them.  Photon
-    counts: ~63 us and ~33 ns, fitted to wall times measured on a 2-vCPU
-    2.0 GHz Xeon host when every replica called ``rng.choice``: 0.094 s at
-    500 replicas x 100 shots, 0.27-0.28 s at the default 500 x 10,000 and
-    0.39 s at 100 x 100,000.  With one cumulative table per fan the same
-    host measures 0.053 s, 0.21-0.23 s and 0.42-0.46 s, all within 2x of
-    the fit, which is kept.  Quadratures (``rng.normal`` squared): ~30 us
-    and ~20 ns.  On the same host, fits over 500 x 100, 500 x 10,000,
-    100 x 100,000 and 2,000 x 100 put them at 0.4-0.6x and 0.5-0.65x the
-    photon-count costs fitted in the same runs; the default 500 x 10,000
-    took 0.13-0.15 s.
+    counts: ~63 us and ~33 ns; on a 2-vCPU 2.0 GHz Xeon host the runs take
+    0.053 s at 500 replicas x 100 shots, 0.21-0.23 s at the default
+    500 x 10,000 and 0.42-0.46 s at 100 x 100,000, all within 2x of the
+    model.  Quadratures (``rng.normal`` squared): ~30 us and ~20 ns.  On
+    the same host, fits over 500 x 100, 500 x 10,000, 100 x 100,000 and
+    2,000 x 100 put them at 0.4-0.6x and 0.5-0.65x the photon-count costs
+    fitted in the same runs; the default 500 x 10,000 took 0.13-0.15 s.
     """
     experiment = resolved["experiment"]
     if experiment == "fidelity_sweep":

@@ -294,17 +294,13 @@ def _moment(terms: tuple, pairs: np.ndarray, u: np.ndarray, eta: np.ndarray) -> 
 
 @dataclass(frozen=True)
 class Solution:
-    """What :func:`solve_ivp` returns: the record times reached ``t``, the
-    states there ``y`` (states, records), the generator evaluations
-    ``nfev``, the accepted ``steps``, and ``status`` (0 on success, -1 on
-    failure) with its ``message``."""
+    """What :func:`solve_ivp` returns: the states ``y`` (states, records) at
+    the record times, the generator evaluations ``nfev`` and the accepted
+    ``steps``."""
 
-    t: np.ndarray
     y: np.ndarray
     nfev: int
     steps: int
-    status: int
-    message: str
 
 
 # the Gauss-Legendre nodes of a Magnus step, and the step-size control
@@ -324,9 +320,9 @@ _THETA_13 = 5.371920351148152
 
 
 def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # [a, b] = ab - (ab)^dag for anti-Hermitian a and b
+    # [a, b] = ab - (ab)^T for antisymmetric a and b
     ab = a @ b
-    return ab - ab.conj().T
+    return ab - ab.T
 
 
 def _expm_times(a: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -353,13 +349,11 @@ def _expm_times(a: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r @ y
 
 
-def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, t_eval) -> Solution:
-    """Integrate dy/dt = A(t) y, A anti-Hermitian, from y0 at t_span[0] to
-    t_span[1], recording y at the increasing times ``t_eval``, which run
-    from t_span[0] to t_span[1].  ``fun(t, y)`` returns A(t) y, so
-    ``fun(t, I)`` is the generator itself.  The solve follows the dtype of
-    y0 and of ``fun``'s output: a real y0 with a real antisymmetric A stays
-    real, a complex y0 is stepped in complex arithmetic.
+def solve_ivp(fun, y0, t_eval, *, rtol: float, atol: float) -> Solution:
+    """Integrate dy/dt = A(t) y, A real antisymmetric, from the real y0 at
+    t0 = t_eval[0] to t1 = t_eval[-1], recording y at the increasing times
+    ``t_eval``.  ``fun(t, y)`` returns A(t) y, so ``fun(t, I)`` is the
+    generator itself.
 
     The solve runs on the graded clock sigma in [0, 1],
     t = t0 + (t1 - t0) sigma^3, with the generator scaled by dt/dsigma: a
@@ -369,8 +363,8 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, t_eval) -> Solution:
     sixth-order Magnus exponent (Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
     151 (2009)).  The exponential is the [13/13] Pade approximant with
     scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
-    (2005)), applied to y by one linear solve; it is exactly unitary for an
-    anti-Hermitian exponent.  The step size is controlled by the embedded
+    (2005)), applied to y by one linear solve; it is exactly orthogonal for
+    an antisymmetric exponent.  The step size is controlled by the embedded
     fourth-order exponent: max_k |((Omega_6 - Omega_4) y)_k| /
     (atol + rtol |y_k|) must be <= 1, over the components of y.  So rtol
     and atol bound the local error of the fourth-order step, while the
@@ -378,26 +372,24 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, t_eval) -> Solution:
     ``steps`` counts the accepted ones and ``nfev`` the generator
     evaluations, three per attempted step.
 
-    A step below ``_MIN_STEP`` in sigma ends the solve with status -1 and
-    the records reached; so does a generator that is not finite, after a
-    RuntimeWarning ("invalid value") that names where.
+    Raises RuntimeError when a step falls below ``_MIN_STEP`` in sigma or
+    Omega_6 is not finite; the message names the cause, the time near
+    which the solve stopped and the last record reached.
     """
-    t0, t1 = t_span
-    span = t1 - t0
     t_eval = np.asarray(t_eval, dtype=float)
+    t0, span = t_eval[0], t_eval[-1] - t_eval[0]
     sigma_eval = np.cbrt((t_eval - t0) / span)
-    y = np.array(y0, dtype=np.result_type(y0, 1.0))
-    eye = np.eye(len(y), dtype=y.dtype)
+    y = np.array(y0, dtype=float)
+    eye = np.eye(len(y))
     records = [y]
     nfev = steps = 0
     sigma = 0.0
     h = sigma_eval[1] if len(sigma_eval) > 1 else 1.0
-    status, message = 0, "reached the last record"
     while len(records) < len(sigma_eval):
         target = sigma_eval[len(records)]
         step = (target - sigma) / ceil((target - sigma) / h)
         if step < _MIN_STEP:
-            status, message = -1, f"step size below {_MIN_STEP:.1e} in sigma near t = {t0 + span * sigma**3:g}"
+            cause = f"step size below {_MIN_STEP:.1e} in sigma"
             break
         # the generator at the nodes, scaled by dt/dsigma and the step
         a1, a2, a3 = (
@@ -415,9 +407,7 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, t_eval) -> Solution:
         corr = _commutator(c1 - 20.0 * a2 - m3, m2 + c2) / 240.0
         omega6 = a2 + m3 / 12.0 + corr
         if not np.isfinite(omega6).all():
-            where = f"near t = {t0 + span * sigma**3:g}"
-            warnings.warn(f"invalid value in the generator {where}", RuntimeWarning, stacklevel=2)
-            status, message = -1, f"non-finite generator {where}"
+            cause = "non-finite generator"
             break
         err = (np.abs((corr + c1 / 12.0) @ y) / (atol + rtol * np.abs(y))).max()
         factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err**-0.2))
@@ -432,7 +422,12 @@ def solve_ivp(fun, t_span, y0, *, rtol: float, atol: float, t_eval) -> Solution:
                 # a step shortened to land keeps the longer proposal
                 factor = max(factor, h / step)
         h = step * factor
-    return Solution(t_eval[: len(records)], np.array(records).T, nfev, steps, status, message)
+    else:  # every record reached
+        return Solution(np.array(records).T, nfev, steps)
+    raise RuntimeError(
+        f"time integration failed: {cause} near t = {t0 + span * sigma**3:g}, "
+        f"after the record at t = {t_eval[len(records) - 1]:g}"
+    )
 
 
 def evolve(
@@ -450,10 +445,11 @@ def evolve(
     maps them back to the amplitudes c once, after the last step.  rtol and
     atol bound the local error of each step in each component of z (see
     :func:`solve_ivp`); the trajectory also carries the solve's generator
-    evaluations ``nfev`` and accepted ``steps``.  Raises ValueError, before integrating, unless
-    rtol, atol, omega and the schedule's duration are finite and > 0;
-    RuntimeError when the integrator fails (a non-finite generator, or a
-    step-size underflow).  Warns with
+    evaluations ``nfev`` and accepted ``steps``.  Raises ValueError, before
+    integrating, unless rtol, atol, omega and the schedule's duration are
+    finite and > 0.  :func:`solve_ivp` raises RuntimeError when the
+    integrator fails (a non-finite generator, or a step-size underflow),
+    naming the last record reached.  Warns with
     :class:`TruncationWarning` when the population of the top doublet pair
     (n = ``N_DOUBLETS``) exceeds ``TOP_PAIR_TOL`` at any record; the
     message names the worst population and the record's t and kt.
@@ -482,13 +478,7 @@ def evolve(
     z0 = np.zeros(size)
     z0[0] = 1.0  # the dark state, |0>|g> at eta = 0
     times = np.linspace(0.0, schedule.duration, DEFAULT_RECORDS + 1)
-    sol = solve_ivp(rhs, (times[0], times[-1]), z0, rtol=rtol, atol=atol, t_eval=times)
-    if sol.status != 0:
-        raise RuntimeError(
-            f"time integration failed after the record at "
-            f"t={sol.t[-1] if len(sol.t) else 0.0:g}: "
-            f"{sol.message}"
-        )
+    sol = solve_ivp(rhs, z0, times, rtol=rtol, atol=atol)
 
     c = sol.y.T @ frame.unitary.T  # (records, states)
     eta = np.array([ramp.eta_at(schedule, t) for t in times])

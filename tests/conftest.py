@@ -177,13 +177,17 @@ def lab_trajectory(schedule: ramp.RampSchedule, n_max: int = LAB_N_MAX, omega: f
     return LabRun(spec, *map(np.array, zip(*columns)), amplitudes=sol.y)
 
 
-def dop853_frame(fun, t_span, y0, *, rtol, atol, t_eval):
+def dop853_frame(fun, y0, t_eval, *, rtol, atol):
     """``dynamics.solve_ivp``'s signature over scipy's DOP853 at rtol 1e-12
     and atol 1e-14 (the tolerances passed are ignored): the frame's
     equations under an integrator independent of the Magnus steps.  The
     dense output's step boundaries give the accepted steps."""
-    sol = solve_ivp(fun, t_span, y0, method="DOP853", rtol=1e-12, atol=1e-14, t_eval=t_eval, dense_output=True)
-    return dynamics.Solution(sol.t, sol.y, sol.nfev, len(sol.sol.ts) - 1, sol.status, sol.message)
+    sol = solve_ivp(
+        fun, (t_eval[0], t_eval[-1]), y0, method="DOP853",
+        rtol=1e-12, atol=1e-14, t_eval=t_eval, dense_output=True,
+    )
+    assert sol.status == 0, sol.message
+    return dynamics.Solution(sol.y, sol.nfev, len(sol.sol.ts) - 1)
 
 
 def frame_amplitudes(schedule: ramp.RampSchedule, solve=None) -> np.ndarray:
@@ -193,8 +197,8 @@ def frame_amplitudes(schedule: ramp.RampSchedule, solve=None) -> np.ndarray:
     solve = solve or dynamics.solve_ivp
     solutions = []
 
-    def spy(fun, t_span, y0, **kwargs):
-        solutions.append(solve(fun, t_span, y0, **kwargs))
+    def spy(fun, y0, t_eval, **kwargs):
+        solutions.append(solve(fun, y0, t_eval, **kwargs))
         return solutions[-1]
 
     with pytest.MonkeyPatch.context() as patch:

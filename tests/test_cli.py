@@ -496,7 +496,7 @@ class TestClippedEstimates:
 class TestIntegratorFailure:
     @staticmethod
     def _nan_drive_config(tmp_path, monkeypatch):
-        # a drive that turns NaN mid-ramp underflows the step size
+        # a drive that turns NaN mid-ramp makes the generator non-finite
         eta_at = ramp.eta_at
         monkeypatch.setattr(
             ramp, "eta_at",
@@ -508,26 +508,26 @@ class TestIntegratorFailure:
     def test_nan_drive_exits_3(self, tmp_path, monkeypatch, capsys):
         # the run must end with a numerical error, not a table
         path, out = self._nan_drive_config(tmp_path, monkeypatch)
-        with pytest.warns(RuntimeWarning, match="invalid value"):
-            assert cli.main(["run", str(path), "--out", str(out)]) == cli.EXIT_NUMERICAL == 3
+        assert cli.main(["run", str(path), "--out", str(out)]) == cli.EXIT_NUMERICAL == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "numerical"
         assert "time integration failed" in err["message"]
+        assert "non-finite generator" in err["message"]
         assert not out.exists()
 
     def test_nan_drive_exits_3_when_runtime_warnings_are_errors(
         self, tmp_path, monkeypatch, capsys
     ):
-        # under -W error::RuntimeWarning numpy's "invalid value" warning is
-        # raised inside DOP853's error estimate; it is a numerical
-        # failure like the step-size underflow it would otherwise lead to
+        # under -W error::RuntimeWarning the run still exits 3 with the
+        # integrator's own error
         path, out = self._nan_drive_config(tmp_path, monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert cli.main(["run", str(path), "--out", str(out)]) == cli.EXIT_NUMERICAL
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "numerical"
-        assert "invalid value" in err["message"]
+        assert "time integration failed" in err["message"]
+        assert "non-finite generator" in err["message"]
         assert not out.exists()
 
 
