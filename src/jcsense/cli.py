@@ -290,16 +290,19 @@ def _estimate_runtime(resolved: dict) -> float | None:
     doublets' phase, Omega * int (1 - eta^2)^{3/4} dt, which on the
     xi = 4/3 schedule grows like (Omega / k) ln(1 + kt_end); the step count
     grows like its square root.  ``_fidelity_sweep_evaluations`` holds the
-    fitted generator evaluation count (three per step),
-    75 + 147 sqrt((Omega / k) ln(1 + kt_end)), within 9% of the measured
-    1,869, 2,649, 3,894 (default config), 5,730 and 8,538 at k = Omega/50
-    to Omega/800, of 2,412, 4,392 and 4,926 at eta_target 0.9, 0.999 and
-    0.9999, and of 678, 852 and 1,197 on ramps to eta 0.9 at k = 0.1, 0.05
-    and 0.02.  The cusp-free onset clock (tau = 2) takes about 1.44x as
-    many (5,595 at the default rate).  At perfbench's reference core speed
-    a pass costs 41 us per evaluation with the records included: the
-    default config's pass took 0.16 s (perfbench median), k = Omega/400
-    0.22 s and the k = 0.05 ramp to eta 0.9 0.034 s.
+    fitted generator evaluation count (three per step evaluated, including
+    the steps a chunk throws away), 75 + 147 sqrt((Omega / k) ln(1 + kt_end)),
+    within 11% of the measured 1,968, 2,775, 4,065 (default config), 5,886
+    and 8,727 at k = Omega/50 to Omega/800, of 2,487, 4,551 and 5,148 at
+    eta_target 0.9, 0.999 and 0.9999, and of 693, 876 and 1,197 on ramps to
+    eta 0.9 at k = 0.1, 0.05 and 0.02.  The cusp-free onset clock (tau = 2)
+    takes about 1.42x as many (5,772 at the default rate).  At perfbench's
+    reference core speed a pass costs about 26 us per evaluation with the
+    records included, the geometric mean of the fits to three measured
+    passes: the default config's took 0.086 s (perfbench median),
+    k = Omega/400 0.11 s and the k = 0.05 ramp to eta 0.9 0.034 s.  The
+    short ramp costs the most per evaluation: it takes 1.4 steps per record,
+    and each record starts a chunk of steps.
 
     cramer_rao: three replica fans of ``shots``, ``shots // 10`` and
     ``shots // 100`` draws, so 3 * replicas experiments and about
@@ -316,7 +319,7 @@ def _estimate_runtime(resolved: dict) -> float | None:
     """
     experiment = resolved["experiment"]
     if experiment == "fidelity_sweep":
-        return 41e-6 * _fidelity_sweep_evaluations(resolved)
+        return 26e-6 * _fidelity_sweep_evaluations(resolved)
     if experiment == "cramer_rao":
         num = resolved["numerics"]
         per_experiment, per_draw = _CRAMER_RAO_COST[num["scheme"]]

@@ -41,13 +41,15 @@ the 21 real coordinates z = (c_dark, sqrt2 Re c_n+, sqrt2 Im c_n+),
 c = W z with W unitary.  In them the generator is real and antisymmetric:
 P^T D P, with P = Re W + Im W real orthogonal, plus a fixed energy block.
 
-One generator evaluation is a few array operations on the tabulated
+A generator evaluation is a few array operations on the tabulated
 coupling and two real 21 x 21 products.  :func:`solve_ivp` steps z with an
-adaptive sixth-order Magnus integrator in numpy: three generator
-evaluations and one exponential (the [13/13] Pade approximant, exactly
-orthogonal for an antisymmetric exponent) per step, on the graded clock
-t = t_end sigma^3, which smooths the paper clock's start-up cusp
-(eta ~ t^{2/3}).  rtol and atol bound the local error of the embedded
+adaptive sixth-order Magnus integrator in numpy: each step needs three
+generator evaluations and one exponential (the [13/13] Pade approximant,
+exactly orthogonal for an antisymmetric exponent), and the steps up to
+each record are taken in chunks, whose generators, exponents and
+exponentials are computed as stacks in a few numpy calls.  It runs on the
+graded clock t = t_end sigma^3, which smooths the paper clock's start-up
+cusp (eta ~ t^{2/3}).  rtol and atol bound the local error of the embedded
 fourth-order step in each component of z; the sixth-order result is kept.
 After the solve z is mapped back to c once, and the records are read all
 at once: F = |c_dark|^2, the norm defect |1 - ||c||^2|, and <X^2>, <P^2>,
@@ -72,7 +74,7 @@ from . import fockspace, ramp
 from .fockspace import StateVector, TruncationWarning
 
 # the local-error tolerances of the Magnus step (see solve_ivp); against
-# DOP853 at rtol 1e-12, atol 1e-14 they keep every amplitude within 1.3e-9
+# DOP853 at rtol 1e-12, atol 1e-14 they keep every amplitude within 1.5e-9
 # on ramps from k = Omega/50 to Omega/800
 DEFAULT_RTOL = 1e-7
 DEFAULT_ATOL = 5e-10
@@ -303,10 +305,12 @@ class Solution:
     steps: int
 
 
-# the Gauss-Legendre nodes of a Magnus step, and the step-size control
-_NODES = (0.5 - sqrt(15.0) / 10.0, 0.5, 0.5 + sqrt(15.0) / 10.0)
+# the Gauss-Legendre nodes of a Magnus step, the step-size control, and the
+# most steps taken at once on the way to a record
+_NODES = np.array((0.5 - sqrt(15.0) / 10.0, 0.5, 0.5 + sqrt(15.0) / 10.0))
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 5.0
 _MIN_STEP = 10.0 * np.finfo(float).eps
+_CHUNK = 8
 
 
 # the [13/13] Pade approximant of exp, and the 1-norm up to which its backward
@@ -317,43 +321,52 @@ _PADE_13 = (
     1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
 )
 _THETA_13 = 5.371920351148152
+# U = a (a^6 U_6 + U_0) and V = a^6 V_6 + V_0 for the odd and even parts of
+# the approximant, with U_6, U_0, V_6, V_0 these combinations of
+# (I, a^2, a^4, a^6)
+_PADE_BLOCKS = np.array([
+    [0.0, _PADE_13[9], _PADE_13[11], _PADE_13[13]],
+    [_PADE_13[1], _PADE_13[3], _PADE_13[5], _PADE_13[7]],
+    [0.0, _PADE_13[8], _PADE_13[10], _PADE_13[12]],
+    [_PADE_13[0], _PADE_13[2], _PADE_13[4], _PADE_13[6]],
+])
 
 
 def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # [a, b] = ab - (ab)^T for antisymmetric a and b
+    # [a, b] = ab - (ab)^T for stacks of antisymmetric a and b
     ab = a @ b
-    return ab - ab.T
+    return ab - ab.swapaxes(-1, -2)
 
 
-def _expm_times(a: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """exp(a) y by the [13/13] Pade approximant r = (V - U)^{-1} (V + U),
-    with U odd and V even in a.  Above ||a||_1 = ``_THETA_13`` a is scaled by
-    2^-s and r squared s times.  For an anti-Hermitian a, U is anti-Hermitian
-    and V Hermitian, so r is exactly unitary."""
-    norm = np.abs(a).sum(axis=0).max()
-    squarings = ceil(np.log2(norm / _THETA_13)) if norm > _THETA_13 else 0
-    if squarings:
-        a = a * 2.0**-squarings
-    b = _PADE_13
-    eye = np.eye(len(a))
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
-    if not squarings:
-        return np.linalg.solve(v - u, (v + u) @ y)
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) for each matrix of the stack a (count, n, n) by the [13/13]
+    Pade approximant r = (V - U)^{-1} (V + U), with U odd and V even in a.
+    A matrix whose 1-norm is above ``_THETA_13`` is scaled by 2^-s and its
+    r squared s times, s chosen per matrix.  For an anti-Hermitian a, U is
+    anti-Hermitian and V Hermitian, so r is exactly unitary."""
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    squarings = np.ceil(np.log2(np.maximum(norm, _THETA_13) / _THETA_13)).astype(int)
+    a = a * np.ldexp(1.0, -squarings)[:, None, None]
+    powers = np.empty((4,) + a.shape, dtype=a.dtype)
+    powers[0] = np.eye(a.shape[-1])
+    np.matmul(a, a, out=powers[1])
+    np.matmul(powers[1], powers[1], out=powers[2])
+    np.matmul(powers[2], powers[1], out=powers[3])
+    u6, u0, v6, v0 = (_PADE_BLOCKS @ powers.reshape(4, a.size)).reshape(powers.shape)
+    u = a @ (powers[3] @ u6 + u0)
+    v = powers[3] @ v6 + v0
     r = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
-        r = r @ r
-    return r @ y
+    for i in range(squarings.max(initial=0)):
+        more = squarings > i
+        r[more] = r[more] @ r[more]
+    return r
 
 
 def solve_ivp(fun, y0, t_eval, *, rtol: float, atol: float) -> Solution:
     """Integrate dy/dt = A(t) y, A real antisymmetric, from the real y0 at
     t0 = t_eval[0] to t1 = t_eval[-1], recording y at the increasing times
-    ``t_eval``.  ``fun(t, y)`` returns A(t) y, so ``fun(t, I)`` is the
-    generator itself.
+    ``t_eval``.  ``fun(times, y)`` returns the stack A(t) y over the array
+    ``times``, so ``fun(times, I)`` is the stack of generators.
 
     The solve runs on the graded clock sigma in [0, 1],
     t = t0 + (t1 - t0) sigma^3, with the generator scaled by dt/dsigma: a
@@ -363,14 +376,20 @@ def solve_ivp(fun, y0, t_eval, *, rtol: float, atol: float) -> Solution:
     sixth-order Magnus exponent (Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
     151 (2009)).  The exponential is the [13/13] Pade approximant with
     scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
-    (2005)), applied to y by one linear solve; it is exactly orthogonal for
-    an antisymmetric exponent.  The step size is controlled by the embedded
-    fourth-order exponent: max_k |((Omega_6 - Omega_4) y)_k| /
-    (atol + rtol |y_k|) must be <= 1, over the components of y.  So rtol
-    and atol bound the local error of the fourth-order step, while the
-    sixth-order result is kept.  Steps end exactly on the record times;
-    ``steps`` counts the accepted ones and ``nfev`` the generator
-    evaluations, three per attempted step.
+    (2005)); it is exactly orthogonal for an antisymmetric exponent.  The
+    step size is controlled by the embedded fourth-order exponent:
+    max_k |((Omega_6 - Omega_4) y)_k| / (atol + rtol |y_k|) must be <= 1,
+    over the components of y.  So rtol and atol bound the local error of
+    the fourth-order step, while the sixth-order result is kept.
+
+    The steps to the next record are equal and end exactly on it.  They are
+    taken in chunks of at most ``_CHUNK``: one call of ``fun`` evaluates
+    every node of a chunk, and its exponents and exponentials are computed
+    as stacks.  The steps before the first one that fails the error test
+    are accepted, the rest thrown away; the next step size comes from the
+    failing step's error, or from the chunk's largest error when all pass.
+    ``steps`` counts the accepted steps and ``nfev`` the generator
+    evaluations, three per step evaluated, thrown away or not.
 
     Raises RuntimeError when a step falls below ``_MIN_STEP`` in sigma or
     Omega_6 is not finite; the message names the cause, the time near
@@ -380,24 +399,27 @@ def solve_ivp(fun, y0, t_eval, *, rtol: float, atol: float) -> Solution:
     t0, span = t_eval[0], t_eval[-1] - t_eval[0]
     sigma_eval = np.cbrt((t_eval - t0) / span)
     y = np.array(y0, dtype=float)
-    eye = np.eye(len(y))
+    size = len(y)
+    eye = np.eye(size)
     records = [y]
     nfev = steps = 0
     sigma = 0.0
     h = sigma_eval[1] if len(sigma_eval) > 1 else 1.0
     while len(records) < len(sigma_eval):
         target = sigma_eval[len(records)]
-        step = (target - sigma) / ceil((target - sigma) / h)
+        left = ceil((target - sigma) / h)
+        step = (target - sigma) / left
         if step < _MIN_STEP:
             cause = f"step size below {_MIN_STEP:.1e} in sigma"
             break
-        # the generator at the nodes, scaled by dt/dsigma and the step
-        a1, a2, a3 = (
-            fun(t0 + span * s**3, eye) * (3.0 * span * s * s * step)
-            for s in (sigma + c * step for c in _NODES)
-        )
-        nfev += 3
-        # the generator's moments about the step's midpoint: a2, m2, m3 are
+        count = min(left, _CHUNK)
+        # the generator at the nodes, node by node over the chunk's steps,
+        # scaled by dt/dsigma and the step
+        s = (sigma + step * (np.arange(count) + _NODES[:, None])).ravel()
+        gen = fun(t0 + span * s**3, eye) * (3.0 * span * s * s * step)[:, None, None]
+        nfev += 3 * count
+        a1, a2, a3 = gen.reshape(3, count, size, size)
+        # the generator's moments about each step's midpoint: a2, m2, m3 are
         # the review's alpha_1, alpha_2, alpha_3
         m2 = (a3 - a1) * (sqrt(15.0) / 3.0)
         m3 = (a3 + a1 - 2.0 * a2) * (10.0 / 3.0)
@@ -406,21 +428,35 @@ def solve_ivp(fun, y0, t_eval, *, rtol: float, atol: float) -> Solution:
         # Omega_4 = a2 + m3 / 12 - c1 / 12, and Omega_6 - Omega_4 = corr + c1 / 12
         corr = _commutator(c1 - 20.0 * a2 - m3, m2 + c2) / 240.0
         omega6 = a2 + m3 / 12.0 + corr
-        if not np.isfinite(omega6).all():
+        finite = np.isfinite(omega6).all(axis=(1, 2))
+        good = count if finite.all() else int(np.argmin(finite))
+        # the states at the steps' starts, and the error test on each step
+        # up to the first non-finite exponent
+        rotation = _expm(omega6[:good])
+        ys = np.empty((good + 1, size))
+        ys[0] = y
+        for k in range(good):
+            ys[k + 1] = rotation[k] @ ys[k]
+        delta = ((corr[:good] + c1[:good] / 12.0) @ ys[:good, :, None])[:, :, 0]
+        err = (np.abs(delta) / (atol + rtol * np.abs(ys[:good]))).max(axis=1)
+        failed = np.flatnonzero(err > 1.0)
+        passed = int(failed[0]) if len(failed) else good
+        y = ys[passed]
+        steps += passed
+        landed = passed == left
+        if landed:
+            sigma = target
+            records.append(y)
+        else:
+            sigma += passed * step
+        if passed == good < count:  # every finite step passed; the next is not finite
             cause = "non-finite generator"
             break
-        err = (np.abs((corr + c1 / 12.0) @ y) / (atol + rtol * np.abs(y))).max()
-        factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err**-0.2))
-        if err <= 1.0:
-            y = _expm_times(omega6, y)
-            steps += 1
-            if step < target - sigma:
-                sigma += step
-            else:  # landed on the record
-                sigma = target
-                records.append(y)
-                # a step shortened to land keeps the longer proposal
-                factor = max(factor, h / step)
+        worst = err[passed] if passed < good else err.max()
+        factor = _MAX_FACTOR if worst == 0.0 else min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * worst**-0.2))
+        if landed:
+            # a step shortened to land keeps the longer proposal
+            factor = max(factor, h / step)
         h = step * factor
     else:  # every record reached
         return Solution(np.array(records).T, nfev, steps)
@@ -442,10 +478,13 @@ def evolve(
     final record sits at eta = eta_target.
 
     The solve runs on the real coordinates z of the module docstring and
-    maps them back to the amplitudes c once, after the last step.  rtol and
-    atol bound the local error of each step in each component of z (see
-    :func:`solve_ivp`); the trajectory also carries the solve's generator
-    evaluations ``nfev`` and accepted ``steps``.  Raises ValueError, before
+    maps them back to the amplitudes c once, after the last step; the
+    right-hand side evaluates the generators at a chunk's nodes in one
+    call, with one ``ramp.eta_at`` and one ``ramp.eta_dot_at`` per time.
+    rtol and atol bound the local error of each step in each component of
+    z (see :func:`solve_ivp`); the trajectory also carries the solve's
+    generator evaluations ``nfev``, thrown-away steps included, and
+    accepted ``steps``, both Python ints.  Raises ValueError, before
     integrating, unless rtol, atol, omega and the schedule's duration are
     finite and > 0.  :func:`solve_ivp` raises RuntimeError when the
     integrator fails (a non-finite generator, or a step-size underflow),
@@ -466,14 +505,17 @@ def evolve(
     # P = Re W + Im W, real orthogonal: W^dag D W = P^T D P for the real D
     basis = frame.unitary.real + frame.unitary.imag
 
-    def rhs(t: float, z: np.ndarray) -> np.ndarray:
-        eta = ramp.eta_at(schedule, t)
+    def rhs(times: np.ndarray, z: np.ndarray) -> np.ndarray:
+        # the generators at the times, stacked (times, size, size), times z:
+        # P^T D P z plus the energy block
+        eta = np.array([ramp.eta_at(schedule, t) for t in times.tolist()])
+        rate = np.array([ramp.eta_dot_at(schedule, t) for t in times.tolist()])
         eps = (1.0 - eta) * (1.0 + eta)
-        gen = (coupling @ eta**degrees) * np.exp(gauss * (eta * eta))
-        gen *= -ramp.eta_dot_at(schedule, t) / eps
-        gen = basis.T @ gen.reshape(size, size) @ basis
-        gen += (omega * eps**0.75) * real_energies
-        return gen @ z
+        gen = (eta[:, None] ** degrees @ coupling.T) * np.exp(np.multiply.outer(eta * eta, gauss))
+        gen *= (-rate / eps)[:, None]
+        out = basis.T @ gen.reshape(-1, size, size) @ (basis @ z)
+        out += np.multiply.outer(omega * eps**0.75, real_energies @ z)
+        return out
 
     z0 = np.zeros(size)
     z0[0] = 1.0  # the dark state, |0>|g> at eta = 0

@@ -180,10 +180,11 @@ def lab_trajectory(schedule: ramp.RampSchedule, n_max: int = LAB_N_MAX, omega: f
 def dop853_frame(fun, y0, t_eval, *, rtol, atol):
     """``dynamics.solve_ivp``'s signature over scipy's DOP853 at rtol 1e-12
     and atol 1e-14 (the tolerances passed are ignored): the frame's
-    equations under an integrator independent of the Magnus steps.  The
-    dense output's step boundaries give the accepted steps."""
+    equations, ``fun`` called at one time at a time, under an integrator
+    independent of the Magnus steps.  The dense output's step boundaries
+    give the accepted steps."""
     sol = solve_ivp(
-        fun, (t_eval[0], t_eval[-1]), y0, method="DOP853",
+        lambda t, y: fun(np.array([t]), y)[0], (t_eval[0], t_eval[-1]), y0, method="DOP853",
         rtol=1e-12, atol=1e-14, t_eval=t_eval, dense_output=True,
     )
     assert sol.status == 0, sol.message

@@ -175,12 +175,12 @@ class TestValidateCommand:
                 {"experiment": "fidelity_sweep", "physics": physics, "numerics": numerics or {}}
             ))
 
-        # the default config's pass takes 0.16 s at the reference core speed
-        assert 0.16 / 2 < estimate({}) < 0.16 * 2
-        # measured at the reference core speed: k = Omega/400 (5,730
+        # the default config's pass takes 0.086 s at the reference core speed
+        assert 0.086 / 2 < estimate({}) < 0.086 * 2
+        # measured at the reference core speed: k = Omega/400 (5,886
         # generator evaluations) and the benchmark's smoke ramp, k = 0.05 to
-        # eta 0.9 (852)
-        assert 0.22 / 2 < estimate({"k": 1 / 400}) < 0.22 * 2
+        # eta 0.9 (876)
+        assert 0.11 / 2 < estimate({"k": 1 / 400}) < 0.11 * 2
         assert 0.034 / 2 < estimate({"k": 0.05, "eta_target": 0.9}) < 0.034 * 2
         # the frame builds no Fock space: the cutoff does not enter
         assert estimate({}, {"n_max": 16}) == estimate({})
@@ -354,6 +354,15 @@ class TestRunFidelitySweep:
         assert 0 < 3 * steps <= nfev
         model = cli._fidelity_sweep_evaluations(cli.resolve_config(json.loads(path.read_text())))
         assert abs(model - nfev) <= 0.12 * nfev
+
+    def test_trajectory_work_counts_are_python_ints(self):
+        # the header writes nfev and steps through json.dumps, which raises
+        # TypeError on a numpy integer
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", dynamics.TruncationWarning)
+            traj = dynamics.evolve(ramp.RampSchedule(k=0.05, eta_target=0.9), 1.0)
+        assert type(traj.nfev) is int and type(traj.steps) is int
+        assert json.loads(json.dumps([traj.nfev, traj.steps])) == [traj.nfev, traj.steps]
 
 
 class TestRunRampCurve:

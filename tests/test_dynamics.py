@@ -143,30 +143,45 @@ class TestEvolve:
         # dz/dt = G z in the real coordinates, c = W z: G is real and
         # antisymmetric, and W G W^dag is the frame's generator
         # A = -i diag(E) - eta' D built from _frame's complex tables, so the
-        # norm is conserved and the diagonal holds the doublet energies; each
-        # call returns a fresh array, as a Magnus step keeps three at once
+        # norm is conserved and the diagonal holds the doublet energies; one
+        # call evaluates G at several times, into a fresh array, as a chunk
+        # of Magnus steps keeps its generators at once
         rhs, _, _, sched = self._capture_rhs(monkeypatch)
-        t = 0.37 * sched.duration
+        times = np.array([0.05, 0.37, 0.81]) * sched.duration
         size = 2 * dynamics.N_DOUBLETS + 1
-        columns = [rhs(t, np.eye(size)[j]) for j in range(size)]
-        assert not np.shares_memory(columns[0], columns[1])
-        gen = np.array(columns).T
-        assert gen.dtype == np.float64
-        np.testing.assert_allclose(gen + gen.T, 0.0, rtol=0.0, atol=1e-13 * np.abs(gen).max())
+        eye = np.eye(size)
+        gens = rhs(times, eye)
+        assert gens.shape == (len(times), size, size)
+        assert not np.shares_memory(gens, rhs(times, eye))
+        assert gens.dtype == np.float64
         frame = dynamics._frame(dynamics.N_DOUBLETS)
         w = frame.unitary
         np.testing.assert_allclose(w.conj().T @ w, np.eye(size), rtol=0.0, atol=1e-15)
-        eta = ramp.eta_at(sched, t)
-        eps = (1.0 - eta) * (1.0 + eta)
-        expected = -1j * eps**0.75 * np.diag(frame.energies) - ramp.eta_dot_at(sched, t) * _coupling(frame, eta)
-        mapped = w @ gen @ w.conj().T
-        np.testing.assert_allclose(mapped, expected, rtol=0.0, atol=1e-13 * np.abs(expected).max())
-        energies = [0.0] + [
-            analytic.eigenvalue(1.0, eta, n, branch)
-            for n in range(1, dynamics.N_DOUBLETS + 1) for branch in ("+", "-")
-        ]
-        np.testing.assert_allclose(np.diag(mapped).imag, -np.array(energies), rtol=1e-14, atol=1e-15)
-        assert np.abs(np.diag(mapped).real).max() <= 1e-15 * np.abs(gen).max()
+        for t, gen in zip(times, gens):
+            np.testing.assert_allclose(gen + gen.T, 0.0, rtol=0.0, atol=1e-13 * np.abs(gen).max())
+            eta = ramp.eta_at(sched, t)
+            eps = (1.0 - eta) * (1.0 + eta)
+            expected = -1j * eps**0.75 * np.diag(frame.energies) - ramp.eta_dot_at(sched, t) * _coupling(frame, eta)
+            mapped = w @ gen @ w.conj().T
+            np.testing.assert_allclose(mapped, expected, rtol=0.0, atol=1e-13 * np.abs(expected).max())
+            energies = [0.0] + [
+                analytic.eigenvalue(1.0, eta, n, branch)
+                for n in range(1, dynamics.N_DOUBLETS + 1) for branch in ("+", "-")
+            ]
+            np.testing.assert_allclose(np.diag(mapped).imag, -np.array(energies), rtol=1e-14, atol=1e-15)
+            assert np.abs(np.diag(mapped).real).max() <= 1e-15 * np.abs(gen).max()
+
+    def test_rhs_batch_matches_single_times(self, monkeypatch):
+        # a batched call is the stack of one-time calls, and applies G to a
+        # vector as well as to the identity
+        rhs, _, _, sched = self._capture_rhs(monkeypatch)
+        times = np.linspace(0.0, sched.duration, 7)[1:]
+        size = 2 * dynamics.N_DOUBLETS + 1
+        gens = rhs(times, np.eye(size))
+        single = np.array([rhs(np.array([t]), np.eye(size))[0] for t in times])
+        assert np.abs(gens - single).max() <= 1e-15 * np.abs(single).max()
+        z = np.random.default_rng(7).normal(size=size)
+        np.testing.assert_allclose(rhs(times, z), gens @ z, rtol=0.0, atol=1e-15 * np.abs(gens).max())
 
     def test_eta_at_called_once_per_rhs_and_record(self, monkeypatch):
         # the benchmark's counters wrap dynamics.solve_ivp and ramp.eta_at;
@@ -260,9 +275,14 @@ class TestSolveIvp:
     Z = np.diag([1.0 + 0j, -1.0])
     PSI0 = np.array([1.0, 0.0], dtype=complex)
 
-    def fun(self, t, y):
-        a = -0.5j * (self.DELTA * self.Z + self.G * (np.cos(self.W * t) * self.X + np.sin(self.W * t) * self.Y))
-        return np.block([[a.real, -a.imag], [a.imag, a.real]]) @ y
+    def generator(self, times):
+        # the real form of A(t) at each of the times, stacked
+        c, s = np.cos(self.W * times)[:, None, None], np.sin(self.W * times)[:, None, None]
+        a = -0.5j * (self.DELTA * self.Z + self.G * (c * self.X + s * self.Y))
+        return np.block([[a.real, -a.imag], [a.imag, a.real]])
+
+    def fun(self, times, y):
+        return self.generator(times) @ y
 
     def exact(self, t):
         w, v = np.linalg.eigh(0.5 * ((self.DELTA - self.W) * self.Z + self.G * self.X))
@@ -281,6 +301,43 @@ class TestSolveIvp:
             assert np.abs(sol.y - expected).max() <= 1e-9, start
             assert np.abs(np.linalg.norm(sol.y, axis=0) - 1.0).max() <= 1e-14, start
 
+    def test_a_frequency_jump_cuts_a_chunk_short(self):
+        # every frequency of the qubit jumps 4x within 0.02 of t = 10.3,
+        # inside the record interval [10, 10.5]: H(t) = f(t) H_0(F(t)) with
+        # F' = f, so psi(t) = psi_0(F(t)).  The steps that reach the jump
+        # fail the error test partway through a chunk; the ones before it
+        # are kept and the records stay on the closed form
+        jump, width, ratio = 10.3, 0.02, 4.0
+
+        def rate(t):
+            return 1.0 + 0.5 * (ratio - 1.0) * (1.0 + np.tanh((t - jump) / width))
+
+        def clock(t):
+            # F(t) = int_0^t f, with width * ln(2 cosh x) as logaddexp
+            def rise(t):
+                return t - jump + width * np.logaddexp((t - jump) / width, (jump - t) / width)
+
+            return t + 0.5 * (ratio - 1.0) * (rise(t) - rise(0.0))
+
+        chunks = []
+
+        def fun(times, y):
+            chunks.append(times)
+            return rate(times)[:, None, None] * self.generator(clock(times)) @ y
+
+        times = np.linspace(0.0, 20.0, 41)
+        sol = dynamics.solve_ivp(fun, self.exact(0.0), times, rtol=1e-10, atol=1e-12)
+        expected = np.array([self.exact(clock(t)) for t in times]).T
+        assert np.abs(sol.y - expected).max() <= 1e-9
+        assert np.abs(np.linalg.norm(sol.y, axis=0) - 1.0).max() <= 1e-14
+        # a chunk whose nodes straddle the jump is followed by one that
+        # starts inside it: its first steps were kept, the rest thrown away
+        assert any(
+            a.min() < jump < a.max() and a.min() < b.min() < a.max()
+            for a, b in zip(chunks, chunks[1:])
+        )
+        assert sol.nfev > 3 * sol.steps
+
     def test_step_size_underflow_fails(self):
         # no step meets a tolerance of 1e-200: h shrinks until it underflows
         times = np.linspace(0.0, 20.0, 41)
@@ -293,24 +350,50 @@ class TestPadeExponential:
     """The Magnus step's exponential against an ``eigh`` reference, on both
     sides of the 1-norm theta_13 above which it scales and squares."""
 
-    @pytest.mark.parametrize("norm", [0.5, 5.0, 6.0, 40.0])
+    NORMS = (0.5, 5.0, 6.0, 40.0)
+
+    @staticmethod
+    def _antihermitian(rng, size, dtype, norm):
+        m = rng.normal(size=(size, size))
+        if dtype is complex:
+            m = m + 1j * rng.normal(size=(size, size))
+        a = m - m.conj().T
+        return a * (norm / np.abs(a).sum(axis=0).max())
+
+    @staticmethod
+    def _check(a, r, y):
+        # exp(a) = v exp(-i w) v^dag with i a = v diag(w) v^dag
+        w, v = np.linalg.eigh(1j * a)
+        expected = v @ (np.exp(-1j * w) * (v.conj().T @ y))
+        got = r @ y
+        assert got.dtype == y.dtype
+        assert np.abs(got - expected).max() <= 1e-14
+        assert abs(np.linalg.norm(got) - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("norm", NORMS)
     @pytest.mark.parametrize("size", [2, 21])
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_matches_eigh(self, norm, size, dtype):
         rng = np.random.default_rng(size)
-        m, y = rng.normal(size=(size, size)), rng.normal(size=size)
+        a = self._antihermitian(rng, size, dtype, norm)
+        y = rng.normal(size=size).astype(dtype)
         if dtype is complex:
-            m, y = m + 1j * rng.normal(size=(size, size)), y + 1j * rng.normal(size=size)
-        a = m - m.conj().T
-        a *= norm / np.abs(a).sum(axis=0).max()
+            y += 1j * rng.normal(size=size)
+        self._check(a, dynamics._expm(a[None])[0], y / np.linalg.norm(y))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_one_stack_squares_each_matrix_on_its_own(self, dtype):
+        # 1-norms below and above theta_13 in one call: some matrices are
+        # scaled and squared, the others not
+        rng = np.random.default_rng(13)
+        size = 21
+        stack = np.array([self._antihermitian(rng, size, dtype, norm) for norm in self.NORMS])
+        y = rng.normal(size=size).astype(dtype)
         y /= np.linalg.norm(y)
-        # exp(a) = v exp(-i w) v^dag with i a = v diag(w) v^dag
-        w, v = np.linalg.eigh(1j * a)
-        expected = v @ (np.exp(-1j * w) * (v.conj().T @ y))
-        got = dynamics._expm_times(a, y)
-        assert got.dtype == y.dtype
-        assert np.abs(got - expected).max() <= 1e-14
-        assert abs(np.linalg.norm(got) - 1.0) <= 1e-14
+        rotations = dynamics._expm(stack)
+        assert rotations.shape == stack.shape
+        for a, r in zip(stack, rotations):
+            self._check(a, r, y)
 
 
 class TestHeadlineTrajectory:
