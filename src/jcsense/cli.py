@@ -263,9 +263,9 @@ def _emit_error(resolved: dict, kind: str, message: str) -> None:
 # measured cost of one cramer_rao experiment and of one draw, in seconds,
 # by scheme (see _estimate_runtime)
 _CRAMER_RAO_COST = {
-    "photon_number": (63e-6, 33e-9),
-    "x_squared": (30e-6, 20e-9),
-    "p_squared": (30e-6, 20e-9),
+    "photon_number": (40e-6, 17e-9),
+    "x_squared": (31e-6, 21e-9),
+    "p_squared": (31e-6, 21e-9),
 }
 
 
@@ -308,14 +308,16 @@ def _estimate_runtime(resolved: dict) -> float | None:
     ``shots // 100`` draws, so 3 * replicas experiments and about
     1.11 * replicas * shots draws.  Each experiment costs a fixed amount (its
     spawned seed, generator and estimate) and each draw a per-draw amount,
-    both depending on the scheme; ``_CRAMER_RAO_COST`` holds them.  Photon
-    counts: ~63 us and ~33 ns; on a 2-vCPU 2.0 GHz Xeon host the runs take
-    0.053 s at 500 replicas x 100 shots, 0.21-0.23 s at the default
-    500 x 10,000 and 0.42-0.46 s at 100 x 100,000, all within 2x of the
-    model.  Quadratures (``rng.normal`` squared): ~30 us and ~20 ns.  On
-    the same host, fits over 500 x 100, 500 x 10,000, 100 x 100,000 and
-    2,000 x 100 put them at 0.4-0.6x and 0.5-0.65x the photon-count costs
-    fitted in the same runs; the default 500 x 10,000 took 0.13-0.15 s.
+    both depending on the scheme; ``_CRAMER_RAO_COST`` holds them, fitted
+    to the medians of three sets of 9 runs each (on a 2-vCPU 2.1 GHz Xeon
+    host) at 500 replicas x 100 shots, 2,000 x 100, the default
+    500 x 10,000 and 100 x 100,000; every median is within 1.25x of the
+    model.  Photon counts (the indexed search of the fan's guide table):
+    ~40 us and ~17 ns; the runs took 0.058-0.071, 0.23-0.27, 0.126-0.130
+    and 0.236-0.238 s.  Quadratures (standard normals scaled by sigma and
+    squared): ~31 us and ~21 ns; 0.040-0.052, 0.19-0.20, 0.16-0.17 and
+    0.21-0.27 s.  A photon count costs more at large shot counts: the
+    default runs alone give about 12 ns per draw, 100 x 100,000 about 20 ns.
     """
     experiment = resolved["experiment"]
     if experiment == "fidelity_sweep":

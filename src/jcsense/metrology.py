@@ -13,9 +13,14 @@ estimate is flagged with :class:`EstimateClippedWarning`: one per call of
 :func:`estimate_eta`, one per replica fan with the count at each bound.
 Sampling is deterministic per (seed, scheme, eta); replica fans use
 spawned seed sequences so accumulation order never matters, and build the
-outcome law once, drawing every replica from it; photon counts are drawn
-by inverse-cdf lookup in one cumulative table per fan.  Detector
-imperfections are not modeled.
+outcome law once, drawing every replica from it.  Photon counts are the
+draws of ``rng.choice(values, p=p)``: each replica's uniforms are looked
+up in the fan's cumulative table by an indexed search (a guide table, Chen
+& Asau 1974), which reads the index off a table of power-of-two buckets and
+binary-searches only the uniforms whose bucket holds a breakpoint.
+Quadrature draws are the values of ``rng.normal(0, sigma) ** 2``, taken as
+standard normals scaled by sigma and squared in place.
+Detector imperfections are not modeled.
 
 :func:`inverted_variance_numeric` cross-checks the Fisher figures of merit
 in Fock space, with N, X^2 and P^2 from :func:`fockspace.field_observables`.
@@ -144,26 +149,64 @@ def photon_count_distribution(eta: float) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(levels, dtype=float), p / p.sum()
 
 
-def _outcome_law(eta: float, kind: str) -> tuple:
-    """(values, cumulative law) of the photon counts, or (mean, sigma) of a
-    quadrature, at eta."""
+def _outcome_law(eta: float, kind: str) -> tuple[np.ndarray, np.ndarray] | float:
+    """(cumulative law, guide table) of the photon counts, or the standard
+    deviation sigma of a quadrature, at eta."""
     if kind == "photon_number":
-        values, p = photon_count_distribution(eta)
-        cdf = p.cumsum()
+        cdf = photon_count_distribution(eta)[1].cumsum()
         cdf /= cdf[-1]
-        return values, cdf
-    return quadrature_distribution(eta, kind)
+        return cdf, _guide_table(cdf)
+    return quadrature_distribution(eta, kind)[1]
 
 
-def _draw(kind: str, law: tuple, shots: int, seed) -> np.ndarray:
+def _guide_table(cdf: np.ndarray) -> np.ndarray:
+    """Guide table of :func:`_search` in ``cdf`` (nondecreasing, ending at 1):
+    Chen & Asau, AIIE Trans. 6, 163 (1974); Devroye, Non-Uniform Random
+    Variate Generation (1986), sec. III.2.4.
+
+    Bucket b of B = guide.size (a power of two, at least twice the levels)
+    covers the uniforms in [b/B, (b + 1)/B).  Its entry is #{cdf <= b/B},
+    the search result of every uniform in it, or -1 where a breakpoint of
+    ``cdf`` lies in (b/B, (b + 1)/B].  Stored as int32: 4 MB at
+    ``ETA_CLIP``, where B = 2^20; the build's one B-long temporary is a
+    boolean mask.
+    """
+    buckets = 1 << max(10, (2 * cdf.size).bit_length())
+    # level j is the result of the uniforms in [cdf_{j-1}, cdf_j), so it
+    # fills the buckets from ceil(cdf_{j-1} B) up to ceil(cdf_j B); cdf * B
+    # is exact because B is a power of two
+    widths = np.diff(np.ceil(cdf * buckets), prepend=0.0).astype(np.intp)
+    guide = np.repeat(np.arange(cdf.size, dtype=np.int32), widths)
+    # #{cdf <= (b + 1)/B} > #{cdf <= b/B}: a breakpoint in the bucket
+    guide[:-1][guide[:-1] != guide[1:]] = -1
+    guide[-1] = -1  # cdf reaches 1, the last bucket's upper edge
+    return guide
+
+
+def _search(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``cdf.searchsorted(u, side="right")`` for uniforms u in [0, 1), by one
+    read of :func:`_guide_table`'s ``guide``; only the uniforms in a bucket
+    that holds a breakpoint are binary-searched."""
+    idx = guide[(u * guide.size).astype(np.intp)]
+    miss = idx < 0
+    idx[miss] = cdf.searchsorted(u[miss], side="right")
+    return idx
+
+
+def _draw(kind: str, law, shots: int, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
     if kind == "photon_number":
-        # inverse-cdf lookup, the draws of rng.choice(values, size=shots, p=p)
-        # without rebuilding and checking the table on every call
-        values, cdf = law
-        return values[cdf.searchsorted(rng.random(shots), side="right")]
-    mean, sigma = law
-    return rng.normal(mean, sigma, shots) ** 2
+        # rng.choice(values, size=shots, p=p) draws values[cdf.searchsorted(
+        # rng.random(shots), side="right")] with values = 0..L, so the counts
+        # are those indices: one guide-table read per shot, and searchsorted
+        # only for the shots whose bucket holds a breakpoint
+        return _search(*law, rng.random(shots)).astype(float)
+    # the values of rng.normal(0.0, sigma, shots) ** 2: normal returns
+    # 0.0 + sigma * standard_normal, which differs from sigma *
+    # standard_normal only in the sign of a zero, and squaring drops it
+    z = rng.standard_normal(shots)
+    z *= law
+    return np.square(z, out=z)
 
 
 def sample_outcomes(eta: float, scheme: MeasurementScheme, seed) -> np.ndarray:
@@ -269,7 +312,9 @@ def replica_estimates(
         outcomes = _draw(scheme.kind, law, scheme.shots, child)
         if outcome_sink is not None:
             outcome_sink.append(outcomes)
-        estimates[i], clipped[i] = _clipped_estimate(float(outcomes.mean()), scheme.kind)
+        estimates[i], clipped[i] = _clipped_estimate(
+            float(outcomes.sum()) / scheme.shots, scheme.kind
+        )
     if clipped.any():
         upper = int((estimates[clipped] == ETA_CLIP).sum())
         warnings.warn(

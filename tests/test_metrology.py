@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 from contextlib import nullcontext
 from decimal import Decimal, localcontext
@@ -153,6 +154,50 @@ class TestPhotonCountLaw:
         assert var == pytest.approx(point.var_n, rel=1e-8, abs=0.0)
 
 
+class TestIndexedSearch:
+    """The guide-table lookup finds the index of cdf.searchsorted(u,
+    side="right") on the table rng.choice builds, for chosen uniforms."""
+
+    @pytest.mark.parametrize("eta", [0.0, 0.8, 0.995, 0.9999, ETA_CLIP])
+    def test_matches_searchsorted_on_adversarial_uniforms(self, eta):
+        _, p = photon_count_distribution(eta)
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        law_cdf, guide = metrology._outcome_law(eta, "photon_number")
+        np.testing.assert_array_equal(law_cdf, cdf)
+        buckets = guide.size
+        assert guide.dtype == np.int32
+        assert buckets & (buckets - 1) == 0 and buckets >= 2 * cdf.size
+        edges = np.arange(buckets) / buckets
+        below_one = np.nextafter(1.0, 0.0)
+        u = np.concatenate([
+            [0.0, below_one],
+            cdf,
+            np.nextafter(cdf, 0.0),
+            np.nextafter(cdf, 1.0),
+            edges,
+            np.nextafter(edges, 0.0),
+            np.nextafter(edges, 1.0),
+        ])
+        u = u[(0.0 <= u) & (u <= below_one)]
+        np.testing.assert_array_equal(
+            metrology._search(cdf, guide, u), cdf.searchsorted(u, side="right")
+        )
+
+    def test_table_at_the_clip_adds_at_most_three_laws_to_the_peak(self):
+        # values, p and cdf are three law-sized arrays; the 2^20-bucket
+        # table and its build may add as much again
+        law_bytes = photon_count_distribution(ETA_CLIP)[1].nbytes
+        tracemalloc.start()
+        try:
+            _, guide = metrology._outcome_law(ETA_CLIP, "photon_number")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert guide.size == 2**20
+        assert peak < 6 * law_bytes
+
+
 class TestChiSquaredLaw:
     """A replica's quadrature sample mean is sigma^2 chi^2_nu / nu, exactly."""
 
@@ -286,19 +331,52 @@ class TestReplicaFan:
         for outcomes, child in zip(sink, children):
             np.testing.assert_array_equal(outcomes, sample_outcomes(eta, scheme, child))
 
-    @pytest.mark.parametrize("eta", [0.995, ETA_CLIP])
-    def test_photon_fan_draws_what_choice_draws(self, eta):
-        # one cumulative table per fan gives rng.choice's draws for every replica
-        replicas, seed = 4, 13
-        scheme = MeasurementScheme("photon_number", 100)
+    @pytest.mark.parametrize(
+        "eta, shots, replicas",
+        [
+            pytest.param(0.995, 100, 4, id="0.995"),
+            pytest.param(ETA_CLIP, 100, 4, id=repr(ETA_CLIP)),
+            pytest.param(0.995, 10_000, 2, id="0.995-10000-shots"),
+        ],
+    )
+    def test_photon_fan_draws_what_choice_draws(self, eta, shots, replicas):
+        # one indexed search per fan gives rng.choice's draws for every replica
+        seed = 13
+        scheme = MeasurementScheme("photon_number", shots)
         sink = []
         # at the clip two of the four estimates sit at ETA_CLIP
         with pytest.warns(EstimateClippedWarning) if eta == ETA_CLIP else nullcontext():
             replica_estimates(eta, scheme, replicas, seed=seed, outcome_sink=sink)
         values, p = photon_count_distribution(eta)
+        _, guide = metrology._outcome_law(eta, "photon_number")
+        searched = 0
         for outcomes, child in zip(sink, np.random.SeedSequence(seed).spawn(replicas)):
             want = np.random.default_rng(child).choice(values, size=scheme.shots, p=p)
             np.testing.assert_array_equal(outcomes, want)
+            u = np.random.default_rng(child).random(shots)
+            searched += int((guide[(u * guide.size).astype(int)] < 0).sum())
+        if shots == 10_000:
+            # about 1.4% of the mass at eta = 0.995 falls back to the binary search
+            assert searched > 100
+
+    @pytest.mark.parametrize("keep", [False, True])
+    @pytest.mark.parametrize("eta", [0.8, ETA_CLIP])
+    @pytest.mark.parametrize("kind", metrology.SCHEME_KINDS)
+    def test_estimates_are_estimate_eta_of_each_replica(self, kind, eta, keep):
+        # at the clip about half of the estimates sit at ETA_CLIP
+        replicas, seed = 8, 31
+        scheme = MeasurementScheme(kind, 100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EstimateClippedWarning)
+            got = replica_estimates(
+                eta, scheme, replicas, seed=seed, outcome_sink=[] if keep else None
+            )
+            want = [
+                estimate_eta(sample_outcomes(eta, scheme, child), scheme)
+                for child in np.random.SeedSequence(seed).spawn(replicas)
+            ]
+        np.testing.assert_array_equal(got, want)
+        assert (got == ETA_CLIP).any() == (eta == ETA_CLIP)
 
     @pytest.mark.parametrize(
         "kind, builds", [("photon_number", 0), ("x_squared", 1), ("p_squared", 1)]
