@@ -21,9 +21,9 @@ parity and :func:`doublet_spectrum` reads the doublets off one parity block.
 
 Importing this module loads numpy only.  ``scipy.sparse`` is imported by
 the functions that build a sparse matrix, so a run loads it with its first
-operator, and :func:`doublet_spectrum` loads ``scipy.sparse.linalg`` for
-its eigensolver.  The ramp (:mod:`dynamics`, numpy only) and the
-closed-form experiments never load scipy.
+operator; it is the only scipy module the package uses.  The ramp
+(:mod:`dynamics`, numpy only) and the closed-form experiments never load
+scipy.
 """
 
 from __future__ import annotations
@@ -365,24 +365,22 @@ def doublet_spectrum(
     Ordered by field parity, H is [[0, B], [B^T, 0]].  On an even n_max the
     even block holds two more states (the dark state and the unpaired
     |n_max>|e>), so the n_doublets smallest eigenvalues of the n_max x n_max
-    matrix B^T B are the E_n^2.  Raises ValueError for an odd n_max or
-    n_doublets < 1, and RuntimeError when a doublet holds over 1e-3 of its
-    population in the top 10% of Fock levels.
+    matrix B^T B are the E_n^2; B^T B is diagonalised densely, in
+    O(n_max^3).  Raises ValueError for an odd n_max or unless
+    1 <= n_doublets <= n_max, and RuntimeError when a doublet holds over
+    1e-3 of its population in the top 10% of Fock levels.
     """
-    from scipy.sparse.linalg import eigsh  # loaded on first use
-
     if not spec.with_qubit:
         raise ValueError("doublets live on the composite space")
     if spec.n_max % 2:
         raise ValueError(f"the parity blocks need an even n_max, got {spec.n_max}")
-    if n_doublets < 1:
-        raise ValueError(f"n_doublets must be >= 1, got {n_doublets}")
+    if not 1 <= n_doublets <= spec.n_max:
+        raise ValueError(f"n_doublets must be in [1, {spec.n_max}], got {n_doublets}")
     levels = np.tile(np.arange(spec.field_dim), 2)
     even = levels % 2 == 0
     b = build_hamiltonian(spec, omega, eta).matrix.real[even][:, ~even]
-    vals, vecs = eigsh(b.T @ b, k=n_doublets, sigma=0)
-    order = np.argsort(vals)
-    energies, vecs = np.sqrt(vals[order]), vecs[:, order]
+    vals, vecs = np.linalg.eigh((b.T @ b).toarray())  # ascending
+    energies, vecs = np.sqrt(vals[:n_doublets]), vecs[:, :n_doublets]
     # doublet n is (B v_n / E_n, +/- v_n) / sqrt2 on the (even, odd) blocks
     top = levels >= _tail_cut(spec.field_dim)
     edge = ((b @ vecs / energies)[top[even]] ** 2).sum(0) + (vecs[top[~even]] ** 2).sum(0)

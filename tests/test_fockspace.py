@@ -353,7 +353,7 @@ class TestParityBlockSpectrum:
         assert np.array_equal(vals, -vals[::-1])
         np.testing.assert_allclose(vals, np.sort(by_size[2:10]), rtol=1e-12, atol=1e-13)
 
-    @pytest.mark.parametrize("n_max, n_doublets", [(41, 3), (40, 0)])
+    @pytest.mark.parametrize("n_max, n_doublets", [(41, 3), (40, 0), (40, 41)])
     def test_rejects_odd_cutoff_and_empty_request(self, n_max, n_doublets):
         with pytest.raises(ValueError):
             doublet_spectrum(HilbertSpec(n_max=n_max), 1.0, 0.5, n_doublets)

@@ -14,6 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import jcsense
 
 SRC = Path(jcsense.__file__).parent
@@ -136,8 +138,8 @@ def _run_python(code: str, *args: str) -> str:
 
 
 def test_import_leaves_the_solvers_unloaded():
-    # sparse matrices, the integrator, the root finders and the eigensolver
-    # load only in a run that calls them
+    # scipy.sparse, the one scipy module the package uses, loads only in a
+    # run that builds an operator
     probe = (
         "import sys, jcsense, jcsense.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
@@ -148,11 +150,11 @@ def test_import_leaves_the_solvers_unloaded():
 # In one fresh interpreter: validate every experiment's default config, run
 # the four closed-form experiments, a smoke-size fidelity_sweep (k = 0.05 to
 # eta 0.9), then moments_check, the one that builds Fock-space operators;
-# print the scipy modules loaded after each stage.
+# then the doublet spectrum; print the scipy modules loaded after each stage.
 _STAGED_RUNS = """
 import contextlib, io, json, sys, warnings
 from pathlib import Path
-from jcsense import cli, experiments
+from jcsense import cli, experiments, fockspace
 
 tmp = Path(sys.argv[1])
 
@@ -183,6 +185,8 @@ with warnings.catch_warnings():
 loaded["fidelity_sweep"] = scipy_loaded()
 main("run", config("moments_check", {}), "--out", str(tmp / "moments_check.csv"))
 loaded["moments_check"] = scipy_loaded()
+fockspace.doublet_spectrum(fockspace.HilbertSpec(n_max=160), 1.0, 0.6, 3)
+loaded["doublet_spectrum"] = scipy_loaded()
 print(json.dumps(loaded))
 """
 
@@ -196,9 +200,12 @@ def test_each_run_loads_only_the_scipy_it_uses(tmp_path):
     assert "scipy.sparse" in loaded["moments_check"]
     for solver in ("scipy.integrate", "scipy.sparse.linalg"):
         assert solver not in loaded["moments_check"], solver
+    assert "scipy.sparse.linalg" not in loaded["doublet_spectrum"]
 
 
-def test_no_source_file_names_scipy_integrate():
-    # the ramp is stepped by the package's own Magnus integrator
+@pytest.mark.parametrize("module", ["scipy.integrate", "scipy.sparse.linalg"])
+def test_no_source_file_names_scipy_integrate(module):
+    # the ramp is stepped by the package's own Magnus integrator, and the
+    # doublet block is diagonalised densely by numpy
     for path in sorted(SRC.glob("*.py")):
-        assert "scipy.integrate" not in path.read_text(), path.name
+        assert module not in path.read_text(), path.name
