@@ -16,7 +16,11 @@ against the lowering relation and rejected with RuntimeError where it has
 lost precision (see :func:`eigenstate`).  Every state is normalised on the
 truncated space.
 
-Each term of H moves the Fock level by one, so H anticommutes with the field
+Operators are assembled once, as complex CSR, from the ladder operators:
+N, X and P reach the composite space by one Kronecker product with the
+qubit identity, and H = H_jc + eta H_drive with H_drive = Omega X and H_jc
+the block matrix [[0, Omega a^dag], [Omega a, 0]] over (|g>, |e>).  Each
+term of H moves the Fock level by one, so H anticommutes with the field
 parity and :func:`doublet_spectrum` reads the doublets off one parity block.
 
 Importing this module loads numpy only.  ``scipy.sparse`` is imported by
@@ -123,21 +127,18 @@ class StateVector:
 class SparseOperator:
     """Sparse complex matrix over a declared basis.
 
-    ``matrix`` accepts anything ``scipy.sparse.csr_matrix`` does and is
-    stored as a complex CSR matrix."""
+    ``matrix`` is kept as given, with no copy or conversion; only its shape
+    is checked.  Every constructor in this module passes complex CSR."""
 
     spec: HilbertSpec
     matrix: object = field(repr=False)
 
     def __post_init__(self):
-        import scipy.sparse as sp
-
-        m = sp.csr_matrix(self.matrix, dtype=complex)
-        if m.shape != (self.spec.dim, self.spec.dim):
+        shape = np.shape(self.matrix)
+        if shape != (self.spec.dim, self.spec.dim):
             raise ValueError(
-                f"matrix has shape {m.shape}, expected square of dim {self.spec.dim}"
+                f"matrix has shape {shape}, expected square of dim {self.spec.dim}"
             )
-        self.matrix = m
 
 
 def _field_ladder(field_dim: int):
@@ -152,30 +153,30 @@ def _field_ladder(field_dim: int):
 
 
 def _lift(spec: HilbertSpec, field_op):
-    """Lift a sparse field-only operator to the composite space (identity on
-    qubit), as a complex CSR matrix."""
+    """Lift a complex CSR field-only operator to the composite space
+    (identity on the qubit); on a field-only space it is returned as is."""
+    if not spec.with_qubit:
+        return field_op
     import scipy.sparse as sp
 
-    if not spec.with_qubit:
-        return sp.csr_matrix(field_op, dtype=complex)
     return sp.kron(sp.identity(2, dtype=complex), field_op, format="csr")
 
 
 def number_op(spec: HilbertSpec) -> SparseOperator:
     a, ad = _field_ladder(spec.field_dim)
-    return SparseOperator(spec, _lift(spec, (ad @ a).tocsr()))
+    return SparseOperator(spec, _lift(spec, ad @ a))
 
 
 def quadrature_x(spec: HilbertSpec) -> SparseOperator:
     """Position-like quadrature X = (a^dag + a)/2."""
     a, ad = _field_ladder(spec.field_dim)
-    return SparseOperator(spec, _lift(spec, ((a + ad) / 2).tocsr()))
+    return SparseOperator(spec, _lift(spec, (a + ad) / 2))
 
 
 def quadrature_p(spec: HilbertSpec) -> SparseOperator:
     """Momentum-like quadrature P = i(a^dag - a)/2."""
     a, ad = _field_ladder(spec.field_dim)
-    return SparseOperator(spec, _lift(spec, (1j * (ad - a) / 2).tocsr()))
+    return SparseOperator(spec, _lift(spec, 1j * (ad - a) / 2))
 
 
 def field_observables(spec: HilbertSpec) -> dict:
@@ -218,14 +219,10 @@ def jc_hamiltonian_parts(
     import scipy.sparse as sp
 
     a, ad = _field_ladder(spec.field_dim)
-    sigma_ge = sp.csr_matrix(np.array([[0, 1], [0, 0]], dtype=complex))  # |g><e|
-    sigma_eg = sigma_ge.conj().T.tocsr()
-    h_jc = omega * (sp.kron(sigma_ge, ad) + sp.kron(sigma_eg, a))
-    h_drive = (omega / 2) * sp.kron(sp.identity(2, dtype=complex), a + ad)
-    return (
-        SparseOperator(spec, h_jc.tocsr()),
-        SparseOperator(spec, h_drive.tocsr()),
-    )
+    # a^dag|g><e| is the (g, e) block in the field-fast order
+    h_jc = sp.bmat([[None, omega * ad], [omega * a, None]], format="csr")
+    h_drive = omega * quadrature_x(spec).matrix
+    return SparseOperator(spec, h_jc), SparseOperator(spec, h_drive)
 
 
 def _displaced_ladder(levels: int, r: float, alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -310,7 +307,8 @@ def dark_amplitudes(spec: HilbertSpec, eta: float) -> np.ndarray:
 def eigenstate(
     spec: HilbertSpec, omega: float, eta: float, n: int, branch: str
 ) -> StateVector:
-    """Closed-form eigenstate of the driven system.
+    """Closed-form eigenstate of the driven system.  The states depend on
+    eta only: ``omega`` scales their energies and does not enter the result.
 
     branch "+"/"-" (n >= 1): (1/sqrt2) S(r) D(alpha) (|n-1>|Phi_1> +/- |n>|Phi_0>)
     with r = ln(1-eta^2)/4, alpha = -(+/-) sqrt(n) eta, and qubit superpositions

@@ -13,7 +13,7 @@ An opt-in onset tau > 0 (in kt units) removes that cusp: the same formula
 is driven through the clock phi(kt) = kt - tau tanh(kt / tau) in place of
 kt, so eta ~ t^{3 xi / 2} starts from rest and the clock joins kt - tau
 after a few tau.  tau = 0 (the default) is the paper's schedule.  One helper
-gives either clock and its rate to every consumer but the per-step eta_at.
+gives either clock and its rate to every consumer.
 
 The transition-probability estimate is a first-order perturbative scaling
 relation, not an equality: use it for trends and bounds only.  Its
@@ -110,8 +110,7 @@ class RampSchedule:
 
 def _clock(s: RampSchedule, kt: float) -> tuple[float, float]:
     """The clock phi at kt >= 0 and its rate d phi/dt: (kt, k) on the paper's
-    schedule, (phi(kt), k tanh^2(kt / tau)) with an onset tau > 0.  eta_at
-    inlines phi instead, because it runs once per RHS evaluation."""
+    schedule, (phi(kt), k tanh^2(kt / tau)) with an onset tau > 0."""
     if s.onset:
         return _onset_clock(kt, s.onset), s.k * tanh(kt / s.onset) ** 2
     return kt, s.k
@@ -131,8 +130,7 @@ def eta_at(s: RampSchedule, t: float) -> float:
         raise ValueError(f"t must be >= 0, got {t}")
     if t == 0:
         return 0.0
-    kt = s.k * t
-    w = (_onset_clock(kt, s.onset) if s.onset else kt) ** s.xi
+    w = _clock(s, s.k * t)[0] ** s.xi
     # sqrt(w / (w + 1)) keeps full precision where eta^2 << 1, unlike
     # sqrt(1 - epsilon)
     return sqrt(w / (w + 1.0))

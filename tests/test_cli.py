@@ -284,6 +284,17 @@ class TestValidateAgreesWithRun:
         assert exc.value.code == 2
 
 
+class TestRerunIdentity:
+    @pytest.mark.parametrize("experiment", sorted(experiments.RUNNERS))
+    def test_byte_identical_reruns(self, tmp_path, experiment):
+        # the default config of each experiment, seeded sampling included
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        path = write_config(tmp_path, {"experiment": experiment})
+        assert cli.main(["run", str(path), "--out", str(out1)]) == 0
+        assert cli.main(["run", str(path), "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
+
 class TestRunQfiCurve:
     def test_monotone_diverging_column(self, tmp_path):
         out = tmp_path / "qfi.csv"
@@ -298,13 +309,6 @@ class TestRunQfiCurve:
         qfi = [r[1] for r in rows]
         assert all(b > a for a, b in zip(qfi, qfi[1:]))
         assert qfi[-1] > 2.4e3  # divergence toward the critical point
-
-    def test_byte_identical_reruns(self, tmp_path):
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        path = write_config(tmp_path, {"experiment": "qfi_curve"})
-        assert cli.main(["run", str(path), "--out", str(out1)]) == 0
-        assert cli.main(["run", str(path), "--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "qfi.json"
@@ -429,17 +433,32 @@ class TestRunCramerRao:
 
 
 class TestCramerRaoEtaRange:
-    @pytest.mark.parametrize("scheme", ["photon_number", "x_squared", "p_squared"])
-    def test_past_the_fock_clamp_runs_strict(self, tmp_path, scheme):
-        # 1 - eta = 1e-5 needs a Fock cutoff of 2,684; the outcome laws
-        # are closed forms at eta, so nothing is truncated
+    @staticmethod
+    def near_critical_config(tmp_path, scheme):
         body = {
             "experiment": "cramer_rao",
             "physics": {"eta_target": 0.99999},
             "numerics": {"scheme": scheme, "replicas": 10, "shots": 100},
         }
-        path = write_config(tmp_path, body)
-        out = tmp_path / "cr.csv"
+        return write_config(tmp_path, body)
+
+    # seed 2001 clips a quadrature fan at nu = 1, the default seed does not
+    @pytest.mark.parametrize("seed", ["2026", "2001"])
+    @pytest.mark.parametrize("scheme", ["photon_number", "x_squared", "p_squared"])
+    def test_nothing_truncated_near_the_critical_point(self, tmp_path, scheme, seed):
+        # 1 - eta = 1e-5 would need a Fock cutoff of 2,684; the outcome laws
+        # are closed forms at eta, so nothing is truncated at any seed.  A
+        # clipped estimate is a property of the draws, not of truncation.
+        path, out = self.near_critical_config(tmp_path, scheme), tmp_path / "cr.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", dynamics.TruncationWarning)
+            warnings.simplefilter("ignore", metrology.EstimateClippedWarning)
+            assert cli.main(["run", str(path), "--seed", seed, "--out", str(out)]) == 0
+        assert [int(r[0]) for r in data_rows(out.read_text())] == [1, 10, 100]
+
+    def test_photon_number_runs_strict_near_the_critical_point(self, tmp_path):
+        # photon counts clip no fan there: the strict run succeeds
+        path, out = self.near_critical_config(tmp_path, "photon_number"), tmp_path / "cr.csv"
         assert cli.main(["run", str(path), "--strict", "--out", str(out)]) == 0
         assert [int(r[0]) for r in data_rows(out.read_text())] == [1, 10, 100]
 

@@ -8,6 +8,7 @@ import scipy.sparse.linalg
 from jcsense import analytic, fockspace
 from jcsense.fockspace import (
     HilbertSpec,
+    SparseOperator,
     StateVector,
     TruncationWarning,
     adaptive_n_max,
@@ -106,7 +107,49 @@ class TestFieldObservables:
             np.testing.assert_allclose(obs[kind].toarray(), expected, atol=1e-15)
 
 
+class TestOperatorFormat:
+    """Every constructor builds complex CSR; SparseOperator keeps what it is
+    given and checks only the shape."""
+
+    @staticmethod
+    def assert_complex_csr(op, dim):
+        assert op.matrix.format == "csr"
+        assert op.matrix.dtype == np.complex128
+        assert op.matrix.shape == (dim, dim)
+
+    @pytest.mark.parametrize("with_qubit", [False, True])
+    def test_field_operators(self, with_qubit):
+        spec = HilbertSpec(n_max=9, with_qubit=with_qubit)
+        for op in (number_op(spec), quadrature_x(spec), quadrature_p(spec)):
+            self.assert_complex_csr(op, spec.dim)
+
+    def test_hamiltonian_and_its_parts(self):
+        spec = HilbertSpec(n_max=9)
+        for op in (build_hamiltonian(spec, 0.7, 0.5), *fockspace.jc_hamiltonian_parts(spec, 0.7)):
+            self.assert_complex_csr(op, spec.dim)
+
+    def test_keeps_the_matrix_it_is_given(self):
+        spec = HilbertSpec(n_max=4)
+        m = number_op(spec).matrix
+        assert SparseOperator(spec, m).matrix is m
+
+    def test_rejects_a_wrong_shape(self):
+        field_only = number_op(HilbertSpec(n_max=4, with_qubit=False)).matrix
+        with pytest.raises(ValueError, match="shape"):
+            SparseOperator(HilbertSpec(n_max=4), field_only)
+
+
 class TestHamiltonian:
+    def test_matches_the_dense_formula(self):
+        # H = Omega [a^dag|g><e| + a|e><g| + eta (a + a^dag)/2], qubit index slow
+        spec, omega, eta = HilbertSpec(n_max=12), 0.7, 0.5
+        a, _ = dense_ladder(spec.field_dim)
+        ad = a.conj().T
+        ge, eg = np.array([[0, 1], [0, 0]]), np.array([[0, 0], [1, 0]])
+        expected = omega * (np.kron(ge, ad) + np.kron(eg, a) + eta * np.kron(np.eye(2), a + ad) / 2)
+        h = build_hamiltonian(spec, omega, eta).matrix.toarray()
+        np.testing.assert_allclose(h, expected, rtol=0, atol=1e-15)
+
     def test_hermitian(self):
         h = build_hamiltonian(HilbertSpec(n_max=30), omega=1.0, eta=0.7).matrix
         assert np.abs((h - h.conj().T).toarray()).max() <= 1e-12
