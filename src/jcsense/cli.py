@@ -249,7 +249,7 @@ def run(resolved: dict, out_path: str | None = None, strict: bool = False) -> in
                             "seed": resolved["numerics"]["seed"],
                             "outcomes": raw_outcomes}, sort_keys=True)
             )
-            print(f"wrote raw outcomes to {sidecar}")
+            print(f"wrote outcome totals to {sidecar}")
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -260,13 +260,9 @@ def _emit_error(resolved: dict, kind: str, message: str) -> None:
     print(json.dumps(record, sort_keys=True), file=sys.stderr)
 
 
-# measured cost of one cramer_rao experiment and of one draw, in seconds,
-# by scheme (see _estimate_runtime)
-_CRAMER_RAO_COST = {
-    "photon_number": (40e-6, 17e-9),
-    "x_squared": (31e-6, 21e-9),
-    "p_squared": (31e-6, 21e-9),
-}
+# measured cost of one cramer_rao experiment, in seconds, for every scheme
+# and shot count (see _estimate_runtime)
+_CRAMER_RAO_COST = 14e-6
 
 
 def _fidelity_sweep_evaluations(resolved: dict) -> float:
@@ -304,28 +300,21 @@ def _estimate_runtime(resolved: dict) -> float | None:
     short ramp costs the most per evaluation: it takes 1.4 steps per record,
     and each record starts a chunk of steps.
 
-    cramer_rao: three replica fans of ``shots``, ``shots // 10`` and
-    ``shots // 100`` draws, so 3 * replicas experiments and about
-    1.11 * replicas * shots draws.  Each experiment costs a fixed amount (its
-    spawned seed, generator and estimate) and each draw a per-draw amount,
-    both depending on the scheme; ``_CRAMER_RAO_COST`` holds them, fitted
-    to the medians of three sets of 9 runs each (on a 2-vCPU 2.1 GHz Xeon
-    host) at 500 replicas x 100 shots, 2,000 x 100, the default
-    500 x 10,000 and 100 x 100,000; every median is within 1.25x of the
-    model.  Photon counts (the indexed search of the fan's guide table):
-    ~40 us and ~17 ns; the runs took 0.058-0.071, 0.23-0.27, 0.126-0.130
-    and 0.236-0.238 s.  Quadratures (standard normals scaled by sigma and
-    squared): ~31 us and ~21 ns; 0.040-0.052, 0.19-0.20, 0.16-0.17 and
-    0.21-0.27 s.  A photon count costs more at large shot counts: the
-    default runs alone give about 12 ns per draw, 100 x 100,000 about 20 ns.
+    cramer_rao: three replica fans of ``replicas`` experiments each.  An
+    experiment draws its shot total in one draw, so its cost (spawned seed,
+    generator, draw and estimate) does not depend on the shot count or the
+    scheme: ``_CRAMER_RAO_COST``, about 14 us, fitted to the medians of 9
+    runs each (on a 2-vCPU 2.1 GHz Xeon host) of every scheme at
+    500 replicas x 100 shots, 2,000 x 100, the default 500 x 10,000 and
+    100 x 100,000, which took 13.3-15.4 us per experiment: 0.020-0.022,
+    0.081-0.086, 0.020-0.022 and 0.0044-0.0046 s.  A repeat of the same runs
+    under more host load read up to 1.7x slower.
     """
     experiment = resolved["experiment"]
     if experiment == "fidelity_sweep":
         return 26e-6 * _fidelity_sweep_evaluations(resolved)
     if experiment == "cramer_rao":
-        num = resolved["numerics"]
-        per_experiment, per_draw = _CRAMER_RAO_COST[num["scheme"]]
-        return num["replicas"] * (3 * per_experiment + 1.11 * per_draw * num["shots"])
+        return 3 * resolved["numerics"]["replicas"] * _CRAMER_RAO_COST
     return None
 
 

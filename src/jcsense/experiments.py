@@ -128,34 +128,37 @@ def cramer_rao(resolved: dict) -> tuple[list[str], list[list[float]], dict]:
     """Monte-Carlo estimator study over three decades of shot counts.
 
     ``numerics.scheme`` picks the measured observable: photon counts
-    (default), X^2 or P^2.
+    (default), X^2 or P^2.  The extras give, per shot count, how many
+    estimates clipped to 0 (``clipped_to_zero``) and to ``ETA_CLIP``
+    (``clipped_to_eta_clip``); a clipped fan's variance understates the
+    estimator's.
 
-    With ``output.dump_outcomes`` the raw per-replica outcome arrays are
-    collected in the extras under ``raw_outcomes`` (one matrix per shot
-    count); the emitter writes them to a sidecar file.  ``cli.resolve_config``
-    guarantees shots >= 100 and replicas >= 2.
+    With ``output.dump_outcomes`` each replica's nu-shot outcome total, the
+    number its estimate inverts, is collected in the extras under
+    ``raw_outcomes`` (one list per shot count); the emitter writes them to a
+    sidecar file.  ``cli.resolve_config`` guarantees shots >= 100 and
+    replicas >= 2.
     """
     num = resolved["numerics"]
     eta = resolved["physics"]["eta_target"]
     shots = num["shots"]
-    dump = resolved["output"]["dump_outcomes"]
     qfi = analytic.evaluate(eta).qfi
     columns = ["nu", "replicas", "mean_eta_hat", "var_eta_hat", "qfi", "ratio"]
     rows = []
-    raw = {}
+    raw, to_zero, to_clip = {}, {}, {}
     for nu in (shots // 100, shots // 10, shots):
         scheme = metrology.MeasurementScheme(kind=num["scheme"], shots=nu)
-        sink = [] if dump else None
+        totals = []
         ratio, mean_hat = metrology.cramer_rao_ratio(
             eta, scheme, replicas=int(num["replicas"]), seed=int(num["seed"]),
-            outcome_sink=sink,
+            outcome_sink=totals,
         )
-        if dump:
-            raw[str(nu)] = [outcome.tolist() for outcome in sink]
+        raw[str(nu)] = totals
+        to_zero[str(nu)], to_clip[str(nu)] = metrology.clip_counts(totals, scheme)
         rows.append([float(nu), float(num["replicas"]), mean_hat,
                      ratio / (nu * qfi), qfi, ratio])
-    extras = {"eta": eta}
-    if dump:
+    extras = {"eta": eta, "clipped_to_zero": to_zero, "clipped_to_eta_clip": to_clip}
+    if resolved["output"]["dump_outcomes"]:
         extras["raw_outcomes"] = raw
     return columns, rows, extras
 

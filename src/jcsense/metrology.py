@@ -3,23 +3,18 @@ construction, Cramer-Rao comparison, and the near-critical scaling fits.
 
 The probe is the squeezed vacuum S(r)|0> at eta, a Gaussian state, so every
 outcome law is closed form in eta and sampling builds no Fock space: photon
-counts from p(2m) = binom(2m, m) 4^{-m} tanh^{2m}(r) / cosh(r) on levels
-0..max(32, ceil(12/u)) (the support the Fock cutoff rounds up to even;
-both from :mod:`analytic`), quadratures from normal laws with variances
-<X^2> = 1/(4u) and <P^2> = u/4 (u = sqrt(1 - eta^2)).  Estimates clip at
-``ETA_CLIP`` = 1 - 1e-9, so sampling accepts eta in [0, ETA_CLIP]; at the
-bound the photon-count support is about 2.7e5 levels.  Every clipped
-estimate is flagged with :class:`EstimateClippedWarning`: one per call of
-:func:`estimate_eta`, one per replica fan with the count at each bound.
-Sampling is deterministic per (seed, scheme, eta); replica fans use
-spawned seed sequences so accumulation order never matters, and build the
-outcome law once, drawing every replica from it.  Photon counts are the
-draws of ``rng.choice(values, p=p)``: each replica's uniforms are looked
-up in the fan's cumulative table by an indexed search (a guide table, Chen
-& Asau 1974), which reads the index off a table of power-of-two buckets and
-binary-searches only the uniforms whose bucket holds a breakpoint.
-Quadrature draws are the values of ``rng.normal(0, sigma) ** 2``, taken as
-standard normals scaled by sigma and squared in place.
+counts are 2m with m ~ NegBin(1/2, sech^2 r) (the populations
+p(2m) = binom(2m, m) 4^{-m} tanh^{2m}(r) / cosh(r), untruncated), and
+quadratures are normal with variances <X^2> = 1/(4u) and <P^2> = u/4
+(u = sqrt(1 - eta^2); r and the moments from :mod:`analytic`).  Estimates
+clip at ``ETA_CLIP`` = 1 - 1e-9, so sampling accepts eta in [0, ETA_CLIP].
+Every clipped estimate is flagged with :class:`EstimateClippedWarning`: one
+per call of :func:`estimate_eta`, one per replica fan with the count at
+each bound.  Sampling is deterministic per (seed, scheme, eta).  A replica
+fan estimates from sample means only, so each replica draws its nu-shot
+total from the sum's own closed-form law, NegBin(nu/2, sech^2 r) pairs or
+Gamma(nu/2, scale 2 sigma^2), in one draw from its own generator: replica
+seeds are spawned seed sequences, so accumulation order never matters.
 Detector imperfections are not modeled.
 
 :func:`inverted_variance_numeric` cross-checks the Fisher figures of merit
@@ -61,6 +56,9 @@ class MeasurementScheme:
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
             raise ValueError(f"kind must be one of {SCHEME_KINDS}, got {self.kind!r}")
+        # a non-integer count would pass the samplers' shape parameter nu/2
+        if not isinstance(self.shots, (int, np.integer)) or isinstance(self.shots, bool):
+            raise ValueError(f"shots must be an integer, got {self.shots!r}")
         if self.shots < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
 
@@ -138,90 +136,38 @@ def quadrature_distribution(eta: float, kind: str) -> tuple[float, float]:
     return 0.0, float(np.sqrt(second_moment))
 
 
-def photon_count_distribution(eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Photon-count values 0..L and their closed-form law at eta: the
-    populations p(n) of S(r)|0> (zero for odd n) on the support
-    L = :func:`analytic.squeezed_vacuum_n_max` (eta)."""
-    _require_estimable(eta)
-    levels = analytic.squeezed_vacuum_n_max(eta) + 1
-    r = analytic.squeezing_parameter(eta)
-    p = analytic.squeezed_vacuum_amplitudes(levels, r) ** 2
-    return np.arange(levels, dtype=float), p / p.sum()
-
-
-def _outcome_law(eta: float, kind: str) -> tuple[np.ndarray, np.ndarray] | float:
-    """(cumulative law, guide table) of the photon counts, or the standard
-    deviation sigma of a quadrature, at eta."""
+def _outcome_law(eta: float, kind: str) -> float:
+    """The one parameter of the outcome law at eta: sech^2 r of the photon
+    pairs' NegBin(1/2, sech^2 r), or the standard deviation sigma of a
+    quadrature."""
     if kind == "photon_number":
-        cdf = photon_count_distribution(eta)[1].cumsum()
-        cdf /= cdf[-1]
-        return cdf, _guide_table(cdf)
+        _require_estimable(eta)
+        return float(np.cosh(analytic.squeezing_parameter(eta)) ** -2)
     return quadrature_distribution(eta, kind)[1]
-
-
-def _guide_table(cdf: np.ndarray) -> np.ndarray:
-    """Guide table of :func:`_search` in ``cdf`` (nondecreasing, ending at 1):
-    Chen & Asau, AIIE Trans. 6, 163 (1974); Devroye, Non-Uniform Random
-    Variate Generation (1986), sec. III.2.4.
-
-    Bucket b of B = guide.size (a power of two, at least twice the levels)
-    covers the uniforms in [b/B, (b + 1)/B).  Its entry is #{cdf <= b/B},
-    the search result of every uniform in it, or -1 where a breakpoint of
-    ``cdf`` lies in (b/B, (b + 1)/B].  Stored as int32: 4 MB at
-    ``ETA_CLIP``, where B = 2^20; the build's one B-long temporary is a
-    boolean mask.
-    """
-    buckets = 1 << max(10, (2 * cdf.size).bit_length())
-    # level j is the result of the uniforms in [cdf_{j-1}, cdf_j), so it
-    # fills the buckets from ceil(cdf_{j-1} B) up to ceil(cdf_j B); cdf * B
-    # is exact because B is a power of two
-    widths = np.diff(np.ceil(cdf * buckets), prepend=0.0).astype(np.intp)
-    guide = np.repeat(np.arange(cdf.size, dtype=np.int32), widths)
-    # #{cdf <= (b + 1)/B} > #{cdf <= b/B}: a breakpoint in the bucket
-    guide[:-1][guide[:-1] != guide[1:]] = -1
-    guide[-1] = -1  # cdf reaches 1, the last bucket's upper edge
-    return guide
-
-
-def _search(cdf: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``cdf.searchsorted(u, side="right")`` for uniforms u in [0, 1), by one
-    read of :func:`_guide_table`'s ``guide``; only the uniforms in a bucket
-    that holds a breakpoint are binary-searched."""
-    idx = guide[(u * guide.size).astype(np.intp)]
-    miss = idx < 0
-    idx[miss] = cdf.searchsorted(u[miss], side="right")
-    return idx
-
-
-def _draw(kind: str, law, shots: int, seed) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    if kind == "photon_number":
-        # rng.choice(values, size=shots, p=p) draws values[cdf.searchsorted(
-        # rng.random(shots), side="right")] with values = 0..L, so the counts
-        # are those indices: one guide-table read per shot, and searchsorted
-        # only for the shots whose bucket holds a breakpoint
-        return _search(*law, rng.random(shots)).astype(float)
-    # the values of rng.normal(0.0, sigma, shots) ** 2: normal returns
-    # 0.0 + sigma * standard_normal, which differs from sigma *
-    # standard_normal only in the sign of a zero, and squaring drops it
-    z = rng.standard_normal(shots)
-    z *= law
-    return np.square(z, out=z)
 
 
 def sample_outcomes(eta: float, scheme: MeasurementScheme, seed) -> np.ndarray:
     """Draw ``scheme.shots`` measurement outcomes from the probe at eta.
 
-    photon_number: draws from :func:`photon_count_distribution`.
-    x_squared / p_squared: normal draws of the quadrature value from
-    :func:`quadrature_distribution`, returned already squared.
+    photon_number: counts 2m with m ~ NegBin(1/2, sech^2 r), the exact law
+    of the squeezed vacuum's populations, drawn as
+    ``2 * rng.negative_binomial(0.5, sech^2 r, shots)``.
+    x_squared / p_squared: the values of ``rng.normal(0, sigma, shots) ** 2``
+    with sigma from :func:`quadrature_distribution`.
 
     Deterministic for a fixed (seed, scheme, eta); ``seed`` may be an
     integer or a numpy SeedSequence.  Raises ValueError for eta outside
     [0, ETA_CLIP].
     """
-    kind = scheme.kind
-    return _draw(kind, _outcome_law(eta, kind), scheme.shots, seed)
+    law = _outcome_law(eta, scheme.kind)
+    rng = np.random.default_rng(seed)
+    if scheme.kind == "photon_number":
+        return 2.0 * rng.negative_binomial(0.5, law, scheme.shots)
+    # normal returns 0.0 + sigma * standard_normal, which differs from
+    # sigma * standard_normal only in the sign of a zero, and squaring drops it
+    z = rng.standard_normal(scheme.shots)
+    z *= law
+    return np.square(z, out=z)
 
 
 def _invert_mean_n(m: float) -> float:
@@ -291,39 +237,58 @@ def replica_estimates(
 ) -> np.ndarray:
     """Estimates from ``replicas`` independent experiments of one scheme at eta.
 
-    The closed-form outcome law at eta is built once, with no Fock space,
-    and every replica draws from it exactly as :func:`sample_outcomes`
-    would with the replica's seed and is estimated as :func:`estimate_eta`
-    would.  Replica seeds are spawned from ``seed`` (splittable
+    An estimate inverts the sample mean, which depends on the nu =
+    ``scheme.shots`` outcomes only through their total, and the total has a
+    closed-form law: 2 NegBin(nu/2, sech^2 r) for photon counts and
+    Gamma(nu/2, scale 2 sigma^2) for a squared quadrature.  So each replica
+    makes one draw of its total from its own generator, and its estimate is
+    ``_clipped_estimate(total / nu)``, the inversion :func:`estimate_eta`
+    applies to a sample mean.  The law is built once per fan, with no Fock
+    space.  Replica seeds are spawned from ``seed`` (splittable
     SeedSequence), so results are reproducible and independent of
-    execution order.  When ``outcome_sink`` is a list, the raw outcome
-    array of every replica is appended to it (outcomes are not retained
-    otherwise).  When estimates clip, one :class:`EstimateClippedWarning`
-    gives the count at each bound.  Raises ValueError for eta outside
-    [0, ETA_CLIP], where every estimate clips.
+    execution order.  When ``outcome_sink`` is a list, every replica's
+    nu-shot total is appended to it, as a float.  When estimates clip, one
+    :class:`EstimateClippedWarning` gives the count at each bound.  Raises
+    ValueError for eta outside [0, ETA_CLIP], where every estimate clips.
     """
     if replicas < 2:
         raise ValueError(f"need at least 2 replicas, got {replicas}")
-    law = _outcome_law(eta, scheme.kind)
-    children = np.random.SeedSequence(seed).spawn(replicas)
+    kind, nu = scheme.kind, scheme.shots
+    law = _outcome_law(eta, kind)
+    if kind == "photon_number":
+        def total(rng):
+            return 2.0 * rng.negative_binomial(0.5 * nu, law)
+    else:
+        scale = 2.0 * law * law
+
+        def total(rng):
+            return rng.gamma(0.5 * nu, scale)
     estimates = np.empty(replicas)
     clipped = np.zeros(replicas, dtype=bool)
-    for i, child in enumerate(children):
-        outcomes = _draw(scheme.kind, law, scheme.shots, child)
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(replicas)):
+        # the generator np.random.default_rng(child) builds, without its
+        # dispatch on the seed's type
+        draw = total(np.random.Generator(np.random.PCG64(child)))
         if outcome_sink is not None:
-            outcome_sink.append(outcomes)
-        estimates[i], clipped[i] = _clipped_estimate(
-            float(outcomes.sum()) / scheme.shots, scheme.kind
-        )
+            outcome_sink.append(draw)
+        estimates[i], clipped[i] = _clipped_estimate(draw / nu, kind)
     if clipped.any():
         upper = int((estimates[clipped] == ETA_CLIP).sum())
         warnings.warn(
-            f"{clipped.sum() - upper} of {replicas} {scheme.kind} estimates at eta={eta} "
-            f"with {scheme.shots} shots clipped to 0 and {upper} to ETA_CLIP",
+            f"{clipped.sum() - upper} of {replicas} {kind} estimates at eta={eta} "
+            f"with {nu} shots clipped to 0 and {upper} to ETA_CLIP",
             EstimateClippedWarning,
             stacklevel=2,
         )
     return estimates
+
+
+def clip_counts(totals, scheme: MeasurementScheme) -> tuple[int, int]:
+    """How many of the replica totals that :func:`replica_estimates` appends
+    to its sink give an estimate clipped to 0, and how many to ETA_CLIP."""
+    flags = [_clipped_estimate(draw / scheme.shots, scheme.kind) for draw in totals]
+    upper = sum(clip and eta_hat == ETA_CLIP for eta_hat, clip in flags)
+    return sum(clip for _, clip in flags) - upper, upper
 
 
 def cramer_rao_ratio(

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from jcsense import dynamics, fockspace, ramp
+from jcsense import analytic, dynamics, fockspace, ramp
 
 
 def dense_ladder(field_dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -88,6 +88,15 @@ def fock_probe(eta: float, n_max: int | None = None) -> fockspace.StateVector:
     return fockspace.squeezed_vacuum(spec, 0.25 * np.log(1 - eta**2))
 
 
+def photon_count_distribution(eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Photon-count values 0..L and their closed-form law at eta: the
+    populations p(n) of S(r)|0> (zero for odd n) on the support
+    L = ``analytic.squeezed_vacuum_n_max(eta)``, renormalised there."""
+    levels = analytic.squeezed_vacuum_n_max(eta) + 1
+    p = analytic.squeezed_vacuum_amplitudes(levels, analytic.squeezing_parameter(eta)) ** 2
+    return np.arange(levels, dtype=float), p / p.sum()
+
+
 def fock_outcome_law(state: fockspace.StateVector, kind: str) -> tuple:
     """An outcome law read off a Fock-space probe.
 
@@ -101,18 +110,6 @@ def fock_outcome_law(state: fockspace.StateVector, kind: str) -> tuple:
         return np.arange(state.spec.dim, dtype=float), p / p.sum()
     op = fockspace.field_observables(state.spec)[kind]
     return 0.0, float(np.sqrt(np.real(np.vdot(psi, op @ psi))))
-
-
-def fock_sample_outcomes(state: fockspace.StateVector, scheme, seed) -> np.ndarray:
-    """Outcomes drawn from the law of a Fock-space probe, the way the package
-    draws from its closed-form law."""
-    law = fock_outcome_law(state, scheme.kind)
-    rng = np.random.default_rng(seed)
-    if scheme.kind == "photon_number":
-        values, weights = law
-        return rng.choice(values, size=scheme.shots, p=weights)
-    mean, sigma = law
-    return rng.normal(mean, sigma, scheme.shots) ** 2
 
 
 # the lab-frame oracle's Fock cutoff: twice the headline's adaptive n_max 122

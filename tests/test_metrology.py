@@ -1,8 +1,6 @@
 from __future__ import annotations
 
-import tracemalloc
 import warnings
-from contextlib import nullcontext
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -10,7 +8,7 @@ import pytest
 from conftest import (
     fock_outcome_law,
     fock_probe,
-    fock_sample_outcomes,
+    photon_count_distribution,
     quadrature_density,
     squeezed_vacuum_coefficients,
 )
@@ -25,7 +23,6 @@ from jcsense.metrology import (
     estimate_eta,
     heisenberg_ratio,
     inverted_variance_numeric,
-    photon_count_distribution,
     quadrature_distribution,
     replica_estimates,
     sample_outcomes,
@@ -39,6 +36,16 @@ class TestMeasurementScheme:
             MeasurementScheme(kind="parity", shots=10)
         with pytest.raises(ValueError):
             MeasurementScheme(kind="photon_number", shots=0)
+
+    @pytest.mark.parametrize("shots", [100.5, 100.0, True, "100", None])
+    def test_rejects_a_shot_count_that_is_not_an_integer(self, shots):
+        # a fractional count would pass the samplers' shape parameter nu/2
+        with pytest.raises(ValueError, match="shots must be an integer"):
+            MeasurementScheme(kind="photon_number", shots=shots)
+
+    def test_accepts_numpy_integers(self):
+        scheme = MeasurementScheme(kind="x_squared", shots=np.int64(100))
+        assert replica_estimates(0.8, scheme, 2, seed=1).shape == (2,)
 
 
 class TestInvertedVariance:
@@ -120,12 +127,21 @@ class TestQuadratureLaw:
         want = np.random.default_rng(17).normal(0.0, sigma, 1000) ** 2
         np.testing.assert_array_equal(got, want)
 
-    def test_photon_counts_are_choice_draws_on_the_fock_populations(self):
-        # the closed-form law and the Fock populations agree to rounding, so
-        # the draws are the same
-        scheme = MeasurementScheme("photon_number", 1000)
-        got = sample_outcomes(0.8, scheme, seed=17)
-        np.testing.assert_array_equal(got, fock_sample_outcomes(fock_probe(0.8), scheme, 17))
+    def test_photon_counts_are_negative_binomial_draws(self):
+        # counts are 2m, m ~ NegBin(1/2, sech^2 r), whose law is the Fock
+        # populations of the probe at the even levels
+        eta, shots = 0.8, 1000
+        state = fock_probe(eta)
+        values, populations = fock_outcome_law(state, "photon_number")
+        sech2 = np.cosh(analytic.squeezing_parameter(eta)) ** -2
+        np.testing.assert_allclose(
+            populations[::2], stats.nbinom(0.5, sech2).pmf(values[::2] / 2),
+            rtol=1e-10, atol=1e-16,
+        )
+        got = sample_outcomes(eta, MeasurementScheme("photon_number", shots), seed=17)
+        want = 2.0 * np.random.default_rng(17).negative_binomial(0.5, sech2, shots)
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == float
 
 
 class TestPhotonCountLaw:
@@ -154,52 +170,9 @@ class TestPhotonCountLaw:
         assert var == pytest.approx(point.var_n, rel=1e-8, abs=0.0)
 
 
-class TestIndexedSearch:
-    """The guide-table lookup finds the index of cdf.searchsorted(u,
-    side="right") on the table rng.choice builds, for chosen uniforms."""
-
-    @pytest.mark.parametrize("eta", [0.0, 0.8, 0.995, 0.9999, ETA_CLIP])
-    def test_matches_searchsorted_on_adversarial_uniforms(self, eta):
-        _, p = photon_count_distribution(eta)
-        cdf = p.cumsum()
-        cdf /= cdf[-1]
-        law_cdf, guide = metrology._outcome_law(eta, "photon_number")
-        np.testing.assert_array_equal(law_cdf, cdf)
-        buckets = guide.size
-        assert guide.dtype == np.int32
-        assert buckets & (buckets - 1) == 0 and buckets >= 2 * cdf.size
-        edges = np.arange(buckets) / buckets
-        below_one = np.nextafter(1.0, 0.0)
-        u = np.concatenate([
-            [0.0, below_one],
-            cdf,
-            np.nextafter(cdf, 0.0),
-            np.nextafter(cdf, 1.0),
-            edges,
-            np.nextafter(edges, 0.0),
-            np.nextafter(edges, 1.0),
-        ])
-        u = u[(0.0 <= u) & (u <= below_one)]
-        np.testing.assert_array_equal(
-            metrology._search(cdf, guide, u), cdf.searchsorted(u, side="right")
-        )
-
-    def test_table_at_the_clip_adds_at_most_three_laws_to_the_peak(self):
-        # values, p and cdf are three law-sized arrays; the 2^20-bucket
-        # table and its build may add as much again
-        law_bytes = photon_count_distribution(ETA_CLIP)[1].nbytes
-        tracemalloc.start()
-        try:
-            _, guide = metrology._outcome_law(ETA_CLIP, "photon_number")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert guide.size == 2**20
-        assert peak < 6 * law_bytes
-
-
 class TestChiSquaredLaw:
-    """A replica's quadrature sample mean is sigma^2 chi^2_nu / nu, exactly."""
+    """A replica's quadrature sample mean is sigma^2 chi^2_nu / nu, exactly:
+    its total is Gamma(nu/2, scale 2 sigma^2)."""
 
     @pytest.mark.parametrize("kind", ["x_squared", "p_squared"])
     def test_sample_mean_moments_over_a_fan(self, kind):
@@ -208,13 +181,13 @@ class TestChiSquaredLaw:
         sigma2 = p.mean_x2 if kind == "x_squared" else p.mean_p2
         sink = []
         with warnings.catch_warnings():
-            # the test reads the draws: one x_squared mean of 4000 falls below
-            # 1/4 and its estimate clips to 0
+            # the test reads the draws: an x_squared mean may fall below 1/4,
+            # and its estimate clips to 0
             warnings.simplefilter("ignore", EstimateClippedWarning)
             replica_estimates(
                 eta, MeasurementScheme(kind, shots), replicas, seed=8, outcome_sink=sink
             )
-        means = np.array([outcomes.mean() for outcomes in sink])
+        means = np.array(sink) / shots
         # moments of m = sigma^2 chi^2_nu / nu: variance 2 sigma^4 / nu and
         # fourth central moment 12 (nu + 4) sigma^8 / nu^3
         var = 2.0 * sigma2**2 / shots
@@ -319,62 +292,124 @@ class TestCramerRao:
             cramer_rao_ratio(0.8, MeasurementScheme("photon_number", 10), replicas=1)
 
 
+def total_law(eta: float, scheme: MeasurementScheme):
+    """The exact law of a replica's nu-shot total, as a scipy distribution,
+    and the factor from its variate to the total: 2 NegBin(nu/2, sech^2 r)
+    for photon counts, Gamma(nu/2, scale 2 sigma^2) for a squared quadrature."""
+    nu = scheme.shots
+    if scheme.kind == "photon_number":
+        return stats.nbinom(nu / 2, np.cosh(analytic.squeezing_parameter(eta)) ** -2), 2.0
+    _, sigma = quadrature_distribution(eta, scheme.kind)
+    return stats.gamma(nu / 2, scale=2.0 * sigma**2), 1.0
+
+
+def chi2_pvalue(draws: np.ndarray, law, cells: int = 20) -> float:
+    """Pearson chi^2 p-value of the draws against a scipy law, on cells
+    between the law's quantiles (about equal expected counts)."""
+    edges = np.unique(law.ppf(np.linspace(0.0, 1.0, cells + 1)[1:-1]))
+    # cell k holds edges[k-1] < x <= edges[k], for a discrete law too
+    observed = np.bincount(np.searchsorted(edges, draws, side="left"), minlength=edges.size + 1)
+    probs = np.diff(np.concatenate([[0.0], law.cdf(edges), [1.0]]))
+    return float(stats.chisquare(observed, probs * draws.size).pvalue)
+
+
 class TestReplicaFan:
     @pytest.mark.parametrize("kind", metrology.SCHEME_KINDS)
-    def test_replicas_draw_what_sample_outcomes_draws(self, kind):
-        eta, replicas, seed = 0.8, 5, 21
-        scheme = MeasurementScheme(kind, 64)
+    def test_each_total_is_one_draw_of_its_childs_generator(self, kind):
+        eta, replicas, seed, nu = 0.8, 5, 21, 64
+        scheme = MeasurementScheme(kind, nu)
         sink = []
         replica_estimates(eta, scheme, replicas, seed=seed, outcome_sink=sink)
         children = np.random.SeedSequence(seed).spawn(replicas)
         assert len(sink) == replicas
-        for outcomes, child in zip(sink, children):
-            np.testing.assert_array_equal(outcomes, sample_outcomes(eta, scheme, child))
+        assert all(type(total) is float for total in sink)
+        for total, child in zip(sink, children):
+            rng = np.random.default_rng(child)
+            if kind == "photon_number":
+                sech2 = np.cosh(analytic.squeezing_parameter(eta)) ** -2
+                assert total == 2 * rng.negative_binomial(nu / 2, sech2)
+            else:
+                _, sigma = quadrature_distribution(eta, kind)
+                assert total == rng.gamma(nu / 2, 2.0 * sigma * sigma)
+
+    @pytest.mark.parametrize("kind", metrology.SCHEME_KINDS)
+    def test_replicas_draw_what_sample_outcomes_draws(self, kind):
+        # in law: a replica's total is the sum of a record of nu outcomes
+        eta, nu, replicas = 0.8, 64, 2000
+        scheme = MeasurementScheme(kind, nu)
+        totals = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EstimateClippedWarning)
+            replica_estimates(eta, scheme, replicas, seed=21, outcome_sink=totals)
+        records = sample_outcomes(eta, MeasurementScheme(kind, nu * replicas), seed=22)
+        sums = records.reshape(replicas, nu).sum(axis=1)
+        assert stats.ks_2samp(totals, sums).pvalue > 1e-3
 
     @pytest.mark.parametrize(
         "eta, shots, replicas",
         [
-            pytest.param(0.995, 100, 4, id="0.995"),
-            pytest.param(ETA_CLIP, 100, 4, id=repr(ETA_CLIP)),
-            pytest.param(0.995, 10_000, 2, id="0.995-10000-shots"),
+            pytest.param(0.995, 100, 2000, id="0.995"),
+            pytest.param(ETA_CLIP, 100, 2000, id=repr(ETA_CLIP)),
+            pytest.param(0.995, 10_000, 400, id="0.995-10000-shots"),
         ],
     )
     def test_photon_fan_draws_what_choice_draws(self, eta, shots, replicas):
-        # one indexed search per fan gives rng.choice's draws for every replica
-        seed = 13
+        # in law: a replica's total is the sum of nu draws of rng.choice on
+        # the probe's populations, the table the per-shot sampler once searched
+        scheme = MeasurementScheme("photon_number", shots)
+        totals = []
+        with warnings.catch_warnings():
+            # at the clip about half of the estimates sit at ETA_CLIP
+            warnings.simplefilter("ignore", EstimateClippedWarning)
+            replica_estimates(eta, scheme, replicas, seed=13, outcome_sink=totals)
+        values, p = photon_count_distribution(eta)
+        choice = np.random.default_rng(14).choice(values, size=(replicas, shots), p=p)
+        assert stats.ks_2samp(totals, choice.sum(axis=1)).pvalue > 1e-3
+
+    @pytest.mark.parametrize(
+        "eta, shots",
+        [
+            pytest.param(0.995, 100, id="0.995"),
+            pytest.param(ETA_CLIP, 100, id=repr(ETA_CLIP)),
+            pytest.param(0.995, 10_000, id="0.995-10000-shots"),
+        ],
+    )
+    def test_photon_totals_fit_the_negative_binomial_law(self, eta, shots):
         scheme = MeasurementScheme("photon_number", shots)
         sink = []
-        # at the clip two of the four estimates sit at ETA_CLIP
-        with pytest.warns(EstimateClippedWarning) if eta == ETA_CLIP else nullcontext():
-            replica_estimates(eta, scheme, replicas, seed=seed, outcome_sink=sink)
-        values, p = photon_count_distribution(eta)
-        _, guide = metrology._outcome_law(eta, "photon_number")
-        searched = 0
-        for outcomes, child in zip(sink, np.random.SeedSequence(seed).spawn(replicas)):
-            want = np.random.default_rng(child).choice(values, size=scheme.shots, p=p)
-            np.testing.assert_array_equal(outcomes, want)
-            u = np.random.default_rng(child).random(shots)
-            searched += int((guide[(u * guide.size).astype(int)] < 0).sum())
-        if shots == 10_000:
-            # about 1.4% of the mass at eta = 0.995 falls back to the binary search
-            assert searched > 100
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EstimateClippedWarning)
+            replica_estimates(eta, scheme, 2000, seed=13, outcome_sink=sink)
+        totals = np.array(sink)
+        assert (totals % 2 == 0).all()
+        law, factor = total_law(eta, scheme)
+        assert chi2_pvalue(totals / factor, law) > 1e-3
+
+    @pytest.mark.parametrize("kind", ["x_squared", "p_squared"])
+    def test_quadrature_totals_fit_the_gamma_law(self, kind):
+        # a gamma draw is scale * standard_gamma, so one eta checks the scale
+        scheme, sink = MeasurementScheme(kind, 100), []
+        replica_estimates(0.995, scheme, 2000, seed=13, outcome_sink=sink)
+        law, _ = total_law(0.995, scheme)
+        assert stats.kstest(sink, law.cdf).pvalue > 1e-3
 
     @pytest.mark.parametrize("keep", [False, True])
     @pytest.mark.parametrize("eta", [0.8, ETA_CLIP])
     @pytest.mark.parametrize("kind", metrology.SCHEME_KINDS)
     def test_estimates_are_estimate_eta_of_each_replica(self, kind, eta, keep):
-        # at the clip about half of the estimates sit at ETA_CLIP
+        # each estimate is estimate_eta of a record whose mean is the
+        # replica's total / nu; at the clip about half sit at ETA_CLIP
         replicas, seed = 8, 31
         scheme = MeasurementScheme(kind, 100)
+        totals = []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EstimateClippedWarning)
             got = replica_estimates(
-                eta, scheme, replicas, seed=seed, outcome_sink=[] if keep else None
+                eta, scheme, replicas, seed=seed, outcome_sink=totals if keep else None
             )
-            want = [
-                estimate_eta(sample_outcomes(eta, scheme, child), scheme)
-                for child in np.random.SeedSequence(seed).spawn(replicas)
-            ]
+            if not keep:
+                replica_estimates(eta, scheme, replicas, seed=seed, outcome_sink=totals)
+            want = [estimate_eta(np.array([total / 100]), scheme) for total in totals]
         np.testing.assert_array_equal(got, want)
         assert (got == ETA_CLIP).any() == (eta == ETA_CLIP)
 
@@ -398,10 +433,10 @@ class TestReplicaFan:
         scheme = MeasurementScheme("x_squared", 100)
         sink = []
         replica_estimates(eta, scheme, replicas, seed=seed, outcome_sink=sink)
-        sigma = np.sqrt(analytic.evaluate(eta).mean_x2)
-        for outcomes, child in zip(sink, np.random.SeedSequence(seed).spawn(replicas)):
-            want = np.random.default_rng(child).normal(0.0, sigma, scheme.shots) ** 2
-            np.testing.assert_array_equal(outcomes, want)
+        sigma2 = analytic.evaluate(eta).mean_x2
+        for total, child in zip(sink, np.random.SeedSequence(seed).spawn(replicas)):
+            want = np.random.default_rng(child).gamma(scheme.shots / 2, 2.0 * sigma2)
+            assert total == pytest.approx(want, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("kind", metrology.SCHEME_KINDS)
     def test_builds_no_fock_space(self, monkeypatch, kind):
@@ -420,12 +455,19 @@ class TestReplicaFan:
             replica_estimates(eta, MeasurementScheme(kind, 10), 2)
 
     def test_photon_support_at_the_clip(self):
-        # the bound caps the photon-count support at about 2.7e5 levels
-        values, _ = photon_count_distribution(ETA_CLIP)
-        assert 2.6e5 < values.size < 2.8e5
-        with pytest.warns(EstimateClippedWarning, match="0 and 1 to ETA_CLIP"):
-            estimates = replica_estimates(ETA_CLIP, MeasurementScheme("photon_number", 10), 2)
-        assert ((0.0 <= estimates) & (estimates <= ETA_CLIP)).all()
+        # the law is not truncated: at the bound, where a table of the
+        # populations would need about 2.7e5 levels, the counts are even and
+        # their mean is <N> to within four standard errors
+        shots = 100_000
+        out = sample_outcomes(ETA_CLIP, MeasurementScheme("photon_number", shots), seed=4)
+        point = analytic.evaluate(ETA_CLIP)
+        assert (out % 2 == 0).all()
+        assert abs(out.mean() - point.mean_n) <= 4.0 * np.sqrt(point.var_n / shots)
+
+
+def binomial_window(count: int, trials: int, prob: float) -> bool:
+    """Whether count lies within four standard deviations of Binomial(trials, prob)'s mean."""
+    return abs(count - trials * prob) <= 4.0 * np.sqrt(trials * prob * (1.0 - prob))
 
 
 class TestClippedFans:
@@ -438,29 +480,64 @@ class TestClippedFans:
             estimates = replica_estimates(0.995, MeasurementScheme(kind, 100), 500, seed=2026)
         assert ((0.0 < estimates) & (estimates < ETA_CLIP)).all()
 
-    @pytest.mark.parametrize(
-        "kind, at_clip", [("photon_number", 244), ("x_squared", 241), ("p_squared", 259)]
-    )
-    def test_counts_at_the_clip(self, kind, at_clip):
+    @pytest.mark.parametrize("kind", metrology.SCHEME_KINDS)
+    def test_counts_at_the_clip_fit_the_exact_law(self, kind):
         # about half of the estimates at eta = ETA_CLIP sit at the bound, and
-        # their replica variance understates the estimator's
+        # their replica variance understates the estimator's.  An estimate
+        # clips when its mean passes the mean at the bound (falls below it,
+        # for P^2), whose probability the total's law gives
+        scheme, replicas = MeasurementScheme(kind, 1000), 500
         with pytest.warns(EstimateClippedWarning) as caught:
-            estimates = replica_estimates(
-                ETA_CLIP, MeasurementScheme(kind, 1000), 500, seed=2026
-            )
+            estimates = replica_estimates(ETA_CLIP, scheme, replicas, seed=2026)
+        at_clip = int((estimates == ETA_CLIP).sum())
         assert len(caught) == 1
-        assert f"0 of 500 {kind} estimates" in str(caught[0].message)
-        assert f"clipped to 0 and {at_clip} to ETA_CLIP" in str(caught[0].message)
-        assert (estimates == ETA_CLIP).sum() == at_clip
+        assert (
+            f"0 of {replicas} {kind} estimates at eta={ETA_CLIP} with 1000 shots "
+            f"clipped to 0 and {at_clip} to ETA_CLIP"
+        ) in str(caught[0].message)
+        law, factor = total_law(ETA_CLIP, scheme)
+        point = analytic.evaluate(ETA_CLIP)
+        mean_at_bound = {
+            "photon_number": point.mean_n, "x_squared": point.mean_x2, "p_squared": point.mean_p2
+        }[kind]
+        edge = scheme.shots * mean_at_bound / factor
+        prob = law.cdf(edge) if kind == "p_squared" else law.sf(edge)
+        assert 0.4 < prob < 0.6
+        assert binomial_window(at_clip, replicas, prob), (at_clip, replicas * prob)
 
     def test_all_zero_photon_records_are_not_clips(self):
-        # criterion 8's nu = 100 fan: all-zero records estimate exactly 0
+        # criterion 8's nu = 100 fan: a record of zeros, total 0 with
+        # probability (sech^2 r)^{nu/2}, estimates exactly 0 with no warning
+        eta, scheme, replicas = 0.8, MeasurementScheme("photon_number", 100), 500
+        totals = []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            estimates = replica_estimates(
-                0.8, MeasurementScheme("photon_number", 100), 500, seed=2026
-            )
-        assert (estimates == 0.0).sum() == 16
+            estimates = replica_estimates(eta, scheme, replicas, seed=2026, outcome_sink=totals)
+        zeros = estimates == 0.0
+        np.testing.assert_array_equal(zeros, np.array(totals) == 0.0)
+        law, _ = total_law(eta, scheme)
+        assert binomial_window(int(zeros.sum()), replicas, law.pmf(0))
+        assert metrology.clip_counts(totals, scheme) == (0, 0)
+
+    @pytest.mark.parametrize(
+        "kind, eta",
+        [
+            ("photon_number", ETA_CLIP),
+            ("x_squared", 0.5),
+            ("x_squared", ETA_CLIP),
+            ("p_squared", 0.5),
+            ("p_squared", ETA_CLIP),
+        ],
+    )
+    def test_clip_counts_match_the_fans_warning(self, kind, eta):
+        # single shots clip often: to 0 at eta = 0.5, mostly to ETA_CLIP at the bound
+        scheme, totals = MeasurementScheme(kind, 1), []
+        with pytest.warns(EstimateClippedWarning) as caught:
+            replica_estimates(eta, scheme, 1000, seed=5, outcome_sink=totals)
+        lower, upper = metrology.clip_counts(totals, scheme)
+        assert len(caught) == 1 and lower + upper > 0
+        assert f"{lower} of 1000 {kind} estimates" in str(caught[0].message)
+        assert f"clipped to 0 and {upper} to ETA_CLIP" in str(caught[0].message)
 
 
 class TestPhotonEstimatorOracle:
