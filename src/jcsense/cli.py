@@ -270,7 +270,7 @@ def _fidelity_sweep_evaluations(resolved: dict) -> float:
     :func:`_estimate_runtime`), against the ``nfev`` of its header."""
     sched = experiments._schedule(resolved)
     omega = resolved["physics"]["Omega"]
-    return 75.0 + 147.0 * math.sqrt(omega / sched.k * math.log1p(sched.kt_end))
+    return 105.0 + 152.0 * math.sqrt(omega / sched.k * math.log1p(sched.kt_end))
 
 
 def _estimate_runtime(resolved: dict) -> float | None:
@@ -287,18 +287,20 @@ def _estimate_runtime(resolved: dict) -> float | None:
     xi = 4/3 schedule grows like (Omega / k) ln(1 + kt_end); the step count
     grows like its square root.  ``_fidelity_sweep_evaluations`` holds the
     fitted generator evaluation count (three per step evaluated, including
-    the steps a chunk throws away), 75 + 147 sqrt((Omega / k) ln(1 + kt_end)),
-    within 11% of the measured 1,968, 2,775, 4,065 (default config), 5,886
-    and 8,727 at k = Omega/50 to Omega/800, of 2,487, 4,551 and 5,148 at
-    eta_target 0.9, 0.999 and 0.9999, and of 693, 876 and 1,197 on ramps to
+    the steps a chunk throws away), 105 + 152 sqrt((Omega / k) ln(1 + kt_end)),
+    within 8% of the measured 2,049, 2,859, 4,128 (default config), 5,952
+    and 8,805 at k = Omega/50 to Omega/800, of 2,538, 4,629 and 5,223 at
+    eta_target 0.9, 0.999 and 0.9999, and of 726, 909 and 1,275 on ramps to
     eta 0.9 at k = 0.1, 0.05 and 0.02.  The cusp-free onset clock (tau = 2)
-    takes about 1.42x as many (5,772 at the default rate).  At perfbench's
-    reference core speed a pass costs about 26 us per evaluation with the
+    takes about 1.42x as many (5,856 at the default rate).  At perfbench's
+    reference core speed a pass costs about 15 us per evaluation with the
     records included, the geometric mean of the fits to three measured
-    passes: the default config's took 0.086 s (perfbench median),
-    k = Omega/400 0.11 s and the k = 0.05 ramp to eta 0.9 0.034 s.  The
-    short ramp costs the most per evaluation: it takes 1.4 steps per record,
-    and each record starts a chunk of steps.
+    passes: the default config's took 0.060 s, k = Omega/400 0.083 s and
+    the k = 0.05 ramp to eta 0.9 0.015 s (medians of 30 passes each, timed
+    with perfbench's pass probe on a 2-vCPU Xeon host).  Chunks run across records, so both ramps
+    fill them (8.0 steps per chunk); the short ramp still costs the most
+    per evaluation (17 us against 14 us), because the read-out of its 201
+    records and its CSV are spread over fewer evaluations.
 
     cramer_rao: three replica fans of ``replicas`` experiments each.  An
     experiment draws its shot total in one draw, so its cost (spawned seed,
@@ -312,7 +314,7 @@ def _estimate_runtime(resolved: dict) -> float | None:
     """
     experiment = resolved["experiment"]
     if experiment == "fidelity_sweep":
-        return 26e-6 * _fidelity_sweep_evaluations(resolved)
+        return 15e-6 * _fidelity_sweep_evaluations(resolved)
     if experiment == "cramer_rao":
         return 3 * resolved["numerics"]["replicas"] * _CRAMER_RAO_COST
     return None

@@ -44,12 +44,13 @@ P^T D P, with P = Re W + Im W real orthogonal, plus a fixed energy block.
 A generator evaluation is a few array operations on the tabulated
 coupling and two real 21 x 21 products.  :func:`solve_ivp` steps z with an
 adaptive sixth-order Magnus integrator in numpy: each step needs three
-generator evaluations and one exponential (the [13/13] Pade approximant,
-exactly orthogonal for an antisymmetric exponent), and the steps up to
-each record are taken in chunks, whose generators, exponents and
-exponentials are computed as stacks in a few numpy calls.  It runs on the
-graded clock t = t_end sigma^3, which smooths the paper clock's start-up
-cusp (eta ~ t^{2/3}).  rtol and atol bound the local error of the embedded
+generator evaluations and one exponential (a degree-18 Taylor polynomial in
+five products, taken back onto the orthogonal group by one Newton-Schulz
+step; no linear solve), and the steps are taken in chunks that may run
+across records, whose generators, exponents and exponentials are computed
+as stacks in a few numpy calls.  It runs on the graded clock
+t = t_end sigma^3, which smooths the paper clock's start-up cusp
+(eta ~ t^{2/3}).  rtol and atol bound the local error of the embedded
 fourth-order step in each component of z; the sixth-order result is kept.
 After the solve z is mapped back to c once, and the records are read all
 at once: F = |c_dark|^2, the norm defect |1 - ||c||^2|, and <X^2>, <P^2>,
@@ -313,23 +314,33 @@ _MIN_STEP = 10.0 * np.finfo(float).eps
 _CHUNK = 8
 
 
-# the [13/13] Pade approximant of exp, and the 1-norm up to which its backward
-# error is below the unit roundoff of double precision (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005))
-_PADE_13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
-    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0,
-    1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-)
-_THETA_13 = 5.371920351148152
-# U = a (a^6 U_6 + U_0) and V = a^6 V_6 + V_0 for the odd and even parts of
-# the approximant, with U_6, U_0, V_6, V_0 these combinations of
-# (I, a^2, a^4, a^6)
-_PADE_BLOCKS = np.array([
-    [0.0, _PADE_13[9], _PADE_13[11], _PADE_13[13]],
-    [_PADE_13[1], _PADE_13[3], _PADE_13[5], _PADE_13[7]],
-    [0.0, _PADE_13[8], _PADE_13[10], _PADE_13[12]],
-    [_PADE_13[0], _PADE_13[2], _PADE_13[4], _PADE_13[6]],
+# the degree-18 Taylor polynomial of exp in five products (Bader, Blanes &
+# Casas, Mathematics 7, 1174 (2019)): a9 = B_1 B_5 + B_4 and
+# T_18 = B_2 + (B_3 + a9) a9, with B_1..B_5 these combinations of
+# (I, a, a^2, a^3, a^6); and the 1-norm up to which its backward error is at
+# most 2^-53 (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009))
+_TAYLOR_18 = np.array([
+    [0.0, -0.10036558103014462, -0.00802924648241157, -0.00089213849804573, 0.0],
+    [0.0, 0.3978497494996451, 1.3678377846041172, 0.49828962252538267, -0.0006378981945947233],
+    [-10.967639605296206, 1.680158138789062, 0.05717798464788655, -0.0069821012248805206, 3.349750170860705e-05],
+    [-0.09043168323908106, -0.06764045190713819, 0.06759613017704597, 0.029555257042931552, -1.391802575160607e-05],
+    [0.0, 0.0, -0.09233646193671186, -0.016936493900208172, -1.400867981820361e-05],
 ])
+_THETA_18 = 1.0908637192900362
+# the same scheme for T_18 - I: with B_3 = b_3 I + B_3' and B_4 = b_4 I + B_4',
+# (B_3 + a9) a9 = (b_3 + b_4) b_4 I + (B_3' + (b_3 + 2 b_4) I + a9') a9'
+# + b_4 B_3', a9' = B_1 B_5 + B_4', and (b_3 + b_4) b_4 = 1
+_TAYLOR_18_MINUS_I = _TAYLOR_18.copy()
+_TAYLOR_18_MINUS_I[1, 1:] += _TAYLOR_18[3, 0] * _TAYLOR_18[2, 1:]
+_TAYLOR_18_MINUS_I[2, 0] += 2.0 * _TAYLOR_18[3, 0]
+_TAYLOR_18_MINUS_I[3, 0] = 0.0
+
+
+def _step_factor(err: float) -> float:
+    # the step size's change after a step with error ratio err
+    if err == 0.0:
+        return _MAX_FACTOR
+    return min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err**-0.2))
 
 
 def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -338,28 +349,40 @@ def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ab - ab.swapaxes(-1, -2)
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) for each matrix of the stack a (count, n, n) by the [13/13]
-    Pade approximant r = (V - U)^{-1} (V + U), with U odd and V even in a.
-    A matrix whose 1-norm is above ``_THETA_13`` is scaled by 2^-s and its
-    r squared s times, s chosen per matrix.  For an anti-Hermitian a, U is
-    anti-Hermitian and V Hermitian, so r is exactly unitary."""
+def _expm1(a: np.ndarray) -> np.ndarray:
+    """exp(a) - I for each anti-Hermitian matrix of the stack a (count, n, n),
+    real or complex, by the degree-18 Taylor polynomial in five products
+    (``_TAYLOR_18_MINUS_I``).  A matrix whose 1-norm is above ``_THETA_18``
+    is scaled by 2^-s and squared back s times, q <- 2 q + q^2, s chosen per
+    matrix.  The polynomial is unitary only to its truncation and rounding,
+    so one Newton-Schulz step, r <- r - r (r^dag r - I) / 2, takes
+    r = I + q back onto the unitary group to second order in its defect.
+
+    Forming q = r - I, never r, keeps the defect exact to rounding relative
+    to |q|, not to 1: the steps of a solve then leave the norm of y within
+    a few 1e-15 over thousands of steps, where rounding r's diagonal drifts
+    it by 1e-13."""
     norm = np.abs(a).sum(axis=-2).max(axis=-1)
-    squarings = np.ceil(np.log2(np.maximum(norm, _THETA_13) / _THETA_13)).astype(int)
-    a = a * np.ldexp(1.0, -squarings)[:, None, None]
-    powers = np.empty((4,) + a.shape, dtype=a.dtype)
+    squarings = np.ceil(np.log2(np.maximum(norm, _THETA_18) / _THETA_18)).astype(int)
+    powers = np.empty((5,) + a.shape, dtype=a.dtype)
     powers[0] = np.eye(a.shape[-1])
-    np.matmul(a, a, out=powers[1])
+    np.multiply(a, np.ldexp(1.0, -squarings)[:, None, None], out=powers[1])
     np.matmul(powers[1], powers[1], out=powers[2])
     np.matmul(powers[2], powers[1], out=powers[3])
-    u6, u0, v6, v0 = (_PADE_BLOCKS @ powers.reshape(4, a.size)).reshape(powers.shape)
-    u = a @ (powers[3] @ u6 + u0)
-    v = powers[3] @ v6 + v0
-    r = np.linalg.solve(v - u, v + u)
+    np.matmul(powers[3], powers[3], out=powers[4])
+    b1, b2, b3, b4, b5 = (_TAYLOR_18_MINUS_I @ powers.reshape(5, -1)).reshape(powers.shape)
+    a9 = b1 @ b5 + b4
+    q = b2 + (b3 + a9) @ a9
     for i in range(squarings.max(initial=0)):
         more = squarings > i
-        r[more] = r[more] @ r[more]
-    return r
+        q[more] = 2.0 * q[more] + q[more] @ q[more]
+    # r^dag r - I = q + q^dag + q^dag q
+    qh = q.conj().swapaxes(-1, -2)
+    defect = qh @ q
+    defect += q
+    defect += qh
+    q -= 0.5 * (defect + q @ defect)
+    return q
 
 
 def solve_ivp(fun, y0, t_eval, *, rtol: float, atol: float) -> Solution:
@@ -374,22 +397,27 @@ def solve_ivp(fun, y0, t_eval, *, rtol: float, atol: float) -> Solution:
     cusp) is smooth in sigma.  Each step evaluates the generator at the
     three Gauss-Legendre nodes and advances y by exp(Omega_6), the
     sixth-order Magnus exponent (Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
-    151 (2009)).  The exponential is the [13/13] Pade approximant with
-    scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
-    (2005)); it is exactly orthogonal for an antisymmetric exponent.  The
+    151 (2009)).  The exponential is the degree-18 Taylor polynomial with
+    scaling and squaring and one Newton-Schulz step back onto the
+    orthogonal group (see :func:`_expm1`), applied as y + (exp - I) y.  The
     step size is controlled by the embedded fourth-order exponent:
     max_k |((Omega_6 - Omega_4) y)_k| / (atol + rtol |y_k|) must be <= 1,
     over the components of y.  So rtol and atol bound the local error of
     the fourth-order step, while the sixth-order result is kept.
 
-    The steps to the next record are equal and end exactly on it.  They are
-    taken in chunks of at most ``_CHUNK``: one call of ``fun`` evaluates
-    every node of a chunk, and its exponents and exponentials are computed
-    as stacks.  The steps before the first one that fails the error test
-    are accepted, the rest thrown away; the next step size comes from the
-    failing step's error, or from the chunk's largest error when all pass.
-    ``steps`` counts the accepted steps and ``nfev`` the generator
-    evaluations, three per step evaluated, thrown away or not.
+    The steps are taken in chunks of at most ``_CHUNK``, planned from the
+    current step size h: the equal steps to the next record, then, while
+    room is left, the equal steps of at most h to each record after it, so
+    every record ends a step exactly and a chunk may land several.  One
+    call of ``fun`` evaluates every node of a chunk, and its exponents and
+    exponentials are computed as stacks.  The steps before the first one
+    that fails the error test are accepted, with the records they reach,
+    and the rest thrown away.  The next h is the error factor times the
+    failing step, or, when all pass, the chunk's largest error factor
+    times its last step; a chunk that ends on a record keeps at least the
+    h it was planned with.  ``steps`` counts the accepted steps and
+    ``nfev`` the generator evaluations, three per step evaluated, thrown
+    away or not.
 
     Raises RuntimeError when a step falls below ``_MIN_STEP`` in sigma or
     Omega_6 is not finite; the message names the cause, the time near
@@ -406,17 +434,34 @@ def solve_ivp(fun, y0, t_eval, *, rtol: float, atol: float) -> Solution:
     sigma = 0.0
     h = sigma_eval[1] if len(sigma_eval) > 1 else 1.0
     while len(records) < len(sigma_eval):
-        target = sigma_eval[len(records)]
-        left = ceil((target - sigma) / h)
-        step = (target - sigma) / left
-        if step < _MIN_STEP:
+        # the chunk's plan: each step's start and size, the start after its
+        # last step, and the step counts after which records are reached
+        starts, widths, landings = [], [], []
+        start, record = sigma, len(records)
+        while len(widths) < _CHUNK and record < len(sigma_eval):
+            target = sigma_eval[record]
+            left = ceil((target - start) / h)
+            step = (target - start) / left
+            if step < _MIN_STEP:
+                break
+            take = min(left, _CHUNK - len(widths))
+            starts += [start + step * k for k in range(take)]
+            widths += [step] * take
+            if take < left:
+                start += step * take
+                break
+            landings.append(len(widths))
+            start, record = target, record + 1
+        if not widths:
             cause = f"step size below {_MIN_STEP:.1e} in sigma"
             break
-        count = min(left, _CHUNK)
+        starts.append(start)
+        count = len(widths)
+        width = np.array(widths)
         # the generator at the nodes, node by node over the chunk's steps,
         # scaled by dt/dsigma and the step
-        s = (sigma + step * (np.arange(count) + _NODES[:, None])).ravel()
-        gen = fun(t0 + span * s**3, eye) * (3.0 * span * s * s * step)[:, None, None]
+        s = np.array(starts[:-1]) + width * _NODES[:, None]
+        gen = fun(t0 + span * s.ravel() ** 3, eye) * (3.0 * span * s * s * width).reshape(-1, 1, 1)
         nfev += 3 * count
         a1, a2, a3 = gen.reshape(3, count, size, size)
         # the generator's moments about each step's midpoint: a2, m2, m3 are
@@ -432,32 +477,30 @@ def solve_ivp(fun, y0, t_eval, *, rtol: float, atol: float) -> Solution:
         good = count if finite.all() else int(np.argmin(finite))
         # the states at the steps' starts, and the error test on each step
         # up to the first non-finite exponent
-        rotation = _expm(omega6[:good])
+        q = _expm1(omega6[:good])
         ys = np.empty((good + 1, size))
         ys[0] = y
         for k in range(good):
-            ys[k + 1] = rotation[k] @ ys[k]
+            ys[k + 1] = ys[k] + q[k] @ ys[k]
         delta = ((corr[:good] + c1[:good] / 12.0) @ ys[:good, :, None])[:, :, 0]
         err = (np.abs(delta) / (atol + rtol * np.abs(ys[:good]))).max(axis=1)
         failed = np.flatnonzero(err > 1.0)
         passed = int(failed[0]) if len(failed) else good
-        y = ys[passed]
+        # the records that the accepted steps reached are kept
+        records += [ys[k] for k in landings if k <= passed]
+        y, sigma = ys[passed], starts[passed]
         steps += passed
-        landed = passed == left
-        if landed:
-            sigma = target
-            records.append(y)
-        else:
-            sigma += passed * step
         if passed == good < count:  # every finite step passed; the next is not finite
             cause = "non-finite generator"
             break
-        worst = err[passed] if passed < good else err.max()
-        factor = _MAX_FACTOR if worst == 0.0 else min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * worst**-0.2))
-        if landed:
-            # a step shortened to land keeps the longer proposal
-            factor = max(factor, h / step)
-        h = step * factor
+        if passed < good:  # the next step size comes from the failing step
+            factor = _step_factor(err[passed])
+        else:
+            factor = _step_factor(err.max())
+            if landings[-1:] == [count]:
+                # a step shortened to land keeps the longer proposal
+                factor = max(factor, h / widths[-1])
+        h = widths[min(passed, count - 1)] * factor
     else:  # every record reached
         return Solution(np.array(records).T, nfev, steps)
     raise RuntimeError(

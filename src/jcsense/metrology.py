@@ -27,6 +27,7 @@ The scaling fits map kt onto the closed forms through one helper,
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -174,8 +175,8 @@ def _invert_mean_n(m: float) -> float:
     # <N> = (1-u)^2/(4u) with u = sqrt(1-eta^2); quadratic in u, written in
     # the cancellation-free form of the root in (0, 1]
     b = 1.0 + 2.0 * m
-    u = 1.0 / (b + np.sqrt(b * b - 1.0))
-    return float(np.sqrt(max(0.0, 1.0 - u * u)))
+    u = 1.0 / (b + math.sqrt(b * b - 1.0))
+    return math.sqrt(max(0.0, 1.0 - u * u))
 
 
 def _clipped_estimate(m: float, kind: str) -> tuple[float, bool]:
@@ -192,13 +193,13 @@ def _clipped_estimate(m: float, kind: str) -> tuple[float, bool]:
         if m <= 0.25:
             return 0.0, m < 0.25
         u = 1.0 / (4.0 * m)
-        eta_hat = float(np.sqrt(1.0 - u * u))
+        eta_hat = math.sqrt(1.0 - u * u)
     else:
         # <P^2> = u/4, decreasing in eta from 1/4
         if m >= 0.25:
             return 0.0, m > 0.25
         u = 4.0 * m
-        eta_hat = float(np.sqrt(1.0 - u * u))
+        eta_hat = math.sqrt(1.0 - u * u)
     if eta_hat > ETA_CLIP:
         return ETA_CLIP, True
     return eta_hat, False

@@ -175,13 +175,13 @@ class TestValidateCommand:
                 {"experiment": "fidelity_sweep", "physics": physics, "numerics": numerics or {}}
             ))
 
-        # the default config's pass takes 0.086 s at the reference core speed
-        assert 0.086 / 2 < estimate({}) < 0.086 * 2
-        # measured at the reference core speed: k = Omega/400 (5,886
+        # the default config's pass takes 0.060 s at the reference core speed
+        assert 0.060 / 2 < estimate({}) < 0.060 * 2
+        # measured at the reference core speed: k = Omega/400 (5,952
         # generator evaluations) and the benchmark's smoke ramp, k = 0.05 to
-        # eta 0.9 (876)
-        assert 0.11 / 2 < estimate({"k": 1 / 400}) < 0.11 * 2
-        assert 0.034 / 2 < estimate({"k": 0.05, "eta_target": 0.9}) < 0.034 * 2
+        # eta 0.9 (909)
+        assert 0.083 / 2 < estimate({"k": 1 / 400}) < 0.083 * 2
+        assert 0.015 / 2 < estimate({"k": 0.05, "eta_target": 0.9}) < 0.015 * 2
         # the frame builds no Fock space: the cutoff does not enter
         assert estimate({}, {"n_max": 16}) == estimate({})
 
@@ -357,6 +357,23 @@ class TestRunFidelitySweep:
         assert 0 < 3 * steps <= nfev
         model = cli._fidelity_sweep_evaluations(cli.resolve_config(json.loads(path.read_text())))
         assert abs(model - nfev) <= 0.12 * nfev
+
+    def test_header_states_the_worst_norm_defect(self, tmp_path):
+        # max_norm_defect is the norm_defect column's maximum, in full
+        # precision, and the step keeps it at rounding level
+        out = tmp_path / "sweep.csv"
+        path = write_config(tmp_path, {"experiment": "fidelity_sweep", "physics": {"k": 0.05, "eta_target": 0.9}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", dynamics.TruncationWarning)
+            assert cli.main(["run", str(path), "--out", str(out)]) == 0
+        text = out.read_text()
+        worst = json.loads(re.search(r"^# max_norm_defect: (\S+)$", text, re.M).group(1))
+        body = [l for l in text.splitlines() if not l.startswith("#")]
+        column = body[0].split(",").index("norm_defect")
+        defects = [float(line.split(",")[column]) for line in body[1:]]
+        precision = cli.resolve_config(json.loads(path.read_text()))["output"]["precision"]
+        assert float(cli._fmt(worst, precision)) == max(defects)
+        assert 0.0 <= worst <= 1e-13
 
     def test_trajectory_work_counts_are_python_ints(self):
         # the header writes nfev and steps through json.dumps, which raises

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import re
 import warnings
+from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
@@ -284,6 +286,21 @@ class TestSolveIvp:
     def fun(self, times, y):
         return self.generator(times) @ y
 
+    # every frequency of the qubit jumps RATIO-fold within WIDTH of JUMP:
+    # H(t) = f(t) H_0(F(t)) with F' = f, so psi(t) = psi_0(F(t))
+    JUMP, WIDTH, RATIO = 10.3, 0.02, 4.0
+
+    def jump_fun(self, times, y):
+        rate = 1.0 + 0.5 * (self.RATIO - 1.0) * (1.0 + np.tanh((times - self.JUMP) / self.WIDTH))
+        return rate[:, None, None] * self.generator(self.jump_clock(times)) @ y
+
+    def jump_clock(self, t):
+        # F(t) = int_0^t f, with width * ln(2 cosh x) as logaddexp
+        def rise(t):
+            return t - self.JUMP + self.WIDTH * np.logaddexp((t - self.JUMP) / self.WIDTH, (self.JUMP - t) / self.WIDTH)
+
+        return t + 0.5 * (self.RATIO - 1.0) * (rise(t) - rise(0.0))
+
     def exact(self, t):
         w, v = np.linalg.eigh(0.5 * ((self.DELTA - self.W) * self.Z + self.G * self.X))
         psi = v @ (np.exp(-1j * w * t) * (v.conj().T @ self.PSI0))
@@ -301,33 +318,39 @@ class TestSolveIvp:
             assert np.abs(sol.y - expected).max() <= 1e-9, start
             assert np.abs(np.linalg.norm(sol.y, axis=0) - 1.0).max() <= 1e-14, start
 
-    def test_a_frequency_jump_cuts_a_chunk_short(self):
-        # every frequency of the qubit jumps 4x within 0.02 of t = 10.3,
-        # inside the record interval [10, 10.5]: H(t) = f(t) H_0(F(t)) with
-        # F' = f, so psi(t) = psi_0(F(t)).  The steps that reach the jump
-        # fail the error test partway through a chunk; the ones before it
-        # are kept and the records stay on the closed form
-        jump, width, ratio = 10.3, 0.02, 4.0
-
-        def rate(t):
-            return 1.0 + 0.5 * (ratio - 1.0) * (1.0 + np.tanh((t - jump) / width))
-
-        def clock(t):
-            # F(t) = int_0^t f, with width * ln(2 cosh x) as logaddexp
-            def rise(t):
-                return t - jump + width * np.logaddexp((t - jump) / width, (jump - t) / width)
-
-            return t + 0.5 * (ratio - 1.0) * (rise(t) - rise(0.0))
-
+    def test_dense_records_share_a_chunk(self):
+        # records every 0.01, denser than the steps the tolerance allows:
+        # each step is shortened to land on its record, and a chunk runs on
+        # across several records
         chunks = []
 
         def fun(times, y):
             chunks.append(times)
-            return rate(times)[:, None, None] * self.generator(clock(times)) @ y
+            return self.fun(times, y)
+
+        times = np.linspace(0.0, 20.0, 2001)
+        sol = dynamics.solve_ivp(fun, self.exact(0.0), times, rtol=1e-10, atol=1e-12)
+        expected = np.array([self.exact(t) for t in times]).T
+        assert np.abs(sol.y - expected).max() <= 1e-9
+        assert np.abs(np.linalg.norm(sol.y, axis=0) - 1.0).max() <= 1e-14
+        assert len(chunks) < (len(times) - 1) / 4
+        assert max(np.count_nonzero((times > c.min()) & (times < c.max())) for c in chunks) >= 4
+
+    def test_a_frequency_jump_cuts_a_chunk_short(self):
+        # the frequency jump at t = 10.3 lies inside the record interval
+        # [10, 10.5].  The steps that reach it fail the error test partway
+        # through a chunk; the ones before it are kept and the records stay
+        # on the closed form
+        jump = self.JUMP
+        chunks = []
+
+        def fun(times, y):
+            chunks.append(times)
+            return self.jump_fun(times, y)
 
         times = np.linspace(0.0, 20.0, 41)
         sol = dynamics.solve_ivp(fun, self.exact(0.0), times, rtol=1e-10, atol=1e-12)
-        expected = np.array([self.exact(clock(t)) for t in times]).T
+        expected = np.array([self.exact(self.jump_clock(t)) for t in times]).T
         assert np.abs(sol.y - expected).max() <= 1e-9
         assert np.abs(np.linalg.norm(sol.y, axis=0) - 1.0).max() <= 1e-14
         # a chunk whose nodes straddle the jump is followed by one that
@@ -338,6 +361,29 @@ class TestSolveIvp:
         )
         assert sol.nfev > 3 * sol.steps
 
+    def test_a_rejection_keeps_the_records_landed_before_it(self):
+        # records every 0.05 through the frequency jump: a chunk that lands
+        # a record and then fails a later step keeps that record, so the
+        # next chunk starts after it
+        chunks = []
+
+        def fun(times, y):
+            chunks.append(times)
+            return self.jump_fun(times, y)
+
+        times = np.linspace(0.0, 20.0, 401)
+        sol = dynamics.solve_ivp(fun, self.exact(0.0), times, rtol=1e-10, atol=1e-12)
+        expected = np.array([self.exact(self.jump_clock(t)) for t in times]).T
+        assert np.abs(sol.y - expected).max() <= 1e-9
+        assert np.abs(np.linalg.norm(sol.y, axis=0) - 1.0).max() <= 1e-14
+        # a chunk's steps end on each record they reach, so the next chunk's
+        # first node lies past a record of the chunk before only when that
+        # record was kept; b.min() < a.max() marks a thrown-away step in a
+        assert any(
+            b.min() < a.max() and np.any((a.min() < times) & (times < b.min()))
+            for a, b in zip(chunks, chunks[1:])
+        )
+
     def test_step_size_underflow_fails(self):
         # no step meets a tolerance of 1e-200: h shrinks until it underflows
         times = np.linspace(0.0, 20.0, 41)
@@ -347,10 +393,12 @@ class TestSolveIvp:
 
 
 class TestPadeExponential:
-    """The Magnus step's exponential against an ``eigh`` reference, on both
-    sides of the 1-norm theta_13 above which it scales and squares."""
+    """The Magnus step's exponential, exp(a) - I by the degree-18 Taylor
+    polynomial, against an ``eigh`` reference, on both sides of the 1-norm
+    theta_18 above which it scales and squares; and the polynomial's
+    coefficients and theta_18 from their definitions."""
 
-    NORMS = (0.5, 5.0, 6.0, 40.0)
+    NORMS = (0.5, 1.0, 5.0, 6.0, 40.0)
 
     @staticmethod
     def _antihermitian(rng, size, dtype, norm):
@@ -361,11 +409,11 @@ class TestPadeExponential:
         return a * (norm / np.abs(a).sum(axis=0).max())
 
     @staticmethod
-    def _check(a, r, y):
+    def _check(a, q, y):
         # exp(a) = v exp(-i w) v^dag with i a = v diag(w) v^dag
         w, v = np.linalg.eigh(1j * a)
         expected = v @ (np.exp(-1j * w) * (v.conj().T @ y))
-        got = r @ y
+        got = y + q @ y
         assert got.dtype == y.dtype
         assert np.abs(got - expected).max() <= 1e-14
         assert abs(np.linalg.norm(got) - 1.0) <= 1e-14
@@ -379,21 +427,82 @@ class TestPadeExponential:
         y = rng.normal(size=size).astype(dtype)
         if dtype is complex:
             y += 1j * rng.normal(size=size)
-        self._check(a, dynamics._expm(a[None])[0], y / np.linalg.norm(y))
+        self._check(a, dynamics._expm1(a[None])[0], y / np.linalg.norm(y))
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_one_stack_squares_each_matrix_on_its_own(self, dtype):
-        # 1-norms below and above theta_13 in one call: some matrices are
+        # 1-norms below and above theta_18 in one call: some matrices are
         # scaled and squared, the others not
         rng = np.random.default_rng(13)
         size = 21
         stack = np.array([self._antihermitian(rng, size, dtype, norm) for norm in self.NORMS])
         y = rng.normal(size=size).astype(dtype)
         y /= np.linalg.norm(y)
-        rotations = dynamics._expm(stack)
-        assert rotations.shape == stack.shape
-        for a, r in zip(stack, rotations):
-            self._check(a, r, y)
+        q = dynamics._expm1(stack)
+        assert q.shape == stack.shape
+        for a, qa in zip(stack, q):
+            self._check(a, qa, y)
+
+    @staticmethod
+    def _polynomial(table):
+        # the scheme's polynomial in a, exactly in rationals: B_i from the
+        # table over (I, a, a^2, a^3, a^6), then B_2 + (B_3 + a9) a9 with
+        # a9 = B_1 B_5 + B_4
+        def combine(row):
+            out = [Fraction(0)] * 7
+            for power, c in zip((0, 1, 2, 3, 6), row):
+                out[power] += Fraction(float(c))
+            return out
+
+        def mul(p, q):
+            out = [Fraction(0)] * (len(p) + len(q) - 1)
+            for i, pi in enumerate(p):
+                for j, qj in enumerate(q):
+                    out[i + j] += pi * qj
+            return out
+
+        def add(p, q):
+            width = max(len(p), len(q))
+            return [a + b for a, b in zip(p + [0] * (width - len(p)), q + [0] * (width - len(q)))]
+
+        b1, b2, b3, b4, b5 = (combine(row) for row in table)
+        a9 = add(mul(b1, b5), b4)
+        return add(b2, mul(add(b3, a9), a9))
+
+    def test_coefficients_reproduce_the_taylor_series(self):
+        # T_18 matches 1/k! for k <= 18, and the I-free table gives T_18 - I
+        taylor = self._polynomial(dynamics._TAYLOR_18)
+        minus_i = self._polynomial(dynamics._TAYLOR_18_MINUS_I)
+        assert minus_i[0] == 0
+        for k in range(19):
+            assert abs(float(taylor[k] * factorial(k)) - 1.0) <= 1e-15, k
+            if k:
+                assert abs(float(minus_i[k] * factorial(k)) - 1.0) <= 1e-15, k
+
+    def test_theta_is_the_largest_norm_with_backward_error_below_roundoff(self):
+        # h(x) = log(e^{-x} T_18(x)) = sum_{k > 18} c_k x^k; theta_18 is the
+        # largest x with sum |c_k| x^{k-1} <= 2^-53 (Al-Mohy & Higham 2009)
+        mpmath = pytest.importorskip("mpmath")
+        terms = 120
+        with mpmath.workdps(40):
+            g = [
+                sum(mpmath.mpf(-1) ** (n - i) / mpmath.factorial(n - i) / mpmath.factorial(i) for i in range(min(n, 18) + 1))
+                for n in range(terms)
+            ]
+            # log g by the power-series recurrence n l_n = n g_n - sum_k k l_k g_{n-k}
+            log = [mpmath.mpf(0)] * terms
+            for n in range(1, terms):
+                log[n] = g[n] - sum(k * log[k] * g[n - k] for k in range(1, n)) / n
+            assert max(abs(c) for c in log[:19]) < mpmath.mpf(10) ** -35
+
+            def bound(x):
+                return sum(abs(log[k]) * x ** (k - 1) for k in range(19, terms))
+
+            lo, hi = mpmath.mpf(1), mpmath.mpf(2)
+            for _ in range(70):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if bound(mid) <= mpmath.mpf(2) ** -53 else (lo, mid)
+            assert float(lo) == pytest.approx(dynamics._THETA_18, rel=1e-15, abs=0.0)
 
 
 class TestHeadlineTrajectory:
