@@ -28,8 +28,11 @@ key's check it enforces each experiment's run-time preconditions:
 cramer_rao needs shots >= 100, replicas >= 2 and eta_target <= 1 - 1e-9;
 scaling needs xi = 4/3; ramp_curve and fidelity_sweep need a finite,
 positive duration.  So ``validate config [--seed N]`` rejects exactly what
-``run config [--seed N] [--out PATH] [--strict]`` rejects; it reports
-kt_end and t_end for the two ramp experiments only.
+``run config [--seed N] [--out PATH] [--strict]`` rejects.  It reports
+kt_end and t_end for the two ramp experiments, and predicts a run's work
+in the unit the run reports it: ``estimated_nfev`` for fidelity_sweep
+(its header's ``nfev``) and ``replica_draws`` for cramer_rao (the outcome
+totals of its sidecar).
 
 Emitted files are self-describing: the header block carries the artifact
 version, the basis convention and the full resolved config (``--out`` is
@@ -260,64 +263,24 @@ def _emit_error(resolved: dict, kind: str, message: str) -> None:
     print(json.dumps(record, sort_keys=True), file=sys.stderr)
 
 
-# measured cost of one cramer_rao experiment, in seconds, for every scheme
-# and shot count (see _estimate_runtime)
-_CRAMER_RAO_COST = 14e-6
-
-
 def _fidelity_sweep_evaluations(resolved: dict) -> float:
-    """The fitted generator evaluation count of a fidelity_sweep run (see
-    :func:`_estimate_runtime`), against the ``nfev`` of its header."""
+    """The fitted generator evaluation count of a fidelity_sweep run, the
+    ``nfev`` of its header.
+
+    The Magnus steps of ``dynamics.solve_ivp`` follow the doublets' phase,
+    Omega * int (1 - eta^2)^{3/4} dt, which on the xi = 4/3 schedule grows
+    like (Omega / k) ln(1 + kt_end); the step count grows like its square
+    root.  Counting three evaluations per step evaluated, including the
+    steps a chunk throws away, 105 + 152 sqrt((Omega / k) ln(1 + kt_end))
+    is within 8% of the measured 2,049, 2,859, 4,128 (default config),
+    5,952 and 8,805 at k = Omega/50 to Omega/800, of 2,538, 4,629 and 5,223
+    at eta_target 0.9, 0.999 and 0.9999, and of 726, 909 and 1,275 on ramps
+    to eta 0.9 at k = 0.1, 0.05 and 0.02.  The cusp-free onset clock
+    (tau = 2) takes about 1.42x as many (5,856 at the default rate).
+    """
     sched = experiments._schedule(resolved)
     omega = resolved["physics"]["Omega"]
     return 105.0 + 152.0 * math.sqrt(omega / sched.k * math.log1p(sched.kt_end))
-
-
-def _estimate_runtime(resolved: dict) -> float | None:
-    """Crude wall-time estimate in seconds (order of magnitude), or None for
-    the experiments without a cost model.
-
-    It covers the experiment's own work only.  It leaves out process
-    start-up: importing ``jcsense.cli`` took 0.24-0.27 s of wall time on a
-    2-vCPU 2.1 GHz Xeon host (a bare interpreter 0.05 s), with no scipy
-    module loaded.
-
-    fidelity_sweep: the Magnus steps of ``dynamics.solve_ivp`` follow the
-    doublets' phase, Omega * int (1 - eta^2)^{3/4} dt, which on the
-    xi = 4/3 schedule grows like (Omega / k) ln(1 + kt_end); the step count
-    grows like its square root.  ``_fidelity_sweep_evaluations`` holds the
-    fitted generator evaluation count (three per step evaluated, including
-    the steps a chunk throws away), 105 + 152 sqrt((Omega / k) ln(1 + kt_end)),
-    within 8% of the measured 2,049, 2,859, 4,128 (default config), 5,952
-    and 8,805 at k = Omega/50 to Omega/800, of 2,538, 4,629 and 5,223 at
-    eta_target 0.9, 0.999 and 0.9999, and of 726, 909 and 1,275 on ramps to
-    eta 0.9 at k = 0.1, 0.05 and 0.02.  The cusp-free onset clock (tau = 2)
-    takes about 1.42x as many (5,856 at the default rate).  At perfbench's
-    reference core speed a pass costs about 15 us per evaluation with the
-    records included, the geometric mean of the fits to three measured
-    passes: the default config's took 0.060 s, k = Omega/400 0.083 s and
-    the k = 0.05 ramp to eta 0.9 0.015 s (medians of 30 passes each, timed
-    with perfbench's pass probe on a 2-vCPU Xeon host).  Chunks run across records, so both ramps
-    fill them (8.0 steps per chunk); the short ramp still costs the most
-    per evaluation (17 us against 14 us), because the read-out of its 201
-    records and its CSV are spread over fewer evaluations.
-
-    cramer_rao: three replica fans of ``replicas`` experiments each.  An
-    experiment draws its shot total in one draw, so its cost (spawned seed,
-    generator, draw and estimate) does not depend on the shot count or the
-    scheme: ``_CRAMER_RAO_COST``, about 14 us, fitted to the medians of 9
-    runs each (on a 2-vCPU 2.1 GHz Xeon host) of every scheme at
-    500 replicas x 100 shots, 2,000 x 100, the default 500 x 10,000 and
-    100 x 100,000, which took 13.3-15.4 us per experiment: 0.020-0.022,
-    0.081-0.086, 0.020-0.022 and 0.0044-0.0046 s.  A repeat of the same runs
-    under more host load read up to 1.7x slower.
-    """
-    experiment = resolved["experiment"]
-    if experiment == "fidelity_sweep":
-        return 15e-6 * _fidelity_sweep_evaluations(resolved)
-    if experiment == "cramer_rao":
-        return 3 * resolved["numerics"]["replicas"] * _CRAMER_RAO_COST
-    return None
 
 
 def validate(resolved: dict) -> int:
@@ -325,20 +288,24 @@ def validate(resolved: dict) -> int:
 
     ``kt_end`` and ``t_end`` appear only for the experiments that run the
     ramp, ``n_max`` and ``peak_dimension`` only for moments_check (its
-    largest field-only space), and ``estimated_runtime_s`` only where a cost
-    model exists.
+    largest field-only space).  Two experiments also get their work, in the
+    unit their own output reports it: fidelity_sweep the ``estimated_nfev``
+    of :func:`_fidelity_sweep_evaluations` (its header's ``nfev``), and
+    cramer_rao ``replica_draws``, one outcome total per replica at each of
+    its three shot counts (the totals of its ``dump_outcomes`` sidecar).
     """
     experiment = resolved["experiment"]
     report = {"experiment": experiment, "resolved_config": resolved}
     if experiment in _RAMP_EXPERIMENTS:
         sched = experiments._schedule(resolved)
         report.update(kt_end=sched.kt_end, t_end=sched.duration)
+    if experiment == "fidelity_sweep":
+        report["estimated_nfev"] = round(_fidelity_sweep_evaluations(resolved))
+    if experiment == "cramer_rao":
+        report["replica_draws"] = 3 * resolved["numerics"]["replicas"]
     if experiment == "moments_check":
         n_max = max(experiments._resolve_n_max(resolved, eta) for eta in experiments.MOMENTS_ETAS)
         report.update(n_max=n_max, peak_dimension=n_max + 1)
-    estimate = _estimate_runtime(resolved)
-    if estimate is not None:
-        report["estimated_runtime_s"] = estimate
     print(json.dumps(report, sort_keys=True, indent=1))
     return EXIT_OK
 

@@ -221,7 +221,7 @@ def jc_hamiltonian_parts(
     a, ad = _field_ladder(spec.field_dim)
     # a^dag|g><e| is the (g, e) block in the field-fast order
     h_jc = sp.bmat([[None, omega * ad], [omega * a, None]], format="csr")
-    h_drive = omega * quadrature_x(spec).matrix
+    h_drive = omega * _lift(spec, (a + ad) / 2)  # omega X
     return SparseOperator(spec, h_jc), SparseOperator(spec, h_drive)
 
 

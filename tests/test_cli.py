@@ -128,7 +128,7 @@ class TestValidateCommand:
         assert report["kt_end"] == pytest.approx(31.44, abs=0.01)
         # the ramp runs in the adiabatic frame: no Fock cutoff to report
         assert "n_max" not in report and "peak_dimension" not in report
-        assert report["estimated_runtime_s"] > 0
+        assert "estimated_runtime_s" not in report
 
     @pytest.mark.parametrize("experiment", sorted(experiments.RUNNERS))
     def test_ramp_duration_only_for_ramp_experiments(self, tmp_path, capsys, experiment):
@@ -164,48 +164,35 @@ class TestValidateCommand:
         assert "n_max" not in report and "peak_dimension" not in report
 
     @pytest.mark.parametrize("experiment", ["qfi_curve", "ramp_curve", "scaling", "moments_check"])
-    def test_no_runtime_guess_without_a_cost_model(self, tmp_path, capsys, experiment):
-        path = write_config(tmp_path, {"experiment": experiment})
+    def test_no_work_figure_for_the_other_experiments(self, tmp_path, capsys, experiment):
+        report = self._report(tmp_path, capsys, {"experiment": experiment})
+        assert "estimated_nfev" not in report and "replica_draws" not in report
+
+    @staticmethod
+    def _report(tmp_path, capsys, body):
+        path = write_config(tmp_path, body)
         assert cli.main(["validate", str(path)]) == 0
-        assert "estimated_runtime_s" not in json.loads(capsys.readouterr().out)
+        return json.loads(capsys.readouterr().out)
 
-    def test_fidelity_sweep_estimate_calibration(self):
-        def estimate(physics, numerics=None):
-            return cli._estimate_runtime(cli.resolve_config(
-                {"experiment": "fidelity_sweep", "physics": physics, "numerics": numerics or {}}
-            ))
-
-        # the default config's pass takes 0.060 s at the reference core speed
-        assert 0.060 / 2 < estimate({}) < 0.060 * 2
-        # measured at the reference core speed: k = Omega/400 (5,952
-        # generator evaluations) and the benchmark's smoke ramp, k = 0.05 to
-        # eta 0.9 (909)
-        assert 0.083 / 2 < estimate({"k": 1 / 400}) < 0.083 * 2
-        assert 0.015 / 2 < estimate({"k": 0.05, "eta_target": 0.9}) < 0.015 * 2
+    def test_estimated_nfev_ignores_the_cutoff(self, tmp_path, capsys):
         # the frame builds no Fock space: the cutoff does not enter
-        assert estimate({}, {"n_max": 16}) == estimate({})
+        report = self._report(tmp_path, capsys, {"experiment": "fidelity_sweep"})
+        cut = self._report(
+            tmp_path, capsys, {"experiment": "fidelity_sweep", "numerics": {"n_max": 16}}
+        )
+        assert type(report["estimated_nfev"]) is int
+        assert cut["estimated_nfev"] == report["estimated_nfev"]
 
-    def test_cramer_rao_estimate_calibration(self):
-        def estimate(numerics):
-            resolved = cli.resolve_config({"experiment": "cramer_rao", "numerics": numerics})
-            return cli._estimate_runtime(resolved)
+    def test_replica_draws_follow_the_replicas_alone(self, tmp_path, capsys):
+        # one outcome total per replica at each of the three shot counts,
+        # whatever the shot count or the scheme
+        def draws(numerics):
+            body = {"experiment": "cramer_rao", "numerics": numerics}
+            return self._report(tmp_path, capsys, body)["replica_draws"]
 
-        # measured wall times: the default 500 replicas x 10,000 shots takes
-        # 0.020-0.022 s, and so does 500 x 100: one draw per experiment
-        assert 0.021 / 2 < estimate({}) < 0.021 * 2
-        assert estimate({"shots": 100}) == estimate({})
-        assert estimate({"replicas": 1000}) == pytest.approx(2 * estimate({}), rel=1e-12, abs=0.0)
-
-    def test_cramer_rao_estimate_per_scheme(self):
-        def estimate(scheme):
-            resolved = cli.resolve_config(
-                {"experiment": "cramer_rao", "numerics": {"scheme": scheme}}
-            )
-            return cli._estimate_runtime(resolved)
-
-        # measured: 13.3-15.4 us per experiment for every scheme; the
-        # negative-binomial and gamma draws cost about the same
-        assert estimate("x_squared") == estimate("p_squared") == estimate("photon_number")
+        assert draws({"shots": 100}) == draws({}) == 1500
+        assert draws({"scheme": "x_squared"}) == draws({"scheme": "p_squared"}) == 1500
+        assert draws({"replicas": 1000}) == 2 * draws({})
 
     @pytest.mark.parametrize("scheme", ["parity", 3, None])
     def test_exit_2_on_unknown_scheme(self, tmp_path, capsys, scheme):
@@ -344,18 +331,19 @@ class TestRunQfiCurve:
 
 class TestRunFidelitySweep:
     @pytest.mark.parametrize("physics", [{}, {"k": 0.05, "eta_target": 0.9}], ids=["default", "smoke"])
-    def test_header_work_matches_the_count_model(self, tmp_path, physics):
-        # the header states the integrator's work, and _estimate_runtime's
-        # count model is within 12% of it
+    def test_header_work_matches_the_count_model(self, tmp_path, capsys, physics):
+        # the header states the integrator's work, and validate's
+        # estimated_nfev is within 12% of it
         out = tmp_path / "sweep.csv"
         path = write_config(tmp_path, {"experiment": "fidelity_sweep", "physics": physics})
+        assert cli.main(["validate", str(path)]) == 0
+        model = json.loads(capsys.readouterr().out)["estimated_nfev"]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", dynamics.TruncationWarning)
             assert cli.main(["run", str(path), "--out", str(out)]) == 0
         text = out.read_text()
         nfev, steps = (int(re.search(rf"^# {key}: (\d+)$", text, re.M).group(1)) for key in ("nfev", "steps"))
         assert 0 < 3 * steps <= nfev
-        model = cli._fidelity_sweep_evaluations(cli.resolve_config(json.loads(path.read_text())))
         assert abs(model - nfev) <= 0.12 * nfev
 
     def test_header_states_the_worst_norm_defect(self, tmp_path):
@@ -654,6 +642,21 @@ class TestOutcomeDumps:
             next(line for line in out.read_text().splitlines()
                  if line.startswith("# config: "))[len("# config: "):]
         )["numerics"]["scheme"] == scheme
+
+    def test_sidecar_holds_the_replica_draws_validate_predicts(self, tmp_path, capsys):
+        out = tmp_path / "cr.csv"
+        body = {
+            "experiment": "cramer_rao",
+            "physics": {"eta_target": 0.8},
+            "numerics": {"shots": 200, "replicas": 7},
+            "output": {"path": str(out), "dump_outcomes": True},
+        }
+        path = write_config(tmp_path, body)
+        assert cli.main(["validate", str(path)]) == 0
+        predicted = json.loads(capsys.readouterr().out)["replica_draws"]
+        assert cli.main(["run", str(path)]) == 0
+        doc = json.loads((tmp_path / "cr.csv.outcomes.json").read_text())
+        assert predicted == sum(len(totals) for totals in doc["outcomes"].values()) == 21
 
     def test_not_written_by_default(self, tmp_path):
         out = tmp_path / "cr.csv"
