@@ -183,16 +183,25 @@ class TestValidateCommand:
         assert type(report["estimated_nfev"]) is int
         assert cut["estimated_nfev"] == report["estimated_nfev"]
 
-    def test_replica_draws_follow_the_replicas_alone(self, tmp_path, capsys):
-        # one outcome total per replica at each of the three shot counts,
-        # whatever the shot count or the scheme
-        def draws(numerics):
-            body = {"experiment": "cramer_rao", "numerics": numerics}
-            return self._report(tmp_path, capsys, body)["replica_draws"]
+    def _draws(self, tmp_path, capsys, numerics):
+        # one outcome total per replica at each of the three shot counts
+        body = {"experiment": "cramer_rao", "numerics": numerics}
+        return self._report(tmp_path, capsys, body)["replica_draws"]
 
-        assert draws({"shots": 100}) == draws({}) == 1500
-        assert draws({"scheme": "x_squared"}) == draws({"scheme": "p_squared"}) == 1500
-        assert draws({"replicas": 1000}) == 2 * draws({})
+    def test_cramer_rao_estimate_calibration(self, tmp_path, capsys):
+        # the shot count does not enter; doubling the replicas doubles the draws
+        default = self._draws(tmp_path, capsys, {})
+        assert type(default) is int and default == 1500
+        assert self._draws(tmp_path, capsys, {"shots": 100}) == default
+        assert self._draws(tmp_path, capsys, {"replicas": 1000}) == 2 * default
+
+    def test_cramer_rao_estimate_per_scheme(self, tmp_path, capsys):
+        # every scheme draws one total per replica and shot count
+        draws = {
+            scheme: self._draws(tmp_path, capsys, {"scheme": scheme})
+            for scheme in ("photon_number", "x_squared", "p_squared")
+        }
+        assert draws["x_squared"] == draws["p_squared"] == draws["photon_number"] == 1500
 
     @pytest.mark.parametrize("scheme", ["parity", 3, None])
     def test_exit_2_on_unknown_scheme(self, tmp_path, capsys, scheme):
