@@ -52,7 +52,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from . import __version__, experiments, metrology
+from . import __version__, dynamics, experiments, metrology, ramp
 from .fockspace import TruncationWarning
 
 
@@ -74,18 +74,18 @@ KEYS = {
     "physics": {
         "Omega": (1.0, *_POSITIVE),
         "k": (0.005, *_POSITIVE),
-        "xi": (4.0 / 3.0, *_POSITIVE),
+        "xi": (ramp.DEFAULT_XI, *_POSITIVE),
         "eta_target": (0.995, lambda v: _positive(v) and v < 1.0,
                        "must be in (0, 1): the closed forms diverge at the critical point"),
     },
     "numerics": {
         "n_max": ("auto", lambda v: v == "auto" or (_is_int(v) and v >= 1),
                   "must be 'auto' or an integer >= 1"),
-        "rtol": (1e-7, *_POSITIVE),
-        "atol": (5e-10, *_POSITIVE),
+        "rtol": (dynamics.DEFAULT_RTOL, *_POSITIVE),
+        "atol": (dynamics.DEFAULT_ATOL, *_POSITIVE),
         "seed": (2026, *_COUNT),
         "shots": (10000, *_COUNT),
-        "replicas": (500, *_COUNT),
+        "replicas": (metrology.DEFAULT_REPLICAS, *_COUNT),
         "scheme": ("photon_number", lambda v: v in metrology.SCHEME_KINDS,
                    f"must be one of {metrology.SCHEME_KINDS}"),
     },

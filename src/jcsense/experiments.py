@@ -190,7 +190,7 @@ def moments_check(resolved: dict) -> tuple[list[str], list[list[float]], dict]:
             mean_num, var_num = metrology.mean_and_variance(state, observables[kind])
             pairs.append((mean_num, mean_exact, var_num, var_exact))
         rel_errs = [
-            abs(num - exact) / abs(exact) if exact != 0 else abs(num - exact)
+            abs(num - exact) / exact
             for mn, me, vn, ve in pairs
             for num, exact in ((mn, me), (vn, ve))
         ]

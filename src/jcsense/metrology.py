@@ -6,13 +6,15 @@ outcome law is closed form in eta and sampling builds no Fock space: photon
 counts are 2m with m ~ NegBin(1/2, sech^2 r) (the populations
 p(2m) = binom(2m, m) 4^{-m} tanh^{2m}(r) / cosh(r), untruncated), and
 quadratures are normal with variances <X^2> = 1/(4u) and <P^2> = u/4
-(u = sqrt(1 - eta^2); r and the moments from :mod:`analytic`).  Estimates
-clip at ``ETA_CLIP`` = 1 - 1e-9, so sampling accepts eta in [0, ETA_CLIP].
-Every clipped estimate is flagged with :class:`EstimateClippedWarning`: one
-per call of :func:`estimate_eta`, one per replica fan with the count at
-each bound.  Sampling is deterministic per (seed, scheme, eta).  A replica
-fan estimates from sample means only, so each replica draws its nu-shot
-total from the sum's own closed-form law, NegBin(nu/2, sech^2 r) pairs or
+(u = sqrt(1 - eta^2); r and the moments from :mod:`analytic`).  An
+estimate inverts its sample mean for u by one rule for every scheme: it
+clips to 0 where u > 1 and at ``ETA_CLIP`` = 1 - 1e-9, so sampling accepts
+eta in [0, ETA_CLIP].  Every clipped estimate is flagged with
+:class:`EstimateClippedWarning`: one per call of :func:`estimate_eta`, one
+per replica fan with the count at each bound.
+Sampling is deterministic per (seed, scheme, eta).  A replica fan
+estimates from sample means only, so each replica draws its nu-shot total
+from the sum's own closed-form law, NegBin(nu/2, sech^2 r) pairs or
 Gamma(nu/2, scale 2 sigma^2), in one draw from its own generator: replica
 seeds are spawned seed sequences, so accumulation order never matters.
 Detector imperfections are not modeled.
@@ -27,7 +29,6 @@ The scaling fits map kt onto the closed forms through one helper,
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -171,38 +172,34 @@ def sample_outcomes(eta: float, scheme: MeasurementScheme, seed) -> np.ndarray:
     return np.square(z, out=z)
 
 
-def _invert_mean_n(m: float) -> float:
-    # <N> = (1-u)^2/(4u) with u = sqrt(1-eta^2); quadratic in u, written in
-    # the cancellation-free form of the root in (0, 1]
-    b = 1.0 + 2.0 * m
-    u = 1.0 / (b + math.sqrt(b * b - 1.0))
-    return math.sqrt(max(0.0, 1.0 - u * u))
+def _estimates(means, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """eta_hat for sample means m >= 0 of one scheme, clipped to [0, ETA_CLIP],
+    and whether each was clipped.  Each mean map is inverted for
+    u = sqrt(1 - eta^2): <N> = (1-u)^2/(4u) by its cancellation-free root
+    u = 1/(b + sqrt(b^2 - 1)), b = 1 + 2m; <X^2> = 1/(4u); <P^2> = u/4.
+    A mean with u > 1 clips to 0 and an estimate past ETA_CLIP to ETA_CLIP;
+    u = 1 (an all-zero photon record) maps exactly to 0 and is not a clip.
+    An overflow makes u or u^2 0 or inf, which clips the same way."""
+    m = np.asarray(means, dtype=float)
+    with np.errstate(over="ignore", divide="ignore"):
+        if kind == "photon_number":
+            b = 1.0 + 2.0 * m
+            u = 1.0 / (b + np.sqrt(b * b - 1.0))
+        elif kind == "x_squared":
+            u = 1.0 / (4.0 * m)
+        else:
+            u = 4.0 * m
+        eta_hat = np.sqrt(np.maximum(0.0, 1.0 - u * u))
+    return np.minimum(eta_hat, ETA_CLIP), (u > 1.0) | (eta_hat > ETA_CLIP)
 
 
-def _clipped_estimate(m: float, kind: str) -> tuple[float, bool]:
-    """eta_hat for the sample mean m of one scheme, clipped to [0, ETA_CLIP],
-    and whether it was clipped.  A mean outside the physical range clips to
-    0 and an estimate past ETA_CLIP to ETA_CLIP; a mean on the range's edge
-    (an all-zero photon record) maps exactly to 0 and is not a clip."""
-    if kind == "photon_number":
-        if m <= 0.0:
-            return 0.0, m < 0.0
-        eta_hat = _invert_mean_n(m)
-    elif kind == "x_squared":
-        # <X^2> = 1/(4u), increasing in eta from 1/4
-        if m <= 0.25:
-            return 0.0, m < 0.25
-        u = 1.0 / (4.0 * m)
-        eta_hat = math.sqrt(1.0 - u * u)
-    else:
-        # <P^2> = u/4, decreasing in eta from 1/4
-        if m >= 0.25:
-            return 0.0, m > 0.25
-        u = 4.0 * m
-        eta_hat = math.sqrt(1.0 - u * u)
-    if eta_hat > ETA_CLIP:
-        return ETA_CLIP, True
-    return eta_hat, False
+def _require_counts_or_squares(values: np.ndarray, kind: str) -> None:
+    """Raise ValueError unless every value is finite and >= 0, as each
+    scheme's outcomes (counts or squares) and their totals are."""
+    bad = values[~(np.isfinite(values) & (values >= 0.0))]
+    if bad.size:
+        raise ValueError(f"{kind} outcomes are counts or squares, finite and >= 0, "
+                         f"got {float(bad[0])!r}")
 
 
 def estimate_eta(outcomes: np.ndarray, scheme: MeasurementScheme) -> float:
@@ -213,12 +210,16 @@ def estimate_eta(outcomes: np.ndarray, scheme: MeasurementScheme) -> float:
     is clipped to [0, ETA_CLIP]: a sample mean outside the physical range
     (possible at small shot counts) clips to 0 and an estimate past the
     bound to ETA_CLIP, each flagged with :class:`EstimateClippedWarning`.
+    Every outcome is a count or a square, so a non-finite or negative one
+    raises ValueError.
     """
     outcomes = np.asarray(outcomes, dtype=float)
     if outcomes.size == 0:
         raise ValueError("cannot estimate from an empty outcome array")
+    _require_counts_or_squares(outcomes, scheme.kind)
     m = float(outcomes.mean())
-    eta_hat, clipped = _clipped_estimate(m, scheme.kind)
+    eta_hat, clipped = _estimates(m, scheme.kind)
+    eta_hat = float(eta_hat)
     if clipped:
         warnings.warn(
             f"sample mean {m:.6g} of {scheme.kind} maps outside [0, ETA_CLIP]; "
@@ -242,12 +243,12 @@ def replica_estimates(
     ``scheme.shots`` outcomes only through their total, and the total has a
     closed-form law: 2 NegBin(nu/2, sech^2 r) for photon counts and
     Gamma(nu/2, scale 2 sigma^2) for a squared quadrature.  So each replica
-    makes one draw of its total from its own generator, and its estimate is
-    ``_clipped_estimate(total / nu)``, the inversion :func:`estimate_eta`
-    applies to a sample mean.  The law is built once per fan, with no Fock
-    space.  Replica seeds are spawned from ``seed`` (splittable
-    SeedSequence), so results are reproducible and independent of
-    execution order.  When ``outcome_sink`` is a list, every replica's
+    makes one draw of its total from its own generator, and one call of
+    ``_estimates(totals / nu)``, the inversion :func:`estimate_eta` applies
+    to a sample mean, gives the fan's estimates.  The law is built once per
+    fan, with no Fock space.  Replica seeds are spawned from ``seed``
+    (splittable SeedSequence), so results are reproducible and independent
+    of execution order.  When ``outcome_sink`` is a list, every replica's
     nu-shot total is appended to it, as a float.  When estimates clip, one
     :class:`EstimateClippedWarning` gives the count at each bound.  Raises
     ValueError for eta outside [0, ETA_CLIP], where every estimate clips.
@@ -256,23 +257,18 @@ def replica_estimates(
         raise ValueError(f"need at least 2 replicas, got {replicas}")
     kind, nu = scheme.kind, scheme.shots
     law = _outcome_law(eta, kind)
-    if kind == "photon_number":
-        def total(rng):
-            return 2.0 * rng.negative_binomial(0.5 * nu, law)
-    else:
-        scale = 2.0 * law * law
-
-        def total(rng):
-            return rng.gamma(0.5 * nu, scale)
-    estimates = np.empty(replicas)
-    clipped = np.zeros(replicas, dtype=bool)
+    photons = kind == "photon_number"
+    scale = 2.0 * law * law  # of a quadrature total's Gamma law
+    totals = np.empty(replicas)
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(replicas)):
         # the generator np.random.default_rng(child) builds, without its
         # dispatch on the seed's type
-        draw = total(np.random.Generator(np.random.PCG64(child)))
-        if outcome_sink is not None:
-            outcome_sink.append(draw)
-        estimates[i], clipped[i] = _clipped_estimate(draw / nu, kind)
+        rng = np.random.Generator(np.random.PCG64(child))
+        totals[i] = (2.0 * rng.negative_binomial(0.5 * nu, law) if photons
+                     else rng.gamma(0.5 * nu, scale))
+    if outcome_sink is not None:
+        outcome_sink.extend(totals.tolist())
+    estimates, clipped = _estimates(totals / nu, kind)
     if clipped.any():
         upper = int((estimates[clipped] == ETA_CLIP).sum())
         warnings.warn(
@@ -286,10 +282,13 @@ def replica_estimates(
 
 def clip_counts(totals, scheme: MeasurementScheme) -> tuple[int, int]:
     """How many of the replica totals that :func:`replica_estimates` appends
-    to its sink give an estimate clipped to 0, and how many to ETA_CLIP."""
-    flags = [_clipped_estimate(draw / scheme.shots, scheme.kind) for draw in totals]
-    upper = sum(clip and eta_hat == ETA_CLIP for eta_hat, clip in flags)
-    return sum(clip for _, clip in flags) - upper, upper
+    to its sink give an estimate clipped to 0, and how many to ETA_CLIP.
+    Raises ValueError for a non-finite or negative total."""
+    totals = np.asarray(totals, dtype=float)
+    _require_counts_or_squares(totals, scheme.kind)
+    eta_hat, clipped = _estimates(totals / scheme.shots, scheme.kind)
+    upper = int((eta_hat[clipped] == ETA_CLIP).sum())
+    return int(clipped.sum()) - upper, upper
 
 
 def cramer_rao_ratio(

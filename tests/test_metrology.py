@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import warnings
 from decimal import Decimal, localcontext
 
@@ -251,17 +252,47 @@ class TestEstimateEta:
         with pytest.raises(ValueError):
             estimate_eta(np.array([]), MeasurementScheme("photon_number", 1))
 
+    # the warnings state the estimate as a Python float, not np.float64(...)
     def test_clipping_below_vacuum_value(self):
         scheme = MeasurementScheme("x_squared", 1)
-        with pytest.warns(EstimateClippedWarning):
+        with pytest.warns(
+            EstimateClippedWarning, match=r"sample mean 0\.2 of x_squared .* clipped to 0\.0$"
+        ):
             got = estimate_eta(np.array([0.2]), scheme)  # below <X^2>(0) = 1/4
         assert got == 0.0
 
     def test_clipping_above_vacuum_for_p(self):
         scheme = MeasurementScheme("p_squared", 1)
-        with pytest.warns(EstimateClippedWarning):
+        with pytest.warns(
+            EstimateClippedWarning, match=r"sample mean 0\.3 of p_squared .* clipped to 0\.0$"
+        ):
             got = estimate_eta(np.array([0.3]), scheme)  # above <P^2>(0) = 1/4
         assert got == 0.0
+
+    @pytest.mark.parametrize("kind, mean", [("x_squared", 1e9), ("p_squared", 0.0)])
+    def test_quadrature_clip_at_upper_boundary(self, kind, mean):
+        scheme = MeasurementScheme(kind, 1)
+        with pytest.warns(
+            EstimateClippedWarning, match=rf"of {kind} .* clipped to 0\.999999999$"
+        ):
+            got = estimate_eta(np.array([mean]), scheme)
+        assert got == ETA_CLIP
+
+    @pytest.mark.parametrize(
+        "kind, outcomes, got",
+        [
+            pytest.param("photon_number", [2.0, np.nan], "nan", id="nan-photon"),
+            pytest.param("x_squared", [0.3, np.nan], "nan", id="nan-quadrature"),
+            pytest.param("photon_number", [np.inf], "inf", id="inf-photon"),
+            # at a P^2 mean of -0.1 the mean map once gave 0.9165, at -0.3 a
+            # bare math domain error
+            pytest.param("p_squared", [-0.1], "-0.1", id="p-mean-minus-0.1"),
+            pytest.param("p_squared", [-0.3], "-0.3", id="p-mean-minus-0.3"),
+        ],
+    )
+    def test_rejects_outcomes_no_measurement_gives(self, kind, outcomes, got):
+        with pytest.raises(ValueError, match=f"finite and >= 0, got {got}$"):
+            estimate_eta(np.array(outcomes), MeasurementScheme(kind, len(outcomes)))
 
     def test_all_zero_photon_outcomes(self):
         scheme = MeasurementScheme("photon_number", 4)
@@ -269,9 +300,89 @@ class TestEstimateEta:
 
     def test_clip_at_upper_boundary(self):
         scheme = MeasurementScheme("photon_number", 1)
-        with pytest.warns(EstimateClippedWarning, match="clipped to 0.999999999"):
+        with pytest.warns(EstimateClippedWarning, match=r"clipped to 0\.999999999$"):
             got = estimate_eta(np.array([1e9]), scheme)
         assert got == ETA_CLIP
+
+
+def scalar_estimate(m: float, kind: str) -> tuple[float, bool]:
+    """The scalar inversion of one sample mean m >= 0, one branch per
+    scheme's range check, that the array inversion replaced: the oracle it
+    must match bit for bit."""
+    if kind == "photon_number":
+        b = 1.0 + 2.0 * m
+        u = 1.0 / (b + math.sqrt(b * b - 1.0))
+        eta_hat = math.sqrt(max(0.0, 1.0 - u * u))
+    elif kind == "x_squared":
+        if m <= 0.25:
+            return 0.0, m < 0.25
+        u = 1.0 / (4.0 * m)
+        eta_hat = math.sqrt(1.0 - u * u)
+    else:
+        if m >= 0.25:
+            return 0.0, m > 0.25
+        u = 4.0 * m
+        eta_hat = math.sqrt(1.0 - u * u)
+    if eta_hat > ETA_CLIP:
+        return ETA_CLIP, True
+    return eta_hat, False
+
+
+def unclipped_estimate(m: float, kind: str) -> float:
+    """The same inversion without range check or clip, for the bisection."""
+    if kind == "photon_number":
+        b = 1.0 + 2.0 * m
+        u = 1.0 / (b + math.sqrt(b * b - 1.0))
+    else:
+        u = 1.0 / (4.0 * m) if kind == "x_squared" else 4.0 * m
+    return math.sqrt(max(0.0, 1.0 - u * u))
+
+
+def means_straddling(kind: str, target: float) -> tuple[float, float]:
+    """The two adjacent means, ordered as doubles >= 0 by their bit patterns,
+    whose unclipped estimates fall short of ``target`` and reach it."""
+    def bits(x):
+        return int(np.float64(x).view(np.int64))
+
+    def mean(b):
+        return float(np.int64(b).view(np.float64))
+
+    # from the mean of eta = 0 towards eta = 1; the P^2 map decreases in m
+    miss = bits(0.0 if kind == "photon_number" else 0.25)
+    hit = bits(0.0 if kind == "p_squared" else 1e300)
+    while abs(hit - miss) > 1:
+        mid = (hit + miss) // 2
+        if unclipped_estimate(mean(mid), kind) >= target:
+            hit = mid
+        else:
+            miss = mid
+    return mean(miss), mean(hit)
+
+
+class TestEstimates:
+    """``metrology._estimates`` gives the scalar branches' results bit for bit."""
+
+    @pytest.mark.parametrize("kind", metrology.SCHEME_KINDS)
+    def test_matches_the_scalar_branches(self, kind):
+        # the range edges 0 and 1/4 with their neighbours, the extremes
+        # (where b^2, 1/(4m) or u^2 overflow), and the means whose estimates
+        # land one ulp each side of ETA_CLIP
+        below, above = np.nextafter(ETA_CLIP, 0.0), np.nextafter(ETA_CLIP, 1.0)
+        means = [0.0, np.nextafter(0.0, 1.0), np.nextafter(0.25, 0.0), 0.25,
+                 np.nextafter(0.25, 1.0), 1e-300, 1e300]
+        means += [m for t in (below, ETA_CLIP, above) for m in means_straddling(kind, t)]
+        want = [scalar_estimate(float(m), kind) for m in means]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got_eta, got_clipped = metrology._estimates(np.array(means), kind)
+        np.testing.assert_array_equal(
+            got_eta.view(np.int64), np.array([eta for eta, _ in want]).view(np.int64)
+        )
+        np.testing.assert_array_equal(got_clipped, [clip for _, clip in want])
+        # the edges do land on both sides of the bound, and on it
+        assert {below, (ETA_CLIP, False), (ETA_CLIP, True)} <= {
+            eta if eta < ETA_CLIP else (eta, clip) for eta, clip in want
+        }
 
 
 class TestCramerRao:
@@ -538,6 +649,12 @@ class TestClippedFans:
         assert len(caught) == 1 and lower + upper > 0
         assert f"{lower} of 1000 {kind} estimates" in str(caught[0].message)
         assert f"clipped to 0 and {upper} to ETA_CLIP" in str(caught[0].message)
+
+    @pytest.mark.parametrize("kind, total", [("photon_number", -2.0), ("x_squared", np.nan)])
+    def test_clip_counts_reject_totals_no_fan_draws(self, kind, total):
+        # a negative photon total once counted as a clip to 0, a NaN as no clip
+        with pytest.raises(ValueError, match=f"finite and >= 0, got {total}$"):
+            metrology.clip_counts([4.0, total], MeasurementScheme(kind, 1))
 
 
 class TestPhotonEstimatorOracle:
