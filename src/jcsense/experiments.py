@@ -8,10 +8,16 @@ cramer_rao     Monte-Carlo estimator variance against the quantum bound
 moments_check  Fock-space moments against the closed forms
 
 Every experiment returns (columns, rows, extras); emission and formatting
-live in the CLI layer.
+live in the CLI layer.  Each builds its table through ``_table``, which
+takes the columns in order as ``name=values`` (equal-length 1-D sequences
+of numbers) and returns their names and the rows as lists of floats, so a
+column is declared once, by one keyword.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
+from dataclasses import asdict
 
 import numpy as np
 
@@ -24,19 +30,21 @@ SCALING_KT_POINTS = 24
 MOMENTS_ETAS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 
+def _table(**columns) -> tuple[list[str], list[list[float]]]:
+    """The column names and the rows of the table given as name=values."""
+    return list(columns), np.column_stack(tuple(columns.values())).tolist()
+
+
 def qfi_curve(resolved: dict) -> tuple[list[str], list[list[float]], dict]:
     """Closed-form sensitivity table over eta in [0, eta_target]."""
     eta_target = resolved["physics"]["eta_target"]
     etas = np.linspace(0.0, eta_target, QFI_GRID_POINTS)
-    columns = [
-        "eta", "qfi", "mean_n", "var_n", "chi",
-        "mean_x2", "var_x2", "mean_p2", "var_p2", "squeeze_r", "epsilon",
-    ]
     p = analytic.evaluate(etas)
-    rows = np.column_stack([
-        p.eta, p.qfi, p.mean_n, p.var_n, p.chi,
-        p.mean_x2, p.var_x2, p.mean_p2, p.var_p2, p.r, p.epsilon,
-    ]).tolist()
+    columns, rows = _table(
+        eta=p.eta, qfi=p.qfi, mean_n=p.mean_n, var_n=p.var_n, chi=p.chi,
+        mean_x2=p.mean_x2, var_x2=p.var_x2, mean_p2=p.mean_p2, var_p2=p.var_p2,
+        squeeze_r=p.r, epsilon=p.epsilon,
+    )
     return columns, rows, {}
 
 
@@ -51,14 +59,12 @@ def ramp_curve(resolved: dict) -> tuple[list[str], list[list[float]], dict]:
     kts = np.linspace(0.0, sched.kt_end, RAMP_GRID_POINTS + 1)
     if sched.kt_end > 1.0:  # keep the exact kt = 1 point on the grid
         kts = np.unique(np.append(kts, 1.0))
-    columns = ["kt", "t", "eta", "epsilon", "eta_dot"]
-    rows = []
-    for kt in kts:
-        t = kt / sched.k
-        rows.append([
-            float(kt), t, ramp.eta_at(sched, t),
-            ramp.epsilon_at(sched, t), ramp.eta_dot_at(sched, t),
-        ])
+    ts = kts / sched.k
+    columns, rows = _table(
+        kt=kts, t=ts, eta=[ramp.eta_at(sched, t) for t in ts],
+        epsilon=[ramp.epsilon_at(sched, t) for t in ts],
+        eta_dot=[ramp.eta_dot_at(sched, t) for t in ts],
+    )
     return columns, rows, {"kt_end": sched.kt_end}
 
 
@@ -81,14 +87,11 @@ def fidelity_sweep(resolved: dict) -> tuple[list[str], list[list[float]], dict]:
     sched = _schedule(resolved)
     num = resolved["numerics"]
     traj = dynamics.evolve(sched, resolved["physics"]["Omega"], rtol=num["rtol"], atol=num["atol"])
-    columns = [
-        "kt", "t", "eta", "fidelity",
-        "mean_n", "var_n", "mean_x2", "mean_p2", "norm_defect",
-    ]
-    rows = np.column_stack([
-        sched.k * traj.t, traj.t, traj.eta, traj.fidelity,
-        traj.mean_n, traj.var_n, traj.mean_x2, traj.mean_p2, traj.norm_defect,
-    ]).tolist()
+    columns, rows = _table(
+        kt=sched.k * traj.t, t=traj.t, eta=traj.eta, fidelity=traj.fidelity,
+        mean_n=traj.mean_n, var_n=traj.var_n, mean_x2=traj.mean_x2,
+        mean_p2=traj.mean_p2, norm_defect=traj.norm_defect,
+    )
     extras = {
         "n_doublets": dynamics.N_DOUBLETS,
         "top_pair_population": traj.top_pair_population.max(),
@@ -110,20 +113,11 @@ def scaling(resolved: dict) -> tuple[list[str], list[list[float]], dict]:
     fits = metrology.scaling_experiment(sched, kts)
     ratio = metrology.heisenberg_ratio(sched, kts)
     p = metrology.paper_ramp_points(sched, kts)
-    columns = ["kt", "eta", "epsilon", "inverted_variance", "mean_n", "fisher_per_n_kt2"]
-    rows = np.column_stack([kts, p.eta, p.epsilon, p.qfi, p.mean_n, ratio]).tolist()
-    extras = {
-        "fits": [
-            {
-                "quantity": f.quantity,
-                "fitted_exponent": f.fitted_exponent,
-                "expected_exponent": f.expected_exponent,
-                "r_squared": f.r_squared,
-            }
-            for f in fits
-        ]
-    }
-    return columns, rows, extras
+    columns, rows = _table(
+        kt=kts, eta=p.eta, epsilon=p.epsilon, inverted_variance=p.qfi,
+        mean_n=p.mean_n, fisher_per_n_kt2=ratio,
+    )
+    return columns, rows, {"fits": [asdict(f) for f in fits]}
 
 
 def cramer_rao(resolved: dict) -> tuple[list[str], list[list[float]], dict]:
@@ -143,22 +137,26 @@ def cramer_rao(resolved: dict) -> tuple[list[str], list[list[float]], dict]:
     """
     num = resolved["numerics"]
     eta = resolved["physics"]["eta_target"]
-    shots = num["shots"]
+    shots, replicas = num["shots"], int(num["replicas"])
     qfi = analytic.evaluate(eta).qfi
-    columns = ["nu", "replicas", "mean_eta_hat", "var_eta_hat", "qfi", "ratio"]
-    rows = []
+    nus = (shots // 100, shots // 10, shots)
+    mean_hats, ratios = [], []
     raw, to_zero, to_clip = {}, {}, {}
-    for nu in (shots // 100, shots // 10, shots):
+    for nu in nus:
         scheme = metrology.MeasurementScheme(kind=num["scheme"], shots=nu)
         totals = []
         ratio, mean_hat = metrology.cramer_rao_ratio(
-            eta, scheme, replicas=int(num["replicas"]), seed=int(num["seed"]),
-            outcome_sink=totals,
+            eta, scheme, replicas=replicas, seed=int(num["seed"]), outcome_sink=totals,
         )
+        ratios.append(ratio)
+        mean_hats.append(mean_hat)
         raw[str(nu)] = totals
         to_zero[str(nu)], to_clip[str(nu)] = metrology.clip_counts(totals, scheme)
-        rows.append([float(nu), float(num["replicas"]), mean_hat,
-                     ratio / (nu * qfi), qfi, ratio])
+    ratios = np.array(ratios)
+    columns, rows = _table(
+        nu=nus, replicas=np.full(len(nus), replicas), mean_eta_hat=mean_hats,
+        var_eta_hat=ratios / (np.array(nus) * qfi), qfi=np.full(len(nus), qfi), ratio=ratios,
+    )
     extras = {"eta": eta, "clipped_to_zero": to_zero, "clipped_to_eta_clip": to_clip}
     if resolved["output"]["dump_outcomes"]:
         extras["raw_outcomes"] = raw
@@ -167,38 +165,28 @@ def cramer_rao(resolved: dict) -> tuple[list[str], list[list[float]], dict]:
 
 def moments_check(resolved: dict) -> tuple[list[str], list[list[float]], dict]:
     """Fock-space squeezed-vacuum moments against the closed forms."""
-    columns = [
-        "eta", "n_max",
-        "mean_n_num", "mean_n_exact", "var_n_num", "var_n_exact",
-        "mean_x2_num", "mean_x2_exact", "var_x2_num", "var_x2_exact",
-        "mean_p2_num", "mean_p2_exact", "var_p2_num", "var_p2_exact",
-        "max_rel_err",
-    ]
-    rows = []
+    table = defaultdict(list)  # column name -> values, in the order first named
     for eta in MOMENTS_ETAS:
         n_max = _resolve_n_max(resolved, eta)
         spec = fockspace.HilbertSpec(n_max=n_max, with_qubit=False)
         state = fockspace.squeezed_vacuum(spec, analytic.squeezing_parameter(eta))
         p = analytic.evaluate(eta)
         observables = fockspace.field_observables(spec)
-        pairs = []
-        for kind, mean_exact, var_exact in (
-            ("photon_number", p.mean_n, p.var_n),
-            ("x_squared", p.mean_x2, p.var_x2),
-            ("p_squared", p.mean_p2, p.var_p2),
+        table["eta"].append(eta)
+        table["n_max"].append(n_max)
+        rel_errs = []
+        for kind, name, mean_exact, var_exact in (
+            ("photon_number", "n", p.mean_n, p.var_n),
+            ("x_squared", "x2", p.mean_x2, p.var_x2),
+            ("p_squared", "p2", p.mean_p2, p.var_p2),
         ):
             mean_num, var_num = metrology.mean_and_variance(state, observables[kind])
-            pairs.append((mean_num, mean_exact, var_num, var_exact))
-        rel_errs = [
-            abs(num - exact) / exact
-            for mn, me, vn, ve in pairs
-            for num, exact in ((mn, me), (vn, ve))
-        ]
-        row = [float(eta), float(n_max)]
-        for mn, me, vn, ve in pairs:
-            row.extend([mn, me, vn, ve])
-        row.append(max(rel_errs))
-        rows.append(row)
+            for moment, got, exact in (("mean", mean_num, mean_exact), ("var", var_num, var_exact)):
+                table[f"{moment}_{name}_num"].append(got)
+                table[f"{moment}_{name}_exact"].append(exact)
+                rel_errs.append(abs(got - exact) / exact)
+        table["max_rel_err"].append(max(rel_errs))
+    columns, rows = _table(**table)
     return columns, rows, {}
 
 

@@ -211,13 +211,17 @@ def estimate_eta(outcomes: np.ndarray, scheme: MeasurementScheme) -> float:
     (possible at small shot counts) clips to 0 and an estimate past the
     bound to ETA_CLIP, each flagged with :class:`EstimateClippedWarning`.
     Every outcome is a count or a square, so a non-finite or negative one
-    raises ValueError.
+    raises ValueError.  A record of finite outcomes whose sum overflows is
+    averaged as the sum of outcome / size.
     """
     outcomes = np.asarray(outcomes, dtype=float)
     if outcomes.size == 0:
         raise ValueError("cannot estimate from an empty outcome array")
     _require_counts_or_squares(outcomes, scheme.kind)
-    m = float(outcomes.mean())
+    with np.errstate(over="ignore"):
+        m = float(outcomes.mean())
+    if m == np.inf:  # the outcomes are finite, so only their sum overflowed
+        m = float((outcomes / outcomes.size).sum())
     eta_hat, clipped = _estimates(m, scheme.kind)
     eta_hat = float(eta_hat)
     if clipped:
@@ -246,15 +250,19 @@ def replica_estimates(
     makes one draw of its total from its own generator, and one call of
     ``_estimates(totals / nu)``, the inversion :func:`estimate_eta` applies
     to a sample mean, gives the fan's estimates.  The law is built once per
-    fan, with no Fock space.  Replica seeds are spawned from ``seed``
-    (splittable SeedSequence), so results are reproducible and independent
-    of execution order.  When ``outcome_sink`` is a list, every replica's
-    nu-shot total is appended to it, as a float.  When estimates clip, one
+    fan, with no Fock space.  ``seed`` is a non-negative integer (a Python
+    or numpy int, not a bool; anything else raises ValueError), and the
+    replica seeds are spawned from ``np.random.SeedSequence(seed)``, so
+    results are reproducible and independent of execution order.  When
+    ``outcome_sink`` is a list, every replica's nu-shot total is appended to
+    it, as a float.  When estimates clip, one
     :class:`EstimateClippedWarning` gives the count at each bound.  Raises
     ValueError for eta outside [0, ETA_CLIP], where every estimate clips.
     """
     if replicas < 2:
         raise ValueError(f"need at least 2 replicas, got {replicas}")
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     kind, nu = scheme.kind, scheme.shots
     law = _outcome_law(eta, kind)
     photons = kind == "photon_number"
@@ -303,7 +311,8 @@ def cramer_rao_ratio(
     Runs ``replicas`` independent estimation experiments of ``scheme.shots``
     outcomes each and returns (nu * Var[eta_hat] * QFI, mean eta_hat).  The
     first value approaches 1 from the saturation side as the shot count
-    grows.
+    grows.  ``seed`` is a non-negative integer, as for
+    :func:`replica_estimates`.
     """
     estimates = replica_estimates(eta, scheme, replicas, seed=seed, outcome_sink=outcome_sink)
     var = float(estimates.var(ddof=1))

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -285,6 +287,42 @@ class TestRerunIdentity:
         assert cli.main(["run", str(path), "--out", str(out1)]) == 0
         assert cli.main(["run", str(path), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+TABLE_CONFIGS = [
+    *(pytest.param({"experiment": name}, id=name) for name in sorted(experiments.RUNNERS)),
+    pytest.param({"experiment": "cramer_rao", "numerics": {"scheme": "x_squared"}},
+                 id="cramer_rao-x_squared"),
+    pytest.param({"experiment": "cramer_rao", "numerics": {"scheme": "p_squared"}},
+                 id="cramer_rao-p_squared"),
+    pytest.param({"experiment": "moments_check", "numerics": {"n_max": 64}},
+                 id="moments_check-n_max-64"),
+]
+
+
+class TestTables:
+    # every row is one finite Python float per column, under unique names
+    @pytest.mark.parametrize("body", TABLE_CONFIGS)
+    def test_unique_columns_and_one_finite_float_per_column(self, body):
+        columns, rows, _ = experiments.RUNNERS[body["experiment"]](cli.resolve_config(body))
+        assert len(set(columns)) == len(columns)
+        assert rows
+        for row in rows:
+            assert len(row) == len(columns)
+            assert all(type(v) is float and math.isfinite(v) for v in row)
+
+    def test_scaling_fits_header_is_the_fit_dataclass(self, tmp_path):
+        out = tmp_path / "scaling.csv"
+        path = write_config(tmp_path, {"experiment": "scaling"})
+        assert cli.main(["run", str(path), "--out", str(out)]) == 0
+        text = out.read_text()
+        header = json.loads(re.search(r"^# fits: (.*)$", text, re.M).group(1))
+        resolved = cli.resolve_config({"experiment": "scaling"})
+        columns, rows, _ = experiments.scaling(resolved)
+        kts = np.array([row[columns.index("kt")] for row in rows])
+        phys = resolved["physics"]
+        sched = ramp.RampSchedule(k=phys["k"], xi=phys["xi"], eta_target=phys["eta_target"])
+        assert header == [asdict(f) for f in metrology.scaling_experiment(sched, kts)]
 
 
 class TestRunQfiCurve:

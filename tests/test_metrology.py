@@ -304,6 +304,17 @@ class TestEstimateEta:
             got = estimate_eta(np.array([1e9]), scheme)
         assert got == ETA_CLIP
 
+    @pytest.mark.parametrize("kind, clipped_to", [
+        ("photon_number", ETA_CLIP), ("x_squared", ETA_CLIP), ("p_squared", 0.0),
+    ])
+    def test_mean_of_a_record_whose_sum_overflows(self, kind, clipped_to):
+        # the sum of two finite outcomes of 1e308 overflows, their mean does
+        # not; numpy's overflow warning must not leak from the sum
+        with pytest.warns(EstimateClippedWarning, match=rf"sample mean 1e\+308 of {kind} ") as caught:
+            got = estimate_eta(np.array([1e308, 1e308]), MeasurementScheme(kind, 2))
+        assert got == clipped_to
+        assert [w.category for w in caught] == [EstimateClippedWarning]
+
 
 def scalar_estimate(m: float, kind: str) -> tuple[float, bool]:
     """The scalar inversion of one sample mean m >= 0, one branch per
@@ -401,6 +412,22 @@ class TestCramerRao:
     def test_needs_replicas(self):
         with pytest.raises(ValueError):
             cramer_rao_ratio(0.8, MeasurementScheme("photon_number", 10), replicas=1)
+
+    @pytest.mark.parametrize("fan", [replica_estimates, cramer_rao_ratio])
+    @pytest.mark.parametrize(
+        "seed", [True, 3.0, -1, np.random.SeedSequence(3)],
+        ids=["bool", "float", "negative", "seed-sequence"],
+    )
+    def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, fan, seed):
+        # True once ran silently as seed 1; the others raised numpy's bare
+        # TypeError or ValueError
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got "):
+            fan(0.8, MeasurementScheme("photon_number", 10), 2, seed=seed)
+
+    def test_numpy_integer_seed_draws_as_its_int(self):
+        scheme = MeasurementScheme("photon_number", 100)
+        got = replica_estimates(0.8, scheme, 5, seed=np.int64(7))
+        assert np.array_equal(got, replica_estimates(0.8, scheme, 5, seed=7))
 
 
 def total_law(eta: float, scheme: MeasurementScheme):
