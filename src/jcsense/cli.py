@@ -39,8 +39,9 @@ version, the basis convention and the full resolved config (``--out`` is
 not part of it), so a run can be reproduced from its own output.
 Identical config + seed gives byte-identical output on the same platform.
 
-Exit codes: 0 success, 2 config/validation error, 3 numerical failure
-(truncation and clipped-estimate warnings escalate to 3 under --strict).
+Exit codes: 0 success, 2 config/validation error or an unwritable output
+path, 3 numerical failure (truncation and clipped-estimate warnings
+escalate to 3 under --strict).
 """
 
 from __future__ import annotations
@@ -243,16 +244,18 @@ def run(resolved: dict, out_path: str | None = None, strict: bool = False) -> in
     text = render(resolved, columns, rows, extras)
     path = out_path or resolved["output"]["path"]
     if path:
-        Path(path).write_text(text)
-        print(f"wrote {len(rows)} rows to {path}")
+        files = {path: (text, f"{len(rows)} rows")}
         if raw_outcomes is not None:
-            sidecar = f"{path}.outcomes.json"
-            Path(sidecar).write_text(
-                json.dumps({"experiment": resolved["experiment"],
-                            "seed": resolved["numerics"]["seed"],
-                            "outcomes": raw_outcomes}, sort_keys=True)
-            )
-            print(f"wrote outcome totals to {sidecar}")
+            doc = {"experiment": resolved["experiment"], "seed": resolved["numerics"]["seed"],
+                   "outcomes": raw_outcomes}
+            files[f"{path}.outcomes.json"] = (json.dumps(doc, sort_keys=True), "outcome totals")
+        for target, (content, what) in files.items():
+            try:
+                Path(target).write_text(content)
+            except OSError as exc:
+                _emit_error(resolved, "config", f"cannot write {target}: {exc.strerror or exc}")
+                return EXIT_CONFIG
+            print(f"wrote {what} to {target}")
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -124,10 +124,12 @@ def cramer_rao(resolved: dict) -> tuple[list[str], list[list[float]], dict]:
     """Monte-Carlo estimator study over three decades of shot counts.
 
     ``numerics.scheme`` picks the measured observable: photon counts
-    (default), X^2 or P^2.  The extras give, per shot count, how many
-    estimates clipped to 0 (``clipped_to_zero``) and to ``ETA_CLIP``
-    (``clipped_to_eta_clip``); a clipped fan's variance understates the
-    estimator's.
+    (default), X^2 or P^2.  Each shot count nu runs one
+    :func:`metrology.replica_fan`, whose estimates give its row
+    (``var_eta_hat`` their sample variance, ddof=1).  The extras give its
+    counts of estimates clipped to 0 (``clipped_to_zero``) and to
+    ``ETA_CLIP`` (``clipped_to_eta_clip``); a clipped fan's variance
+    understates the estimator's.
 
     With ``output.dump_outcomes`` each replica's nu-shot outcome total, the
     number its estimate inverts, is collected in the extras under
@@ -140,26 +142,21 @@ def cramer_rao(resolved: dict) -> tuple[list[str], list[list[float]], dict]:
     shots, replicas = num["shots"], int(num["replicas"])
     qfi = analytic.evaluate(eta).qfi
     nus = (shots // 100, shots // 10, shots)
-    mean_hats, ratios = [], []
-    raw, to_zero, to_clip = {}, {}, {}
-    for nu in nus:
-        scheme = metrology.MeasurementScheme(kind=num["scheme"], shots=nu)
-        totals = []
-        ratio, mean_hat = metrology.cramer_rao_ratio(
-            eta, scheme, replicas=replicas, seed=int(num["seed"]), outcome_sink=totals,
-        )
-        ratios.append(ratio)
-        mean_hats.append(mean_hat)
-        raw[str(nu)] = totals
-        to_zero[str(nu)], to_clip[str(nu)] = metrology.clip_counts(totals, scheme)
-    ratios = np.array(ratios)
+    fans = {str(nu): metrology.replica_fan(eta, metrology.MeasurementScheme(num["scheme"], nu),
+                                           replicas, seed=int(num["seed"])) for nu in nus}
+    var = np.array([fan.estimates.var(ddof=1) for fan in fans.values()])
     columns, rows = _table(
-        nu=nus, replicas=np.full(len(nus), replicas), mean_eta_hat=mean_hats,
-        var_eta_hat=ratios / (np.array(nus) * qfi), qfi=np.full(len(nus), qfi), ratio=ratios,
+        nu=nus, replicas=np.full(len(nus), replicas),
+        mean_eta_hat=[fan.estimates.mean() for fan in fans.values()],
+        var_eta_hat=var, qfi=np.full(len(nus), qfi), ratio=np.array(nus) * var * qfi,
     )
-    extras = {"eta": eta, "clipped_to_zero": to_zero, "clipped_to_eta_clip": to_clip}
+    extras = {
+        "eta": eta,
+        "clipped_to_zero": {nu: fan.clipped_to_zero for nu, fan in fans.items()},
+        "clipped_to_eta_clip": {nu: fan.clipped_to_eta_clip for nu, fan in fans.items()},
+    }
     if resolved["output"]["dump_outcomes"]:
-        extras["raw_outcomes"] = raw
+        extras["raw_outcomes"] = {nu: fan.totals.tolist() for nu, fan in fans.items()}
     return columns, rows, extras
 
 

@@ -17,6 +17,9 @@ estimates from sample means only, so each replica draws its nu-shot total
 from the sum's own closed-form law, NegBin(nu/2, sech^2 r) pairs or
 Gamma(nu/2, scale 2 sigma^2), in one draw from its own generator: replica
 seeds are spawned seed sequences, so accumulation order never matters.
+:func:`replica_fan` returns a :class:`ReplicaFan`, the totals, their
+estimates and the clip count at each bound, from which its warning,
+:func:`cramer_rao_ratio` and the ``cramer_rao`` experiment all read.
 Detector imperfections are not modeled.
 
 :func:`inverted_variance_numeric` cross-checks the Fisher figures of merit
@@ -75,6 +78,17 @@ class ScalingFit:
     r_squared: float
 
 
+@dataclass(frozen=True)
+class ReplicaFan:
+    """One replica fan: each replica's nu-shot outcome total and its
+    estimate, and how many estimates clipped to 0 and to ``ETA_CLIP``."""
+
+    totals: np.ndarray
+    estimates: np.ndarray
+    clipped_to_zero: int
+    clipped_to_eta_clip: int
+
+
 def mean_and_variance(state: StateVector, op) -> tuple[float, float]:
     """Expectation value and variance of a sparse observable in a pure state."""
     psi = state.amplitudes
@@ -123,6 +137,11 @@ def _require_estimable(eta: float) -> None:
         )
 
 
+def _require_seed(seed) -> None:
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def quadrature_distribution(eta: float, kind: str) -> tuple[float, float]:
     """Gaussian law (mean 0, standard deviation sigma) of the X (or P) quadrature.
 
@@ -157,10 +176,12 @@ def sample_outcomes(eta: float, scheme: MeasurementScheme, seed) -> np.ndarray:
     x_squared / p_squared: the values of ``rng.normal(0, sigma, shots) ** 2``
     with sigma from :func:`quadrature_distribution`.
 
-    Deterministic for a fixed (seed, scheme, eta); ``seed`` may be an
-    integer or a numpy SeedSequence.  Raises ValueError for eta outside
-    [0, ETA_CLIP].
+    Deterministic for a fixed (seed, scheme, eta); ``seed`` is a numpy
+    SeedSequence or a non-negative integer, as for :func:`replica_fan`.
+    Raises ValueError for any other seed and for eta outside [0, ETA_CLIP].
     """
+    if not isinstance(seed, np.random.SeedSequence):
+        _require_seed(seed)
     law = _outcome_law(eta, scheme.kind)
     rng = np.random.default_rng(seed)
     if scheme.kind == "photon_number":
@@ -234,14 +255,8 @@ def estimate_eta(outcomes: np.ndarray, scheme: MeasurementScheme) -> float:
     return eta_hat
 
 
-def replica_estimates(
-    eta: float,
-    scheme: MeasurementScheme,
-    replicas: int,
-    seed=0,
-    outcome_sink: list | None = None,
-) -> np.ndarray:
-    """Estimates from ``replicas`` independent experiments of one scheme at eta.
+def replica_fan(eta: float, scheme: MeasurementScheme, replicas: int, seed=0) -> ReplicaFan:
+    """``replicas`` independent experiments of one scheme at eta.
 
     An estimate inverts the sample mean, which depends on the nu =
     ``scheme.shots`` outcomes only through their total, and the total has a
@@ -249,20 +264,19 @@ def replica_estimates(
     Gamma(nu/2, scale 2 sigma^2) for a squared quadrature.  So each replica
     makes one draw of its total from its own generator, and one call of
     ``_estimates(totals / nu)``, the inversion :func:`estimate_eta` applies
-    to a sample mean, gives the fan's estimates.  The law is built once per
-    fan, with no Fock space.  ``seed`` is a non-negative integer (a Python
-    or numpy int, not a bool; anything else raises ValueError), and the
-    replica seeds are spawned from ``np.random.SeedSequence(seed)``, so
-    results are reproducible and independent of execution order.  When
-    ``outcome_sink`` is a list, every replica's nu-shot total is appended to
-    it, as a float.  When estimates clip, one
-    :class:`EstimateClippedWarning` gives the count at each bound.  Raises
-    ValueError for eta outside [0, ETA_CLIP], where every estimate clips.
+    to a sample mean, gives the fan's estimates and its clip counts.  The
+    law is built once per fan, with no Fock space.  ``seed`` is a
+    non-negative integer (a Python or numpy int, not a bool; anything else
+    raises ValueError), and the replica seeds are spawned from
+    ``np.random.SeedSequence(seed)``, so results are reproducible and
+    independent of execution order.  When estimates clip, one
+    :class:`EstimateClippedWarning` states the fan's two clip counts.
+    Raises ValueError for eta outside [0, ETA_CLIP], where every estimate
+    clips.
     """
     if replicas < 2:
         raise ValueError(f"need at least 2 replicas, got {replicas}")
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    _require_seed(seed)
     kind, nu = scheme.kind, scheme.shots
     law = _outcome_law(eta, kind)
     photons = kind == "photon_number"
@@ -274,47 +288,30 @@ def replica_estimates(
         rng = np.random.Generator(np.random.PCG64(child))
         totals[i] = (2.0 * rng.negative_binomial(0.5 * nu, law) if photons
                      else rng.gamma(0.5 * nu, scale))
-    if outcome_sink is not None:
-        outcome_sink.extend(totals.tolist())
     estimates, clipped = _estimates(totals / nu, kind)
+    upper = int((estimates[clipped] == ETA_CLIP).sum())
+    fan = ReplicaFan(totals, estimates, int(clipped.sum()) - upper, upper)
     if clipped.any():
-        upper = int((estimates[clipped] == ETA_CLIP).sum())
         warnings.warn(
-            f"{clipped.sum() - upper} of {replicas} {kind} estimates at eta={eta} "
+            f"{fan.clipped_to_zero} of {replicas} {kind} estimates at eta={eta} "
             f"with {nu} shots clipped to 0 and {upper} to ETA_CLIP",
             EstimateClippedWarning,
             stacklevel=2,
         )
-    return estimates
+    return fan
 
 
-def clip_counts(totals, scheme: MeasurementScheme) -> tuple[int, int]:
-    """How many of the replica totals that :func:`replica_estimates` appends
-    to its sink give an estimate clipped to 0, and how many to ETA_CLIP.
-    Raises ValueError for a non-finite or negative total."""
-    totals = np.asarray(totals, dtype=float)
-    _require_counts_or_squares(totals, scheme.kind)
-    eta_hat, clipped = _estimates(totals / scheme.shots, scheme.kind)
-    upper = int((eta_hat[clipped] == ETA_CLIP).sum())
-    return int(clipped.sum()) - upper, upper
-
-
-def cramer_rao_ratio(
-    eta: float,
-    scheme: MeasurementScheme,
-    replicas: int = DEFAULT_REPLICAS,
-    seed=0,
-    outcome_sink: list | None = None,
-) -> tuple[float, float]:
+def cramer_rao_ratio(eta: float, scheme: MeasurementScheme, replicas: int = DEFAULT_REPLICAS,
+                     seed=0) -> tuple[float, float]:
     """Monte-Carlo check of the Cramer-Rao bound at one (eta, scheme) point.
 
-    Runs ``replicas`` independent estimation experiments of ``scheme.shots``
-    outcomes each and returns (nu * Var[eta_hat] * QFI, mean eta_hat).  The
-    first value approaches 1 from the saturation side as the shot count
-    grows.  ``seed`` is a non-negative integer, as for
-    :func:`replica_estimates`.
+    Runs the :func:`replica_fan` of ``replicas`` independent estimation
+    experiments of ``scheme.shots`` outcomes each (``seed`` as there) and
+    returns (nu * Var[eta_hat] * QFI, mean eta_hat), with the fan's sample
+    variance (ddof=1).  The first value approaches 1 from the saturation
+    side as the shot count grows.
     """
-    estimates = replica_estimates(eta, scheme, replicas, seed=seed, outcome_sink=outcome_sink)
+    estimates = replica_fan(eta, scheme, replicas, seed=seed).estimates
     var = float(estimates.var(ddof=1))
     qfi = analytic.evaluate(eta).qfi
     return scheme.shots * var * qfi, float(estimates.mean())

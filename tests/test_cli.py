@@ -256,9 +256,13 @@ class TestValidateAgreesWithRun:
             ({"experiment": "fidelity_sweep", "physics": {"eta_target": 1e-300}}, [], 2),
             ({"experiment": "scaling", "physics": {"xi": 2.0}}, [], 2),
             ({"experiment": "ramp_curve", "physics": {"k": 1e-320}}, [], 2),
+            ([], [], 2),
+            (3, [], 2),
+            ("qfi_curve", ["--seed", "1"], 2),
         ],
         ids=["list-experiment", "int-path", "negative-seed", "qfi-tiny-xi",
-             "ramp-tiny-xi", "zero-duration", "scaling-xi", "infinite-duration"],
+             "ramp-tiny-xi", "zero-duration", "scaling-xi", "infinite-duration",
+             "list-config", "number-config", "string-config"],
     )
     def test_same_exit_code(self, tmp_path, capsys, body, flags, code):
         # each used to crash with a traceback, or pass one command and fail
@@ -267,8 +271,10 @@ class TestValidateAgreesWithRun:
         assert cli.main(["validate", str(path), *flags]) == code
         assert cli.main(["run", str(path), *flags, "--out", str(tmp_path / "o.csv")]) == code
         if code:
-            errors = capsys.readouterr().err.splitlines()
-            assert [json.loads(line)["error"] for line in errors] == ["config", "config"]
+            errors = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+            assert [error["error"] for error in errors] == ["config", "config"]
+            if not isinstance(body, dict):
+                assert {error["message"] for error in errors} == {"config must be a JSON object"}
 
     @pytest.mark.parametrize("flags", [["--strict"], ["--out", "elsewhere.csv"]])
     def test_validate_takes_no_run_flags(self, tmp_path, flags):
@@ -276,6 +282,37 @@ class TestValidateAgreesWithRun:
         with pytest.raises(SystemExit) as exc:
             cli.main(["validate", str(path), *flags])
         assert exc.value.code == 2
+
+
+class TestUnwritableOutput:
+    def test_exit_2_naming_the_path(self, tmp_path, capsys):
+        # the run used to finish, then crash with FileNotFoundError (exit 1)
+        out = tmp_path / "missing" / "cr.csv"
+        body = {
+            "experiment": "cramer_rao",
+            "physics": {"eta_target": 0.8},
+            "numerics": {"shots": 200, "replicas": 5},
+            "output": {"path": str(out)},
+        }
+        path = write_config(tmp_path, body)
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and err["experiment"] == "cramer_rao"
+        assert err["message"].startswith(f"cannot write {out}: ")
+
+    def test_sidecar_that_cannot_be_written_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "cr.csv"
+        (tmp_path / "cr.csv.outcomes.json").mkdir()  # a directory stands in the way
+        body = {
+            "experiment": "cramer_rao",
+            "physics": {"eta_target": 0.8},
+            "numerics": {"shots": 200, "replicas": 5},
+            "output": {"path": str(out), "dump_outcomes": True},
+        }
+        path = write_config(tmp_path, body)
+        assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"].startswith(f"cannot write {out}.outcomes.json: ")
 
 
 class TestRerunIdentity:
@@ -591,6 +628,11 @@ class TestClippedEstimates:
             assert f"{lower} of 200 photon_number estimates" in str(warning.message)
             assert f"with {nu} shots clipped to 0 and {upper} to ETA_CLIP" in str(warning.message)
             assert 0 < upper < 200
+            # the numbers are the fan's own counts
+            scheme = metrology.MeasurementScheme("photon_number", int(nu))
+            with pytest.warns(metrology.EstimateClippedWarning):
+                fan = metrology.replica_fan(metrology.ETA_CLIP, scheme, 200, seed=2026)
+            assert (fan.clipped_to_zero, fan.clipped_to_eta_clip) == (lower, upper)
 
     def test_unclipped_run_states_zero_counts(self, tmp_path):
         path = write_config(tmp_path, {"experiment": "cramer_rao", "output": {"format": "json"}})
@@ -665,6 +707,13 @@ class TestOutcomeDumps:
         scheme = metrology.MeasurementScheme("photon_number", 200)
         estimates = [metrology.estimate_eta(np.array([t / 200]), scheme) for t in totals]
         assert rows[2][2] == pytest.approx(np.mean(estimates), rel=1e-11, abs=0.0)
+        # the sidecar, the mean and the variance come from one fan per shot count
+        for row, nu in zip(rows, (2, 20, 200)):
+            scheme = metrology.MeasurementScheme("photon_number", nu)
+            fan = metrology.replica_fan(0.8, scheme, 5, seed=2026)
+            assert doc["outcomes"][str(nu)] == fan.totals.tolist()
+            assert row[2:4] == [float(cli._fmt(stat, 12)) for stat in (
+                fan.estimates.mean(), fan.estimates.var(ddof=1))]
 
     @pytest.mark.parametrize("scheme", ["x_squared", "p_squared"])
     def test_quadrature_scheme_dumps_squared_quadratures(self, tmp_path, scheme):

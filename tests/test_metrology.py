@@ -25,7 +25,7 @@ from jcsense.metrology import (
     heisenberg_ratio,
     inverted_variance_numeric,
     quadrature_distribution,
-    replica_estimates,
+    replica_fan,
     sample_outcomes,
     scaling_experiment,
 )
@@ -46,7 +46,7 @@ class TestMeasurementScheme:
 
     def test_accepts_numpy_integers(self):
         scheme = MeasurementScheme(kind="x_squared", shots=np.int64(100))
-        assert replica_estimates(0.8, scheme, 2, seed=1).shape == (2,)
+        assert replica_fan(0.8, scheme, 2, seed=1).estimates.shape == (2,)
 
 
 class TestInvertedVariance:
@@ -180,15 +180,12 @@ class TestChiSquaredLaw:
         eta, shots, replicas = 0.9, 50, 4000
         p = analytic.evaluate(eta)
         sigma2 = p.mean_x2 if kind == "x_squared" else p.mean_p2
-        sink = []
         with warnings.catch_warnings():
             # the test reads the draws: an x_squared mean may fall below 1/4,
             # and its estimate clips to 0
             warnings.simplefilter("ignore", EstimateClippedWarning)
-            replica_estimates(
-                eta, MeasurementScheme(kind, shots), replicas, seed=8, outcome_sink=sink
-            )
-        means = np.array(sink) / shots
+            fan = replica_fan(eta, MeasurementScheme(kind, shots), replicas, seed=8)
+        means = fan.totals / shots
         # moments of m = sigma^2 chi^2_nu / nu: variance 2 sigma^4 / nu and
         # fourth central moment 12 (nu + 4) sigma^8 / nu^3
         var = 2.0 * sigma2**2 / shots
@@ -215,6 +212,28 @@ class TestSampleOutcomes:
         c = sample_outcomes(0.6, scheme, seed=43)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("seed", [True, 1.5, -1], ids=["bool", "float", "negative"])
+    def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        # True once drew what seed 1 draws, and 1.5 raised numpy's bare TypeError
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got "):
+            sample_outcomes(0.6, MeasurementScheme("x_squared", 10), seed=seed)
+
+    @pytest.mark.parametrize(
+        "seed", [17, np.int64(17), np.random.SeedSequence(17), np.random.SeedSequence(3).spawn(2)[1]],
+        ids=["int", "numpy-int", "seed-sequence", "spawned-child"],
+    )
+    @pytest.mark.parametrize("kind", metrology.SCHEME_KINDS)
+    def test_accepted_seeds_draw_what_default_rng_draws(self, kind, seed):
+        eta, shots = 0.8, 200
+        got = sample_outcomes(eta, MeasurementScheme(kind, shots), seed=seed)
+        rng = np.random.default_rng(seed)
+        if kind == "photon_number":
+            sech2 = np.cosh(analytic.squeezing_parameter(eta)) ** -2
+            want = 2.0 * rng.negative_binomial(0.5, sech2, shots)
+        else:
+            want = rng.normal(0.0, quadrature_distribution(eta, kind)[1], shots) ** 2
+        np.testing.assert_array_equal(got, want)
 
     def test_photon_sample_mean_within_three_sigma(self):
         eta, shots = 0.8, 100_000
@@ -413,7 +432,7 @@ class TestCramerRao:
         with pytest.raises(ValueError):
             cramer_rao_ratio(0.8, MeasurementScheme("photon_number", 10), replicas=1)
 
-    @pytest.mark.parametrize("fan", [replica_estimates, cramer_rao_ratio])
+    @pytest.mark.parametrize("fan", [replica_fan, cramer_rao_ratio])
     @pytest.mark.parametrize(
         "seed", [True, 3.0, -1, np.random.SeedSequence(3)],
         ids=["bool", "float", "negative", "seed-sequence"],
@@ -426,8 +445,10 @@ class TestCramerRao:
 
     def test_numpy_integer_seed_draws_as_its_int(self):
         scheme = MeasurementScheme("photon_number", 100)
-        got = replica_estimates(0.8, scheme, 5, seed=np.int64(7))
-        assert np.array_equal(got, replica_estimates(0.8, scheme, 5, seed=7))
+        got = replica_fan(0.8, scheme, 5, seed=np.int64(7))
+        want = replica_fan(0.8, scheme, 5, seed=7)
+        assert np.array_equal(got.totals, want.totals)
+        assert np.array_equal(got.estimates, want.estimates)
 
 
 def total_law(eta: float, scheme: MeasurementScheme):
@@ -456,12 +477,10 @@ class TestReplicaFan:
     def test_each_total_is_one_draw_of_its_childs_generator(self, kind):
         eta, replicas, seed, nu = 0.8, 5, 21, 64
         scheme = MeasurementScheme(kind, nu)
-        sink = []
-        replica_estimates(eta, scheme, replicas, seed=seed, outcome_sink=sink)
+        totals = replica_fan(eta, scheme, replicas, seed=seed).totals
         children = np.random.SeedSequence(seed).spawn(replicas)
-        assert len(sink) == replicas
-        assert all(type(total) is float for total in sink)
-        for total, child in zip(sink, children):
+        assert totals.shape == (replicas,) and totals.dtype == float
+        for total, child in zip(totals, children):
             rng = np.random.default_rng(child)
             if kind == "photon_number":
                 sech2 = np.cosh(analytic.squeezing_parameter(eta)) ** -2
@@ -475,10 +494,9 @@ class TestReplicaFan:
         # in law: a replica's total is the sum of a record of nu outcomes
         eta, nu, replicas = 0.8, 64, 2000
         scheme = MeasurementScheme(kind, nu)
-        totals = []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EstimateClippedWarning)
-            replica_estimates(eta, scheme, replicas, seed=21, outcome_sink=totals)
+            totals = replica_fan(eta, scheme, replicas, seed=21).totals
         records = sample_outcomes(eta, MeasurementScheme(kind, nu * replicas), seed=22)
         sums = records.reshape(replicas, nu).sum(axis=1)
         assert stats.ks_2samp(totals, sums).pvalue > 1e-3
@@ -495,11 +513,10 @@ class TestReplicaFan:
         # in law: a replica's total is the sum of nu draws of rng.choice on
         # the probe's populations, the table the per-shot sampler once searched
         scheme = MeasurementScheme("photon_number", shots)
-        totals = []
         with warnings.catch_warnings():
             # at the clip about half of the estimates sit at ETA_CLIP
             warnings.simplefilter("ignore", EstimateClippedWarning)
-            replica_estimates(eta, scheme, replicas, seed=13, outcome_sink=totals)
+            totals = replica_fan(eta, scheme, replicas, seed=13).totals
         values, p = photon_count_distribution(eta)
         choice = np.random.default_rng(14).choice(values, size=(replicas, shots), p=p)
         assert stats.ks_2samp(totals, choice.sum(axis=1)).pvalue > 1e-3
@@ -514,11 +531,9 @@ class TestReplicaFan:
     )
     def test_photon_totals_fit_the_negative_binomial_law(self, eta, shots):
         scheme = MeasurementScheme("photon_number", shots)
-        sink = []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EstimateClippedWarning)
-            replica_estimates(eta, scheme, 2000, seed=13, outcome_sink=sink)
-        totals = np.array(sink)
+            totals = replica_fan(eta, scheme, 2000, seed=13).totals
         assert (totals % 2 == 0).all()
         law, factor = total_law(eta, scheme)
         assert chi2_pvalue(totals / factor, law) > 1e-3
@@ -526,30 +541,23 @@ class TestReplicaFan:
     @pytest.mark.parametrize("kind", ["x_squared", "p_squared"])
     def test_quadrature_totals_fit_the_gamma_law(self, kind):
         # a gamma draw is scale * standard_gamma, so one eta checks the scale
-        scheme, sink = MeasurementScheme(kind, 100), []
-        replica_estimates(0.995, scheme, 2000, seed=13, outcome_sink=sink)
+        scheme = MeasurementScheme(kind, 100)
+        totals = replica_fan(0.995, scheme, 2000, seed=13).totals
         law, _ = total_law(0.995, scheme)
-        assert stats.kstest(sink, law.cdf).pvalue > 1e-3
+        assert stats.kstest(totals, law.cdf).pvalue > 1e-3
 
-    @pytest.mark.parametrize("keep", [False, True])
     @pytest.mark.parametrize("eta", [0.8, ETA_CLIP])
     @pytest.mark.parametrize("kind", metrology.SCHEME_KINDS)
-    def test_estimates_are_estimate_eta_of_each_replica(self, kind, eta, keep):
+    def test_estimates_are_estimate_eta_of_each_replica(self, kind, eta):
         # each estimate is estimate_eta of a record whose mean is the
         # replica's total / nu; at the clip about half sit at ETA_CLIP
-        replicas, seed = 8, 31
         scheme = MeasurementScheme(kind, 100)
-        totals = []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EstimateClippedWarning)
-            got = replica_estimates(
-                eta, scheme, replicas, seed=seed, outcome_sink=totals if keep else None
-            )
-            if not keep:
-                replica_estimates(eta, scheme, replicas, seed=seed, outcome_sink=totals)
-            want = [estimate_eta(np.array([total / 100]), scheme) for total in totals]
-        np.testing.assert_array_equal(got, want)
-        assert (got == ETA_CLIP).any() == (eta == ETA_CLIP)
+            fan = replica_fan(eta, scheme, 8, seed=31)
+            want = [estimate_eta(np.array([total / 100]), scheme) for total in fan.totals]
+        np.testing.assert_array_equal(fan.estimates, want)
+        assert (fan.estimates == ETA_CLIP).any() == (eta == ETA_CLIP)
 
     @pytest.mark.parametrize(
         "kind, builds", [("photon_number", 0), ("x_squared", 1), ("p_squared", 1)]
@@ -563,34 +571,33 @@ class TestReplicaFan:
             return original(eta, quadrature)
 
         monkeypatch.setattr(metrology, "quadrature_distribution", counting)
-        replica_estimates(0.8, MeasurementScheme(kind, 64), 5, seed=3)
+        replica_fan(0.8, MeasurementScheme(kind, 64), 5, seed=3)
         assert len(calls) == builds
 
     def test_quadrature_draws_use_the_exact_variance_past_the_clamp(self):
         eta, replicas, seed = 0.9999, 4, 5
         scheme = MeasurementScheme("x_squared", 100)
-        sink = []
-        replica_estimates(eta, scheme, replicas, seed=seed, outcome_sink=sink)
+        totals = replica_fan(eta, scheme, replicas, seed=seed).totals
         sigma2 = analytic.evaluate(eta).mean_x2
-        for total, child in zip(sink, np.random.SeedSequence(seed).spawn(replicas)):
+        for total, child in zip(totals, np.random.SeedSequence(seed).spawn(replicas)):
             want = np.random.default_rng(child).gamma(scheme.shots / 2, 2.0 * sigma2)
             assert total == pytest.approx(want, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("kind", metrology.SCHEME_KINDS)
     def test_builds_no_fock_space(self, monkeypatch, kind):
         def forbidden(*args, **kwargs):
-            raise AssertionError("replica_estimates built a Fock-space object")
+            raise AssertionError("replica_fan built a Fock-space object")
 
         monkeypatch.setattr(fockspace, "squeezed_vacuum", forbidden)
         monkeypatch.setattr(fockspace, "field_observables", forbidden)
-        estimates = replica_estimates(0.995, MeasurementScheme(kind, 100), 3, seed=1)
-        assert np.isfinite(estimates).all()
+        fan = replica_fan(0.995, MeasurementScheme(kind, 100), 3, seed=1)
+        assert np.isfinite(fan.estimates).all()
 
     @pytest.mark.parametrize("eta", [-0.1, np.nextafter(ETA_CLIP, 1.0), 1.0, np.nan])
     @pytest.mark.parametrize("kind", metrology.SCHEME_KINDS)
     def test_rejects_eta_no_estimate_reaches(self, eta, kind):
         with pytest.raises(ValueError, match="ETA_CLIP"):
-            replica_estimates(eta, MeasurementScheme(kind, 10), 2)
+            replica_fan(eta, MeasurementScheme(kind, 10), 2)
 
     def test_photon_support_at_the_clip(self):
         # the law is not truncated: at the bound, where a table of the
@@ -615,8 +622,9 @@ class TestClippedFans:
     def test_no_clip_at_0_995(self, kind):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            estimates = replica_estimates(0.995, MeasurementScheme(kind, 100), 500, seed=2026)
-        assert ((0.0 < estimates) & (estimates < ETA_CLIP)).all()
+            fan = replica_fan(0.995, MeasurementScheme(kind, 100), 500, seed=2026)
+        assert ((0.0 < fan.estimates) & (fan.estimates < ETA_CLIP)).all()
+        assert fan.clipped_to_zero == fan.clipped_to_eta_clip == 0
 
     @pytest.mark.parametrize("kind", metrology.SCHEME_KINDS)
     def test_counts_at_the_clip_fit_the_exact_law(self, kind):
@@ -626,8 +634,9 @@ class TestClippedFans:
         # for P^2), whose probability the total's law gives
         scheme, replicas = MeasurementScheme(kind, 1000), 500
         with pytest.warns(EstimateClippedWarning) as caught:
-            estimates = replica_estimates(ETA_CLIP, scheme, replicas, seed=2026)
-        at_clip = int((estimates == ETA_CLIP).sum())
+            fan = replica_fan(ETA_CLIP, scheme, replicas, seed=2026)
+        at_clip = int((fan.estimates == ETA_CLIP).sum())
+        assert (fan.clipped_to_zero, fan.clipped_to_eta_clip) == (0, at_clip)
         assert len(caught) == 1
         assert (
             f"0 of {replicas} {kind} estimates at eta={ETA_CLIP} with 1000 shots "
@@ -647,15 +656,14 @@ class TestClippedFans:
         # criterion 8's nu = 100 fan: a record of zeros, total 0 with
         # probability (sech^2 r)^{nu/2}, estimates exactly 0 with no warning
         eta, scheme, replicas = 0.8, MeasurementScheme("photon_number", 100), 500
-        totals = []
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            estimates = replica_estimates(eta, scheme, replicas, seed=2026, outcome_sink=totals)
-        zeros = estimates == 0.0
-        np.testing.assert_array_equal(zeros, np.array(totals) == 0.0)
+            fan = replica_fan(eta, scheme, replicas, seed=2026)
+        zeros = fan.estimates == 0.0
+        np.testing.assert_array_equal(zeros, fan.totals == 0.0)
         law, _ = total_law(eta, scheme)
         assert binomial_window(int(zeros.sum()), replicas, law.pmf(0))
-        assert metrology.clip_counts(totals, scheme) == (0, 0)
+        assert fan.clipped_to_zero == fan.clipped_to_eta_clip == 0
 
     @pytest.mark.parametrize(
         "kind, eta",
@@ -668,20 +676,20 @@ class TestClippedFans:
         ],
     )
     def test_clip_counts_match_the_fans_warning(self, kind, eta):
-        # single shots clip often: to 0 at eta = 0.5, mostly to ETA_CLIP at the bound
-        scheme, totals = MeasurementScheme(kind, 1), []
+        # single shots clip often: to 0 at eta = 0.5, mostly to ETA_CLIP at
+        # the bound; the scalar branches count the clips on their own
+        scheme = MeasurementScheme(kind, 1)
         with pytest.warns(EstimateClippedWarning) as caught:
-            replica_estimates(eta, scheme, 1000, seed=5, outcome_sink=totals)
-        lower, upper = metrology.clip_counts(totals, scheme)
-        assert len(caught) == 1 and lower + upper > 0
+            fan = replica_fan(eta, scheme, 1000, seed=5)
+        want = [scalar_estimate(float(total), kind) for total in fan.totals]
+        lower = sum(clip and est == 0.0 for est, clip in want)
+        upper = sum(clip and est == ETA_CLIP for est, clip in want)
+        assert (fan.clipped_to_zero, fan.clipped_to_eta_clip) == (lower, upper)
+        assert type(fan.clipped_to_zero) is type(fan.clipped_to_eta_clip) is int
+        assert lower + upper > 0
+        assert len(caught) == 1
         assert f"{lower} of 1000 {kind} estimates" in str(caught[0].message)
         assert f"clipped to 0 and {upper} to ETA_CLIP" in str(caught[0].message)
-
-    @pytest.mark.parametrize("kind, total", [("photon_number", -2.0), ("x_squared", np.nan)])
-    def test_clip_counts_reject_totals_no_fan_draws(self, kind, total):
-        # a negative photon total once counted as a clip to 0, a NaN as no clip
-        with pytest.raises(ValueError, match=f"finite and >= 0, got {total}$"):
-            metrology.clip_counts([4.0, total], MeasurementScheme(kind, 1))
 
 
 class TestPhotonEstimatorOracle:
