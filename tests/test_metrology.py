@@ -546,16 +546,20 @@ class TestReplicaFan:
         law, _ = total_law(0.995, scheme)
         assert stats.kstest(totals, law.cdf).pvalue > 1e-3
 
+    @pytest.mark.parametrize("same_fan", [False, True])
     @pytest.mark.parametrize("eta", [0.8, ETA_CLIP])
     @pytest.mark.parametrize("kind", metrology.SCHEME_KINDS)
-    def test_estimates_are_estimate_eta_of_each_replica(self, kind, eta):
+    def test_estimates_are_estimate_eta_of_each_replica(self, kind, eta, same_fan):
         # each estimate is estimate_eta of a record whose mean is the
-        # replica's total / nu; at the clip about half sit at ETA_CLIP
+        # replica's total / nu; at the clip about half sit at ETA_CLIP.
+        # The totals come from the same fan or from a second fan on the
+        # same seed, which must draw them again exactly.
         scheme = MeasurementScheme(kind, 100)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EstimateClippedWarning)
             fan = replica_fan(eta, scheme, 8, seed=31)
-            want = [estimate_eta(np.array([total / 100]), scheme) for total in fan.totals]
+            totals = fan.totals if same_fan else replica_fan(eta, scheme, 8, seed=31).totals
+            want = [estimate_eta(np.array([total / 100]), scheme) for total in totals]
         np.testing.assert_array_equal(fan.estimates, want)
         assert (fan.estimates == ETA_CLIP).any() == (eta == ETA_CLIP)
 
