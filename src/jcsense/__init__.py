@@ -20,11 +20,9 @@ from .fockspace import (
 )
 from .metrology import (
     MeasurementScheme,
-    ScalingFit,
     estimate_eta,
     inverted_variance_numeric,
     sample_outcomes,
-    scaling_experiment,
 )
 from .ramp import RampSchedule, eta_at, eta_dot_at, transition_probability
 
@@ -33,7 +31,6 @@ __all__ = [
     "HilbertSpec",
     "MeasurementScheme",
     "RampSchedule",
-    "ScalingFit",
     "SparseOperator",
     "StateVector",
     "Trajectory",
@@ -50,7 +47,6 @@ __all__ = [
     "fidelity_against_dark",
     "inverted_variance_numeric",
     "sample_outcomes",
-    "scaling_experiment",
     "squeezed_vacuum",
     "transition_probability",
     "__version__",

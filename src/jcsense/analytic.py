@@ -55,6 +55,11 @@ def _check_eta(eta) -> None:
         raise ValueError(f"eta must be in [0, 1), got {eta[~inside].flat[0]}")
 
 
+def _is_integer(value) -> bool:
+    """Whether a doublet index is a Python or numpy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _squeezing(eta2, eps):
     # 0.0 - eta2, not -eta2: log1p(-0.0) would make r(0) = -0.0
     return 0.25 * np.where(eta2 < 0.5, np.log1p(0.0 - eta2), np.log(eps))
@@ -164,8 +169,8 @@ def eigenvalue(omega: float, eta: float, n: int, branch: str) -> float:
     """Doublet energy +/- sqrt(n) * Omega * (1 - eta^2)^{3/4}, with 1 - eta^2
     formed as (1 - eta)(1 + eta), as in :func:`evaluate`."""
     _check_eta(eta)
-    if n < 1:
-        raise ValueError(f"doublet index n must be >= 1, got {n}")
+    if not _is_integer(n) or n < 1:
+        raise ValueError(f"doublet index n must be an integer >= 1, got {n!r}")
     if branch not in ("+", "-"):
         raise ValueError(f"branch must be '+' or '-', got {branch!r}")
     sign = 1.0 if branch == "+" else -1.0

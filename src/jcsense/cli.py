@@ -156,7 +156,7 @@ def resolve_config(raw: dict) -> dict:
         if num["replicas"] < 2:
             raise ConfigError(f"cramer_rao needs numerics.replicas >= 2, got {num['replicas']}")
     elif experiment == "scaling" and abs(phys["xi"] - 4.0 / 3.0) > 1e-12:
-        # the test metrology.scaling_experiment applies
+        # the only check of xi: experiments.scaling fits without one
         raise ConfigError(
             f"scaling needs physics.xi = 4/3, which its exponents assume, got {phys['xi']!r}"
         )

@@ -3,7 +3,7 @@
 qfi_curve      closed-form sensitivity quantities on an eta grid
 ramp_curve     the drive schedule eta(kt) and its derivative
 fidelity_sweep integrated trajectory with dark-state fidelity tracking
-scaling        near-critical log-log scaling fits along the ramp
+scaling        near-critical scaling table and log-log fits along the ramp
 cramer_rao     Monte-Carlo estimator variance against the quantum bound
 moments_check  Fock-space moments against the closed forms
 
@@ -17,7 +17,6 @@ column is declared once, by one keyword.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import asdict
 
 import numpy as np
 
@@ -104,20 +103,61 @@ def fidelity_sweep(resolved: dict) -> tuple[list[str], list[list[float]], dict]:
     return columns, rows, extras
 
 
+def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    lx, ly = np.log(x), np.log(y)
+    design = np.vstack([lx, np.ones_like(lx)]).T
+    (slope, intercept), *_ = np.linalg.lstsq(design, ly, rcond=None)
+    resid = ly - design @ np.array([slope, intercept])
+    total = ((ly - ly.mean()) ** 2).sum()
+    r2 = 1.0 - float((resid**2).sum() / total) if total > 0 else 1.0
+    return float(slope), r2
+
+
+def paper_ramp_points(schedule, kt_points) -> analytic.AnalyticPoint:
+    """The closed forms at each kt of the ramp.
+
+    With w = phi(kt)^xi on the schedule's own clock, every closed form is
+    evaluated from epsilon = 1/(w + 1) and eta^2 = w/(w + 1) themselves, so
+    ``.epsilon`` is exact: re-deriving it from the rounded eta would lose
+    the digits that cancel in 1 - eta^2 (2.8e-11 relative at kt = 1e4).
+    """
+    phi = np.array([ramp._clock(schedule, kt)[0] for kt in kt_points], dtype=float)
+    w = phi**schedule.xi
+    eta2 = w / (w + 1.0)
+    return analytic._evaluate(np.sqrt(eta2), eta2, 1.0 / (w + 1.0))
+
+
 def scaling(resolved: dict) -> tuple[list[str], list[list[float]], dict]:
-    """Scaling table plus fitted exponents (in the extras block)."""
+    """Near-critical scaling along the ramp, in closed form.
+
+    The closed forms are evaluated once, by :func:`paper_ramp_points`, at
+    ``SCALING_KT_POINTS`` log-spaced kt in ``SCALING_KT_RANGE`` on the
+    schedule's own clock.  The table gives kt, eta, epsilon, the inverted
+    variance (the QFI), <N> and ``fisher_per_n_kt2`` = F / (<N> kt^2),
+    constant where the Heisenberg scaling holds.  The extras' ``fits`` give
+    the log-log slope and r^2 against kt of the inverted variance, <N> and
+    epsilon, which approach 8/3, 2/3 and -4/3 on the xi = 4/3 schedule that
+    ``cli.resolve_config`` requires.
+    """
     sched = _schedule(resolved)
     kts = np.logspace(
         np.log10(SCALING_KT_RANGE[0]), np.log10(SCALING_KT_RANGE[1]), SCALING_KT_POINTS
     )
-    fits = metrology.scaling_experiment(sched, kts)
-    ratio = metrology.heisenberg_ratio(sched, kts)
-    p = metrology.paper_ramp_points(sched, kts)
+    p = paper_ramp_points(sched, kts)
+    fits = []
+    for quantity, values, expected in (
+        ("inverted_variance", p.qfi, 8.0 / 3.0),
+        ("mean_n", p.mean_n, 2.0 / 3.0),
+        ("epsilon", p.epsilon, -4.0 / 3.0),
+    ):
+        slope, r2 = _loglog_fit(kts, values)
+        fits.append({"quantity": quantity, "fitted_exponent": slope,
+                     "expected_exponent": expected, "r_squared": r2})
     columns, rows = _table(
         kt=kts, eta=p.eta, epsilon=p.epsilon, inverted_variance=p.qfi,
-        mean_n=p.mean_n, fisher_per_n_kt2=ratio,
+        mean_n=p.mean_n, fisher_per_n_kt2=p.qfi / (p.mean_n * kts**2),
     )
-    return columns, rows, {"fits": [asdict(f) for f in fits]}
+    return columns, rows, {"fits": fits}
 
 
 def cramer_rao(resolved: dict) -> tuple[list[str], list[list[float]], dict]:

@@ -50,6 +50,12 @@ class TruncationWarning(UserWarning):
     """Emitted when the Fock cutoff is too small for the requested state."""
 
 
+def _is_integer(value) -> bool:
+    """Whether a level count or index is a Python or numpy integer; a bool
+    is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _tail_cut(field_dim: int) -> int:
     """First index of the top-10% Fock window (never empty)."""
     return min(int(np.ceil(0.9 * field_dim)), field_dim - 1)
@@ -63,8 +69,8 @@ class HilbertSpec:
     with_qubit: bool = True
 
     def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
+        if not _is_integer(self.n_max) or self.n_max < 1:
+            raise ValueError(f"n_max must be an integer >= 1, got {self.n_max!r}")
 
     @property
     def field_dim(self) -> int:
@@ -335,6 +341,8 @@ def eigenstate(
         raise ValueError(f"eta must be in [0, 1), got {eta} (squeezing diverges at 1)")
     if branch not in ("+", "-", "dark"):
         raise ValueError(f"branch must be '+', '-' or 'dark', got {branch!r}")
+    if not _is_integer(n):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if branch == "dark" and n != 0:
         raise ValueError("the dark branch has n = 0")
     if branch != "dark" and n < 1:
@@ -372,8 +380,8 @@ def doublet_spectrum(
         raise ValueError("doublets live on the composite space")
     if spec.n_max % 2:
         raise ValueError(f"the parity blocks need an even n_max, got {spec.n_max}")
-    if not 1 <= n_doublets <= spec.n_max:
-        raise ValueError(f"n_doublets must be in [1, {spec.n_max}], got {n_doublets}")
+    if not (_is_integer(n_doublets) and 1 <= n_doublets <= spec.n_max):
+        raise ValueError(f"n_doublets must be an integer in [1, {spec.n_max}], got {n_doublets!r}")
     levels = np.tile(np.arange(spec.field_dim), 2)
     even = levels % 2 == 0
     b = build_hamiltonian(spec, omega, eta).matrix.real[even][:, ~even]

@@ -1,5 +1,5 @@
 """Fisher-information pipeline: measurement sampling, estimator
-construction, Cramer-Rao comparison, and the near-critical scaling fits.
+construction and the Cramer-Rao comparison.
 
 The probe is the squeezed vacuum S(r)|0> at eta, a Gaussian state, so every
 outcome law is closed form in eta and sampling builds no Fock space: photon
@@ -24,10 +24,6 @@ Detector imperfections are not modeled.
 
 :func:`inverted_variance_numeric` cross-checks the Fisher figures of merit
 in Fock space, with N, X^2 and P^2 from :func:`fockspace.field_observables`.
-The scaling fits map kt onto the closed forms through one helper,
-:func:`paper_ramp_points`, which reads the schedule's clock from
-:mod:`ramp` (the paper's kt, or the onset clock) and calls
-:func:`analytic.evaluate` once on the whole kt array.
 """
 
 from __future__ import annotations
@@ -37,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analytic, fockspace, ramp
+from . import analytic, fockspace
 from .fockspace import StateVector
 
 SCHEME_KINDS = ("photon_number", "x_squared", "p_squared")
@@ -51,6 +47,13 @@ class EstimateClippedWarning(UserWarning):
     """Emitted when an estimate is clipped to 0 or ``ETA_CLIP``."""
 
 
+def _is_integer(value) -> bool:
+    """Whether a count (shots, seed, replicas) is a Python or numpy integer;
+    a bool is not.  A float would reach numpy as a shape parameter or a
+    spawn count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class MeasurementScheme:
     """Observable choice and number of independent repetitions."""
@@ -61,21 +64,10 @@ class MeasurementScheme:
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
             raise ValueError(f"kind must be one of {SCHEME_KINDS}, got {self.kind!r}")
-        # a non-integer count would pass the samplers' shape parameter nu/2
-        if not isinstance(self.shots, (int, np.integer)) or isinstance(self.shots, bool):
+        if not _is_integer(self.shots):
             raise ValueError(f"shots must be an integer, got {self.shots!r}")
         if self.shots < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
-
-
-@dataclass(frozen=True)
-class ScalingFit:
-    """Log-log slope of one quantity along the ramp versus kt."""
-
-    quantity: str
-    fitted_exponent: float
-    expected_exponent: float
-    r_squared: float
 
 
 @dataclass(frozen=True)
@@ -92,8 +84,9 @@ class ReplicaFan:
 def mean_and_variance(state: StateVector, op) -> tuple[float, float]:
     """Expectation value and variance of a sparse observable in a pure state."""
     psi = state.amplitudes
-    mean = float(np.real(np.vdot(psi, op @ psi)))
-    sq = float(np.real(np.vdot(psi, op @ (op @ psi))))
+    op_psi = op @ psi
+    mean = float(np.real(np.vdot(psi, op_psi)))
+    sq = float(np.real(np.vdot(psi, op @ op_psi)))
     return mean, sq - mean * mean
 
 
@@ -138,7 +131,7 @@ def _require_estimable(eta: float) -> None:
 
 
 def _require_seed(seed) -> None:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+    if not _is_integer(seed) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
@@ -186,11 +179,7 @@ def sample_outcomes(eta: float, scheme: MeasurementScheme, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
     if scheme.kind == "photon_number":
         return 2.0 * rng.negative_binomial(0.5, law, scheme.shots)
-    # normal returns 0.0 + sigma * standard_normal, which differs from
-    # sigma * standard_normal only in the sign of a zero, and squaring drops it
-    z = rng.standard_normal(scheme.shots)
-    z *= law
-    return np.square(z, out=z)
+    return rng.normal(0.0, law, scheme.shots) ** 2
 
 
 def _estimates(means, kind: str) -> tuple[np.ndarray, np.ndarray]:
@@ -265,17 +254,17 @@ def replica_fan(eta: float, scheme: MeasurementScheme, replicas: int, seed=0) ->
     makes one draw of its total from its own generator, and one call of
     ``_estimates(totals / nu)``, the inversion :func:`estimate_eta` applies
     to a sample mean, gives the fan's estimates and its clip counts.  The
-    law is built once per fan, with no Fock space.  ``seed`` is a
-    non-negative integer (a Python or numpy int, not a bool; anything else
-    raises ValueError), and the replica seeds are spawned from
-    ``np.random.SeedSequence(seed)``, so results are reproducible and
-    independent of execution order.  When estimates clip, one
+    law is built once per fan, with no Fock space.  ``replicas`` is an
+    integer >= 2 and ``seed`` a non-negative integer (each a Python or
+    numpy int, not a bool; anything else raises ValueError), and the
+    replica seeds are spawned from ``np.random.SeedSequence(seed)``, so
+    results are reproducible and independent of execution order.  When estimates clip, one
     :class:`EstimateClippedWarning` states the fan's two clip counts.
     Raises ValueError for eta outside [0, ETA_CLIP], where every estimate
     clips.
     """
-    if replicas < 2:
-        raise ValueError(f"need at least 2 replicas, got {replicas}")
+    if not _is_integer(replicas) or replicas < 2:
+        raise ValueError(f"replicas must be an integer >= 2, got {replicas!r}")
     _require_seed(seed)
     kind, nu = scheme.kind, scheme.shots
     law = _outcome_law(eta, kind)
@@ -315,79 +304,3 @@ def cramer_rao_ratio(eta: float, scheme: MeasurementScheme, replicas: int = DEFA
     var = float(estimates.var(ddof=1))
     qfi = analytic.evaluate(eta).qfi
     return scheme.shots * var * qfi, float(estimates.mean())
-
-
-def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    lx, ly = np.log(x), np.log(y)
-    design = np.vstack([lx, np.ones_like(lx)]).T
-    (slope, intercept), *_ = np.linalg.lstsq(design, ly, rcond=None)
-    resid = ly - design @ np.array([slope, intercept])
-    total = ((ly - ly.mean()) ** 2).sum()
-    r2 = 1.0 - float((resid**2).sum() / total) if total > 0 else 1.0
-    return float(slope), r2
-
-
-def paper_ramp_points(schedule, kt_points) -> analytic.AnalyticPoint:
-    """The closed forms at each kt of the ramp.
-
-    With w = phi(kt)^xi on the schedule's own clock, every closed form is
-    evaluated from epsilon = 1/(w + 1) and eta^2 = w/(w + 1) themselves, so
-    ``.epsilon`` is exact: re-deriving it from the rounded eta would lose
-    the digits that cancel in 1 - eta^2 (2.8e-11 relative at kt = 1e4).
-    """
-    phi = np.array([ramp._clock(schedule, kt)[0] for kt in kt_points], dtype=float)
-    w = phi**schedule.xi
-    eta2 = w / (w + 1.0)
-    return analytic._evaluate(np.sqrt(eta2), eta2, 1.0 / (w + 1.0))
-
-
-def scaling_experiment(
-    schedule, kt_points: np.ndarray
-) -> list[ScalingFit]:
-    """Near-critical scaling fits along the ramp (closed-form route).
-
-    At each kt the drive amplitude eta(kt) follows the schedule and the
-    inverted variance, mean photon number and distance from criticality are
-    evaluated in closed form; their log-log slopes against kt approach
-    8/3, 2/3 and -4/3 for the xi = 4/3 schedule.
-
-    Requires at least 8 points, all with kt >= 10 (below that the power-law
-    regime has not set in), and the paper's xi = 4/3 exponent; the clock
-    may carry an onset.
-    """
-    kt_points = np.asarray(kt_points, dtype=float)
-    if kt_points.size < 8:
-        raise ValueError(f"need at least 8 kt points, got {kt_points.size}")
-    if kt_points.min() < 10.0:
-        raise ValueError("scaling fits need kt >= 10 everywhere")
-    if abs(schedule.xi - 4.0 / 3.0) > 1e-12:
-        raise ValueError("the scaling exponents assume the xi = 4/3 schedule")
-
-    points = paper_ramp_points(schedule, kt_points)
-    series = {
-        "inverted_variance": (points.qfi, 8.0 / 3.0),
-        "mean_n": (points.mean_n, 2.0 / 3.0),
-        "epsilon": (points.epsilon, -4.0 / 3.0),
-    }
-    fits = []
-    for name, (values, expected) in series.items():
-        slope, r2 = _loglog_fit(kt_points, values)
-        fits.append(
-            ScalingFit(
-                quantity=name,
-                fitted_exponent=slope,
-                expected_exponent=expected,
-                r_squared=r2,
-            )
-        )
-    return fits
-
-
-def heisenberg_ratio(schedule, kt_points: np.ndarray) -> np.ndarray:
-    """F / (<N> (kt)^2) along the ramp; constant where the scaling law holds.
-
-    Evaluated in closed form on the schedule's own clock.
-    """
-    kt_points = np.asarray(kt_points, dtype=float)
-    points = paper_ramp_points(schedule, kt_points)
-    return points.qfi / (points.mean_n * kt_points**2)

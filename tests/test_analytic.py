@@ -234,6 +234,16 @@ class TestEigenvalue:
         with pytest.raises(ValueError):
             analytic.eigenvalue(1.0, 0.5, 1, "dark")
 
+    @pytest.mark.parametrize("n", [1.5, 2.0, True, "2"])
+    def test_rejects_an_index_that_is_not_an_integer(self, n):
+        # 1.5 once gave 0.987 for a doublet that does not exist
+        with pytest.raises(ValueError, match="doublet index n must be an integer >= 1, got "):
+            analytic.eigenvalue(1.0, 0.5, n, "+")
+
+    def test_numpy_integer_index_is_its_int(self):
+        assert analytic.eigenvalue(1.0, 0.5, np.int64(3), "-") == analytic.eigenvalue(
+            1.0, 0.5, 3, "-")
+
 
 class TestQfiFromStateDerivative:
     @pytest.mark.parametrize("eta", [0.3, 0.9])

@@ -4,7 +4,6 @@ import json
 import math
 import re
 import warnings
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -316,11 +315,16 @@ class TestUnwritableOutput:
 
 
 class TestRerunIdentity:
-    @pytest.mark.parametrize("experiment", sorted(experiments.RUNNERS))
-    def test_byte_identical_reruns(self, tmp_path, experiment):
-        # the default config of each experiment, seeded sampling included
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        path = write_config(tmp_path, {"experiment": experiment})
+    @pytest.mark.parametrize("body", [
+        *(pytest.param({"experiment": name}, id=name) for name in sorted(experiments.RUNNERS)),
+        *(pytest.param({"experiment": name, "output": {"format": "json", "precision": 17}},
+                       id=f"{name}-json-17") for name in sorted(experiments.RUNNERS)),
+    ])
+    def test_byte_identical_reruns(self, tmp_path, body):
+        # the default config of each experiment, seeded sampling included,
+        # and at full precision through the JSON emitter
+        out1, out2 = tmp_path / "a.out", tmp_path / "b.out"
+        path = write_config(tmp_path, body)
         assert cli.main(["run", str(path), "--out", str(out1)]) == 0
         assert cli.main(["run", str(path), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
@@ -348,18 +352,21 @@ class TestTables:
             assert len(row) == len(columns)
             assert all(type(v) is float and math.isfinite(v) for v in row)
 
-    def test_scaling_fits_header_is_the_fit_dataclass(self, tmp_path):
+    def test_scaling_fits_header_fits_the_table_columns(self, tmp_path):
         out = tmp_path / "scaling.csv"
         path = write_config(tmp_path, {"experiment": "scaling"})
         assert cli.main(["run", str(path), "--out", str(out)]) == 0
         text = out.read_text()
         header = json.loads(re.search(r"^# fits: (.*)$", text, re.M).group(1))
-        resolved = cli.resolve_config({"experiment": "scaling"})
-        columns, rows, _ = experiments.scaling(resolved)
-        kts = np.array([row[columns.index("kt")] for row in rows])
-        phys = resolved["physics"]
-        sched = ramp.RampSchedule(k=phys["k"], xi=phys["xi"], eta_target=phys["eta_target"])
-        assert header == [asdict(f) for f in metrology.scaling_experiment(sched, kts)]
+        columns, rows, _ = experiments.scaling(cli.resolve_config({"experiment": "scaling"}))
+        table = dict(zip(columns, np.array(rows).T))
+        expected = []
+        for quantity, exponent in (("inverted_variance", 8 / 3), ("mean_n", 2 / 3),
+                                   ("epsilon", -4 / 3)):
+            slope, r2 = experiments._loglog_fit(table["kt"], table[quantity])
+            expected.append({"quantity": quantity, "fitted_exponent": slope,
+                             "expected_exponent": exponent, "r_squared": r2})
+        assert header == expected
 
 
 class TestRunQfiCurve:

@@ -39,6 +39,15 @@ class TestHilbertSpec:
         with pytest.raises(ValueError):
             HilbertSpec(n_max=0)
 
+    @pytest.mark.parametrize("n_max", [2.5, 6.0, True, "6", None])
+    def test_rejects_a_cutoff_that_is_not_an_integer(self, n_max):
+        # 2.5 once built a space of dim 7.0, and True one of n_max 1
+        with pytest.raises(ValueError, match="n_max must be an integer >= 1, got "):
+            HilbertSpec(n_max=n_max)
+
+    def test_accepts_numpy_integers(self):
+        assert HilbertSpec(n_max=np.int64(7), with_qubit=False).dim == 8
+
     def test_adaptive_n_max_clamps(self):
         assert adaptive_n_max(0.0) == 32
         assert adaptive_n_max(0.995) == 122  # the support, 121, rounded up to even
@@ -280,6 +289,17 @@ class TestEigenstate:
         expected[1] = 1 / np.sqrt(2)       # |1>|g>
         np.testing.assert_allclose(state.amplitudes, expected, atol=1e-12)
 
+    @pytest.mark.parametrize("n, branch", [(1.5, "+"), (1.0, "-"), (True, "+"), (0.0, "dark")])
+    def test_rejects_an_index_that_is_not_an_integer(self, n, branch):
+        # 1.5 once raised a bare TypeError inside the ladder recurrence
+        with pytest.raises(ValueError, match="n must be an integer, got "):
+            eigenstate(HilbertSpec(n_max=12), 1.0, 0.5, n, branch)
+
+    def test_numpy_integer_index_is_its_int(self):
+        spec = HilbertSpec(n_max=40)
+        assert np.array_equal(eigenstate(spec, 1.0, 0.5, np.int64(2), "-").amplitudes,
+                              eigenstate(spec, 1.0, 0.5, 2, "-").amplitudes)
+
     def test_dark_state_zero_energy(self):
         spec = HilbertSpec(n_max=adaptive_n_max(0.6))
         dark = eigenstate(spec, 1.0, 0.6, 0, "dark")
@@ -400,6 +420,17 @@ class TestParityBlockSpectrum:
     def test_rejects_odd_cutoff_and_empty_request(self, n_max, n_doublets):
         with pytest.raises(ValueError):
             doublet_spectrum(HilbertSpec(n_max=n_max), 1.0, 0.5, n_doublets)
+
+    @pytest.mark.parametrize("n_doublets", [2.5, 2.0, True, "2"])
+    def test_rejects_a_doublet_count_that_is_not_an_integer(self, n_doublets):
+        # 2.5 once failed on a slice, and True was taken as 1
+        with pytest.raises(ValueError, match="n_doublets must be an integer in "):
+            doublet_spectrum(HilbertSpec(n_max=40), 1.0, 0.5, n_doublets)
+
+    def test_numpy_integer_doublet_count_is_its_int(self):
+        spec = HilbertSpec(n_max=40)
+        assert np.array_equal(doublet_spectrum(spec, 1.0, 0.5, np.int64(2)),
+                              doublet_spectrum(spec, 1.0, 0.5, 2))
 
     @pytest.mark.parametrize(
         "eta, n_max", [(0.99, 100), (0.995, 122), (0.999, 300), (0.9999, 850)]

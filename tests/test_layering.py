@@ -1,9 +1,9 @@
 """Layer boundaries read from the source: the closed-form layer imports
 nothing from the rest of the package, estimation reaches the Fock-space layer
-only through its public names, no source file reaches a private scipy
-module, no module imports scipy at load time, importing the package loads
-no scipy module, each run loads only the scipy it uses, and every exported
-name exists."""
+only through its public names and imports no ramp, no source file reaches a
+private scipy module, no module imports scipy at load time, importing the
+package loads no scipy module, each run loads only the scipy it uses, and
+every exported name exists."""
 
 from __future__ import annotations
 
@@ -61,6 +61,19 @@ def test_metrology_uses_no_private_fockspace_name():
                 assert not node.attr.startswith("_"), ast.unparse(node)
         elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("fockspace"):
             assert not any(a.name.startswith("_") for a in node.names), ast.unparse(node)
+
+
+def test_metrology_imports_no_ramp():
+    # estimation is a function of eta alone; the ramp's clock belongs to
+    # the scaling study in experiments
+    for node in ast.walk(_parse("metrology")):
+        if isinstance(node, ast.ImportFrom):
+            imported = [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            imported = [a.name for a in node.names]
+        else:
+            continue
+        assert not any(name.split(".")[-1] == "ramp" for name in imported), ast.unparse(node)
 
 
 def _is_private(dotted: str) -> bool:

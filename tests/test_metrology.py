@@ -22,12 +22,10 @@ from jcsense.metrology import (
     MeasurementScheme,
     cramer_rao_ratio,
     estimate_eta,
-    heisenberg_ratio,
     inverted_variance_numeric,
     quadrature_distribution,
     replica_fan,
     sample_outcomes,
-    scaling_experiment,
 )
 
 
@@ -127,6 +125,17 @@ class TestQuadratureLaw:
         got = sample_outcomes(0.8, MeasurementScheme(kind, 1000), seed=17)
         want = np.random.default_rng(17).normal(0.0, sigma, 1000) ** 2
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", ["x_squared", "p_squared"])
+    def test_sample_outcomes_are_scaled_standard_normals_squared(self, kind):
+        # bytewise, so a sign of zero or a rounding step would show
+        for eta in (0.0, 0.3, 0.9, 0.995, ETA_CLIP):
+            _, sigma = quadrature_distribution(eta, kind)
+            for seed in range(5):
+                for nu in (1, 17, 1000):
+                    got = sample_outcomes(eta, MeasurementScheme(kind, nu), seed=seed)
+                    want = (sigma * np.random.default_rng(seed).standard_normal(nu)) ** 2
+                    assert got.tobytes() == want.tobytes(), (eta, seed, nu)
 
     def test_photon_counts_are_negative_binomial_draws(self):
         # counts are 2m, m ~ NegBin(1/2, sech^2 r), whose law is the Fock
@@ -431,6 +440,19 @@ class TestCramerRao:
     def test_needs_replicas(self):
         with pytest.raises(ValueError):
             cramer_rao_ratio(0.8, MeasurementScheme("photon_number", 10), replicas=1)
+
+    @pytest.mark.parametrize("fan", [replica_fan, cramer_rao_ratio])
+    @pytest.mark.parametrize("replicas", [3.0, 2.5, True, "5"])
+    def test_rejects_a_replica_count_that_is_not_an_integer(self, fan, replicas):
+        # 3.0 once died with numpy's bare TypeError in SeedSequence.spawn,
+        # and "5" with a bare TypeError on <
+        with pytest.raises(ValueError, match="^replicas must be an integer >= 2, got "):
+            fan(0.8, MeasurementScheme("photon_number", 10), replicas, seed=1)
+
+    def test_numpy_integer_replica_count_is_its_int(self):
+        scheme = MeasurementScheme("photon_number", 100)
+        got = replica_fan(0.8, scheme, np.int64(5), seed=7)
+        assert np.array_equal(got.totals, replica_fan(0.8, scheme, 5, seed=7).totals)
 
     @pytest.mark.parametrize("fan", [replica_fan, cramer_rao_ratio])
     @pytest.mark.parametrize(
@@ -792,31 +814,39 @@ class TestPhotonEstimatorOracle:
         self.check(kind, eta, nu, self.quadrature_moments(kind, eta, nu), expected)
 
 
+def _scaling_run(physics=None):
+    """The scaling runner's table as columns, and its fits by quantity."""
+    columns, rows, extras = experiments.scaling(
+        cli.resolve_config({"experiment": "scaling", "physics": physics or {}}))
+    table = dict(zip(columns, np.array(rows).T))
+    return table, {f["quantity"]: f for f in extras["fits"]}
+
+
 class TestScalingExperiment:
     def test_fitted_exponents(self):
-        sched = ramp.RampSchedule(k=1.0, xi=4.0 / 3.0, eta_target=0.995)
-        kts = np.logspace(2, 4, 24)
-        fits = {f.quantity: f for f in scaling_experiment(sched, kts)}
-        assert fits["inverted_variance"].fitted_exponent == pytest.approx(8 / 3, abs=0.05)
-        assert fits["mean_n"].fitted_exponent == pytest.approx(2 / 3, abs=0.05)
-        assert fits["epsilon"].fitted_exponent == pytest.approx(-4 / 3, abs=0.02)
+        _, fits = _scaling_run({"k": 1.0})
+        assert fits["inverted_variance"]["fitted_exponent"] == pytest.approx(8 / 3, abs=0.05)
+        assert fits["mean_n"]["fitted_exponent"] == pytest.approx(2 / 3, abs=0.05)
+        assert fits["epsilon"]["fitted_exponent"] == pytest.approx(-4 / 3, abs=0.02)
         for f in fits.values():
-            assert f.r_squared > 0.999
+            assert f["r_squared"] > 0.999
 
-    def test_input_validation(self):
-        sched = ramp.RampSchedule(k=1.0, xi=4.0 / 3.0, eta_target=0.995)
-        with pytest.raises(ValueError):
-            scaling_experiment(sched, np.logspace(2, 4, 5))  # too few points
-        with pytest.raises(ValueError):
-            scaling_experiment(sched, np.logspace(0, 3, 10))  # kt < 10
-        bad = ramp.RampSchedule(k=1.0, xi=1.0, eta_target=0.995)
-        with pytest.raises(ValueError):
-            scaling_experiment(bad, np.logspace(2, 4, 10))
+    def test_one_closed_form_evaluation_per_run(self, monkeypatch):
+        calls = []
+
+        def spy(schedule, kt_points):
+            calls.append(len(kt_points))
+            return real(schedule, kt_points)
+
+        real = experiments.paper_ramp_points
+        monkeypatch.setattr(experiments, "paper_ramp_points", spy)
+        experiments.scaling(cli.resolve_config({"experiment": "scaling"}))
+        assert calls == [experiments.SCALING_KT_POINTS]
 
     def test_paper_ramp_points_follow_the_schedule(self):
         sched = ramp.RampSchedule(k=0.5, xi=4.0 / 3.0, eta_target=0.995)
         kts = np.logspace(2, 4, 8)
-        points = metrology.paper_ramp_points(sched, kts)
+        points = experiments.paper_ramp_points(sched, kts)
         for i, kt in enumerate(kts):
             t = kt / sched.k
             assert points.epsilon[i] == pytest.approx(ramp.epsilon_at(sched, t), rel=1e-14, abs=0.0)
@@ -833,7 +863,7 @@ class TestScalingExperiment:
             np.log10(experiments.SCALING_KT_RANGE[1]),
             experiments.SCALING_KT_POINTS,
         )
-        points = metrology.paper_ramp_points(sched, kts)
+        points = experiments.paper_ramp_points(sched, kts)
         _, rows, _ = experiments.scaling(resolved)
         with localcontext() as ctx:
             ctx.prec = 60
@@ -855,22 +885,20 @@ class TestScalingExperiment:
     def test_onset_schedule_follows_its_own_clock(self, monkeypatch):
         sched = ramp.RampSchedule(k=0.5, onset=1.0)
         kts = np.logspace(2, 4)
-        points = metrology.paper_ramp_points(sched, kts)
+        points = experiments.paper_ramp_points(sched, kts)
         for i, kt in enumerate(kts):
             t = kt / sched.k
             assert points.epsilon[i] == pytest.approx(ramp.epsilon_at(sched, t), rel=1e-14, abs=0.0)
             assert points.eta[i] == pytest.approx(ramp.eta_at(sched, t), rel=1e-14, abs=0.0)
         # kt >= 100 >> tau: the clock kt - tau keeps the paper's exponents
-        fits = {f.quantity: f for f in scaling_experiment(sched, kts)}
-        assert fits["epsilon"].fitted_exponent == pytest.approx(-4 / 3, abs=0.02)
-        ratio = heisenberg_ratio(sched, kts)
-        assert np.all(np.isfinite(ratio)) and np.all(ratio > 0)
         monkeypatch.setattr(experiments, "_schedule", lambda resolved: sched)
-        _, rows, _ = experiments.scaling(cli.resolve_config({"experiment": "scaling"}))
-        assert len(rows) == experiments.SCALING_KT_POINTS
+        table, fits = _scaling_run()
+        assert len(table["kt"]) == experiments.SCALING_KT_POINTS
+        assert fits["epsilon"]["fitted_exponent"] == pytest.approx(-4 / 3, abs=0.02)
+        ratio = table["fisher_per_n_kt2"]
+        assert np.all(np.isfinite(ratio)) and np.all(ratio > 0)
 
     def test_heisenberg_ratio_constant_in_power_law_regime(self):
-        sched = ramp.RampSchedule(k=1.0, xi=4.0 / 3.0, eta_target=0.995)
-        kts = np.logspace(3, 4, 10)
-        ratio = heisenberg_ratio(sched, kts)
+        table, _ = _scaling_run({"k": 1.0})
+        ratio = table["fisher_per_n_kt2"][table["kt"] >= 1e3]
         assert ratio.max() / ratio.min() - 1.0 <= 0.10
